@@ -17,6 +17,7 @@ from .model import Regime
 DEFAULT_TOL = 1e-10
 MAX_ITERS = 200
 CONDITION_LIMIT = 1e12
+FLAT_ASCENT = 1e-15  # relative to max(1, |objective|)
 
 
 class NonConvergenceError(RuntimeError):
@@ -76,8 +77,11 @@ def _maximize_concave(value_fn, grad_fn, neg_hess_fn, z0, tol, max_iters):
         if step is None:
             # degenerate hessian: plain ascent scaled by the largest curvature
             step = gf / max(float(np.abs(H).sum(axis=1).max()), 1.0)
+        # a predicted ascent of a few ulps of the objective is invisible to the
+        # line search, which would halve t some 60 times before giving up
+        flat = float(gf @ step) <= FLAT_ASCENT * max(1.0, abs(val))
         step = step.reshape(N, n)
-        t = 1.0
+        t = 0.0 if flat else 1.0
         accepted = False
         while t > 1e-18:
             cand = z + t * step
@@ -137,7 +141,10 @@ def conjugate(F: Integrand, xi, tol=DEFAULT_TOL, max_iters=MAX_ITERS) -> Conjuga
     def grad(z):
         return xi - F.gradient(z)
 
-    z, iters, res = _maximize_concave(val, grad, F.hessian, _newton_seed(F, xi), tol, max_iters)
+    # round-off in F'(z) grows with |xi|, so the residual test is relative above |xi| = 1
+    scaled_tol = tol * max(1.0, math.sqrt(float(frob2(xi))))
+    z, iters, res = _maximize_concave(val, grad, F.hessian, _newton_seed(F, xi), scaled_tol,
+                                      max_iters)
     return ConjugateResult(value=val(z), argmax=z, newton_iters=iters, residual=res)
 
 

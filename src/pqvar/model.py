@@ -1,14 +1,17 @@
 """Core value types: regimes, regions, simplicial grids, discrete fields, reports.
 
 Everything here is immutable after construction so that solver assembly and
-diagnostics sweeps can read the same objects from several workers.
+diagnostics sweeps can read the same objects from several workers.  The one
+exception is a grid's assembly plans, built on first use and then fixed.
 """
 
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 
 class InvalidRegimeError(ValueError):
@@ -163,7 +166,8 @@ class Grid:
     Simplices are stored grouped by type (the permutation defining each Kuhn
     simplex), so simplex `t * n_cells + c` is the type-`t` simplex of cell `c`.
     The triangulation is fixed, which makes per-simplex gradients reproducible
-    bit-for-bit across runs.
+    bit-for-bit across runs, and lets every assembly reuse one AssemblyPlan per
+    number of field components.
     """
 
     def __init__(self, dim: int, cells_per_side: int):
@@ -209,6 +213,14 @@ class Grid:
 
         for arr in (self.node_coords, self.simplex_vertices, self.barycenters, self.cell_centers):
             arr.setflags(write=False)
+        self._plans = {}
+
+    def assembly_plan(self, N: int) -> "AssemblyPlan":
+        """The assembly plan for N-component fields on this grid, built at first use."""
+        plan = self._plans.get(N)
+        if plan is None:
+            plan = self._plans[N] = AssemblyPlan(self, N)
+        return plan
 
     def simplices_in(self, region: Region) -> np.ndarray:
         """Mask of simplices whose barycenter lies in the region."""
@@ -225,6 +237,98 @@ class Grid:
         return byc.mean(axis=0).reshape((m,) * self.dim + simplex_values.shape[1:])
 
 
+class AssemblyPlan:
+    """Fixed sparse operators of a Grid for N-component fields.
+
+    Nodal arrays (n_nodes, N) are flattened node-major, component-minor.  The
+    PL-gradient operator maps them to per-simplex gradients (n_simplices, N, dim):
+    the gradient of the interpolant is sum_a u_a (x) hatgrad_a on every simplex.
+    Its transpose assembles weak forms.  The interior CSR pattern and the map
+    scattering element blocks into it are built at the first matrix assembly, so
+    fields that are only differentiated never pay for them.
+    """
+
+    def __init__(self, grid: Grid, N: int):
+        self.grid = grid
+        self.N = N
+        S, d = grid.n_simplices, grid.dim
+        verts = grid.simplex_vertices
+        comp = np.arange(N)
+        G = np.repeat(grid.hat_grads, grid.n_cells, axis=0)  # (S, dim+1, dim)
+        # entry (s, i, a, k): d(grad u)[s, i, k] / du[verts[s, a], i] = G[s, a, k]
+        rows = (np.arange(S)[:, None, None, None] * N + comp[None, :, None, None]) * d \
+            + np.arange(d)[None, None, None, :]
+        cols = verts[:, None, :, None] * N + comp[None, :, None, None]
+        rows, cols = np.broadcast_arrays(rows, cols)
+        vals = np.broadcast_to(G[:, None, :, :], rows.shape)
+        shape = (S * N * d, grid.n_nodes * N)
+        self.grad_op = sp.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=shape)
+        self.grad_op.eliminate_zeros()  # the hat gradients of a Kuhn simplex are sparse
+        self.grad_op_t = self.grad_op.T.tocsr()
+        int_nodes = np.flatnonzero(grid.interior_mask)
+        self.interior_dofs = (int_nodes[:, None] * N + comp[None, :]).reshape(-1)
+
+    def gradients(self, values) -> np.ndarray:
+        """Exact per-simplex gradients (n_simplices, N, dim) of the PL interpolant."""
+        g = self.grid
+        flat = np.asarray(values, dtype=float).reshape(-1)
+        return (self.grad_op @ flat).reshape(g.n_simplices, self.N, g.dim)
+
+    def assemble_vector(self, flux) -> np.ndarray:
+        """Nodal weak form (n_nodes, N): row (v, i) is sum_T vol(T) <flux_T[i], hatgrad_v>."""
+        g = self.grid
+        flat = np.asarray(flux, dtype=float).reshape(-1)
+        return (self.grad_op_t @ (g.simplex_volume * flat)).reshape(g.n_nodes, self.N)
+
+    @cached_property
+    def _interior_pattern(self):
+        """(scatter, indices, indptr, GG): CSR pattern of the interior-interior
+        matrix, the CSR slot of every element-block entry (nnz for entries that
+        touch a boundary dof), and the per-type tensors vol * hatgrad_a,k hatgrad_b,l
+        as (types, dim*dim, (dim+1)^2) matrices."""
+        g, N = self.grid, self.N
+        d1 = g.dim + 1
+        verts = g.simplex_vertices
+        comp = np.arange(N)
+        n_int = len(self.interior_dofs)
+        pos = np.full(g.n_nodes * N, -1, dtype=np.int64)
+        pos[self.interior_dofs] = np.arange(n_int)
+        # element-block entries in the order (simplex, i, j, a, b) of assemble_matrix
+        rows = pos[verts[:, None, None, :, None] * N + comp[None, :, None, None, None]]
+        cols = pos[verts[:, None, None, None, :] * N + comp[None, None, :, None, None]]
+        rows, cols = np.broadcast_arrays(rows, cols)
+        keep = ((rows >= 0) & (cols >= 0)).ravel()
+        keys, slots = np.unique(rows.ravel()[keep] * n_int + cols.ravel()[keep],
+                                return_inverse=True)
+        scatter = np.full(rows.size, len(keys), dtype=np.int64)
+        scatter[keep] = slots
+        indptr = np.zeros(n_int + 1, dtype=np.int64)
+        np.cumsum(np.bincount(keys // n_int, minlength=n_int), out=indptr[1:])
+        GG = g.simplex_volume * np.einsum("tak,tbl->tklab", g.hat_grads, g.hat_grads)
+        GG = GG.reshape(g.n_types, g.dim * g.dim, d1 * d1)
+        return scatter, keys % n_int, indptr, GG
+
+    def assemble_matrix(self, H) -> sp.csr_matrix:
+        """Interior-interior matrix sum_T vol(T) H_T[i,k,j,l] hatgrad_a,k hatgrad_b,l
+        from per-simplex forms H (n_simplices, N, dim, N, dim); rows and columns
+        follow `interior_dofs`."""
+        g, N = self.grid, self.N
+        scatter, indices, indptr, GG = self._interior_pattern
+        Hij = np.asarray(H, dtype=float).transpose(0, 1, 3, 2, 4)
+        blocks = Hij.reshape(g.n_types, g.n_cells * N * N, g.dim * g.dim) @ GG
+        nnz = len(indices)
+        data = np.bincount(scatter, weights=blocks.reshape(-1), minlength=nnz + 1)[:nnz]
+        n = len(self.interior_dofs)
+        return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+
+    @cached_property
+    def laplacian(self) -> sp.csr_matrix:
+        """Interior hessian of the energy sum_T vol(T) |grad u|^2."""
+        g, N = self.grid, self.N
+        form = 2.0 * np.einsum("ij,kl->ikjl", np.eye(N), np.eye(g.dim))
+        return self.assemble_matrix(np.broadcast_to(form, (g.n_simplices,) + form.shape))
+
+
 class DiscreteField:
     """Piecewise-linear vector field on a Grid; per-simplex gradients cached at construction."""
 
@@ -238,20 +342,9 @@ class DiscreteField:
         self.grid = grid
         self.values = nodal_values.copy()
         self.N = nodal_values.shape[1]
-        self.gradients = self._compute_gradients()
+        self.gradients = grid.assembly_plan(self.N).gradients(self.values)
         self.values.setflags(write=False)
         self.gradients.setflags(write=False)
-
-    def _compute_gradients(self):
-        g = self.grid
-        grads = np.empty((g.n_simplices, self.N, g.dim))
-        for t in range(g.n_types):
-            lo, hi = t * g.n_cells, (t + 1) * g.n_cells
-            verts = g.simplex_vertices[lo:hi]  # (cells, dim+1)
-            vals = self.values[verts]  # (cells, dim+1, N)
-            # exact gradient of the linear interpolant: sum_a u_a (x) hatgrad_a
-            grads[lo:hi] = np.einsum("cav,ad->cvd", vals, g.hat_grads[t])
-        return grads
 
     def replace_values(self, nodal_values) -> "DiscreteField":
         return DiscreteField(self.grid, nodal_values)
@@ -274,6 +367,7 @@ class SolveReport:
     iterations: int
     epsilon: float = 0.0
     gamma_eps: float = 0.0
+    gradient_fallbacks: int = 0
 
 
 @dataclass

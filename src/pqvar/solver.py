@@ -99,37 +99,44 @@ def gamma_eps(eps: float, grad_q_norm: float, q: float) -> float:
 def mollify_boundary(grid: Grid, values: np.ndarray, eps: float) -> np.ndarray:
     """Smooth the boundary rows of a nodal array by a normalized bump kernel of
     width eps over the boundary node set; data is returned exactly when eps is
-    below one grid cell."""
+    below one grid cell.  The kernel is sparse: only pairs of boundary nodes
+    closer than eps are ever formed."""
     if eps <= 0.0:
         raise ValueError(f"mollifier width must be positive, got {eps}")
     values = np.asarray(values, dtype=float)
     out = values.copy()
     if eps <= grid.h:
         return out
+    # imported here: scipy.spatial would add about 0.09 s to every `import pqvar`
+    from scipy.spatial import cKDTree
+
     bidx = np.flatnonzero(grid.boundary_mask)
     pts = grid.node_coords[bidx]
-    diff = pts[:, None, :] - pts[None, :, :]
-    t2 = (diff ** 2).sum(-1) / (eps * eps)
-    w = np.zeros_like(t2)
+    # the slack keeps every pair with t2 < 1; t2 itself is computed from the
+    # coordinates, so the weights do not depend on the tree's distances
+    pairs = cKDTree(pts).query_pairs(eps * (1.0 + 1e-9), output_type="ndarray")
+    diag = np.arange(len(bidx))
+    rows = np.concatenate([pairs[:, 0], pairs[:, 1], diag])
+    cols = np.concatenate([pairs[:, 1], pairs[:, 0], diag])
+    t2 = ((pts[rows] - pts[cols]) ** 2).sum(-1) / (eps * eps)
     inside = t2 < 1.0
-    w[inside] = np.exp(-1.0 / (1.0 - t2[inside]))
-    w /= w.sum(axis=1, keepdims=True)
-    out[bidx] = w @ values[bidx]
+    rows, cols = rows[inside], cols[inside]
+    w = np.exp(-1.0 / (1.0 - t2[inside]))
+    w /= np.bincount(rows, weights=w, minlength=len(bidx))[rows]
+    kernel = sp.csr_matrix((w, (rows, cols)), shape=(len(bidx), len(bidx)))
+    out[bidx] = kernel @ values[bidx]
     return out
 
 
 # ----------------------------------------------------------------- assembly
+#
+# Every assembly goes through the grid's AssemblyPlan: one sparse PL-gradient
+# operator, its transpose for weak forms, and a fixed interior CSR pattern.
 
 
 def simplex_gradients(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Exact per-simplex gradients (n_simplices, N, dim) of the PL interpolant."""
-    N = values.shape[1]
-    grads = np.empty((grid.n_simplices, N, grid.dim))
-    for t in range(grid.n_types):
-        lo, hi = t * grid.n_cells, (t + 1) * grid.n_cells
-        vals = values[grid.simplex_vertices[lo:hi]]
-        grads[lo:hi] = np.einsum("cav,ad->cvd", vals, grid.hat_grads[t])
-    return grads
+    return grid.assembly_plan(values.shape[1]).gradients(values)
 
 
 def energy(F: Integrand, grid: Grid, values: np.ndarray) -> float:
@@ -140,45 +147,37 @@ def energy(F: Integrand, grid: Grid, values: np.ndarray) -> float:
 def assemble_gradient(F: Integrand, grid: Grid, values: np.ndarray) -> np.ndarray:
     """Nodal energy gradient; row (v, i) is the weak residual of the i-th
     component hat function at node v."""
-    N = values.shape[1]
-    g = np.zeros((grid.n_nodes, N))
-    z = simplex_gradients(grid, values)
-    dF = F.gradient(z)
-    vol = grid.simplex_volume
-    for t in range(grid.n_types):
-        lo, hi = t * grid.n_cells, (t + 1) * grid.n_cells
-        contrib = vol * np.einsum("cik,ak->cai", dF[lo:hi], grid.hat_grads[t])
-        np.add.at(g, grid.simplex_vertices[lo:hi].ravel(),
-                  contrib.reshape(-1, N))
-    return g
+    plan = grid.assembly_plan(values.shape[1])
+    return plan.assemble_vector(F.gradient(plan.gradients(values)))
 
 
 def assemble_hessian(F: Integrand, grid: Grid, values: np.ndarray) -> sp.csr_matrix:
-    """Sparse energy hessian over all nodal dofs (node-major, component-minor)."""
-    N = values.shape[1]
-    z = simplex_gradients(grid, values)
-    H = F.hessian(z)
-    vol = grid.simplex_volume
-    rows, cols, data = [], [], []
-    comp = np.arange(N)
-    for t in range(grid.n_types):
-        lo, hi = t * grid.n_cells, (t + 1) * grid.n_cells
-        verts = grid.simplex_vertices[lo:hi]
-        G = grid.hat_grads[t]
-        blocks = vol * np.einsum("cikjl,ak,bl->cabij", H[lo:hi], G, G)
-        nc = verts.shape[0]
-        for a in range(grid.dim + 1):
-            for b in range(grid.dim + 1):
-                r = (verts[:, a, None, None] * N + comp[None, :, None])
-                c = (verts[:, b, None, None] * N + comp[None, None, :])
-                r, c = np.broadcast_arrays(r, c)
-                rows.append(r.reshape(-1))
-                cols.append(c.reshape(-1))
-                data.append(blocks[:, a, b].reshape(-1))
-    K = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(grid.n_nodes * N, grid.n_nodes * N))
-    return K.tocsr()
+    """Sparse energy hessian over the interior dofs (node-major, component-minor),
+    in the order of the plan's `interior_dofs`."""
+    plan = grid.assembly_plan(values.shape[1])
+    return plan.assemble_matrix(F.hessian(plan.gradients(values)))
+
+
+class LinearSolveError(ArithmeticError):
+    """The preconditioned CG could not produce a step for an interior system."""
+
+
+CG_RTOL = 1e-12
+
+
+def _solve_spd(K: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
+    """Solve K x = rhs for a symmetric positive definite K by Jacobi-preconditioned
+    CG to relative residual CG_RTOL; raises LinearSolveError when the diagonal is
+    not positive, CG does not converge, or the solution is not finite."""
+    diag = K.diagonal()
+    if not np.all(diag > 0.0):
+        raise LinearSolveError("hessian diagonal is not positive")
+    x, info = spla.cg(K, rhs, rtol=CG_RTOL, M=sp.diags(1.0 / diag))
+    if info != 0:
+        raise LinearSolveError(f"CG did not converge (info {info})")
+    if not np.all(np.isfinite(x)):
+        raise LinearSolveError("non-finite CG solution")
+    return x
 
 
 def el_residual(F: Integrand, fld: DiscreteField) -> float:
@@ -229,9 +228,7 @@ def minimize_dirichlet(F: Integrand, grid: Grid, boundary: np.ndarray,
     if u.shape != boundary.shape:
         raise ValueError(f"init shape {u.shape} does not match boundary shape {boundary.shape}")
     u[grid.boundary_mask] = boundary[grid.boundary_mask]
-
-    int_nodes = np.flatnonzero(grid.interior_mask)
-    int_dofs = (int_nodes[:, None] * N + np.arange(N)[None, :]).reshape(-1)
+    int_dofs = grid.assembly_plan(N).interior_dofs
 
     E = energy(F, grid, u)
     if not math.isfinite(E):
@@ -240,6 +237,7 @@ def minimize_dirichlet(F: Integrand, grid: Grid, boundary: np.ndarray,
         energy_trace.append(E)
     prev_E = math.inf
     residual = math.inf
+    fallbacks = 0
     it = 0
     for it in range(1, max_iters + 1):
         g = assemble_gradient(F, grid, u)
@@ -250,15 +248,12 @@ def minimize_dirichlet(F: Integrand, grid: Grid, boundary: np.ndarray,
             break
         gi = g.reshape(-1)[int_dofs]
         K = assemble_hessian(F, grid, u)
-        Kii = K[int_dofs][:, int_dofs]
         try:
-            step = spla.spsolve(Kii.tocsc(), -gi)
-            if not np.all(np.isfinite(step)):
-                raise RuntimeError("non-finite Newton step")
-        except Exception:
-            # singular system: fall back to a safeguarded gradient step
-            scale = max(float(Kii.diagonal().max()), 1.0)
-            step = -gi / scale
+            step = _solve_spd(K, -gi)
+        except LinearSolveError:
+            # degenerate system: fall back to a safeguarded gradient step
+            fallbacks += 1
+            step = -gi / max(float(K.diagonal().max()), 1.0)
         du = np.zeros((grid.n_nodes * N,))
         du[int_dofs] = step
         du = du.reshape(u.shape)
@@ -291,25 +286,51 @@ def minimize_dirichlet(F: Integrand, grid: Grid, boundary: np.ndarray,
             raise NonConvergenceError(
                 f"line search stalled at residual {residual:.3e}",
                 field=DiscreteField(grid, u),
-                report=SolveReport(E, residual, it))
+                report=SolveReport(E, residual, it, gradient_fallbacks=fallbacks))
     else:
         raise NonConvergenceError(
             f"no convergence after {max_iters} iterations (residual {residual:.3e})",
             field=DiscreteField(grid, u),
-            report=SolveReport(E, residual, max_iters))
+            report=SolveReport(E, residual, max_iters, gradient_fallbacks=fallbacks))
 
     fld = DiscreteField(grid, u)
-    report = SolveReport(energy=E, residual_sup=residual, iterations=it)
+    report = SolveReport(energy=E, residual_sup=residual, iterations=it,
+                         gradient_fallbacks=fallbacks)
     if isinstance(F, RegularizedIntegrand):
         report.gamma_eps = F.gamma_eps
     return fld, report
 
 
+HARMONIC_TOL = 1e-10
+
+
 def harmonic_extension(grid: Grid, boundary: np.ndarray) -> np.ndarray:
-    """Interior values of the discrete |z|^2 minimizer with the given boundary rows."""
-    fld, _ = minimize_dirichlet(PowerNorm(0.0, 2.0), grid, boundary,
-                                tol_energy=1e-13, tol_residual=1e-10, max_iters=8)
-    return np.array(fld.values)
+    """Interior values of the discrete |z|^2 minimizer with the given boundary rows.
+
+    One solve with the plan's interior Laplacian; raises NonConvergenceError
+    unless the sup norm of the interior residual ends at most HARMONIC_TOL."""
+    u = np.array(boundary, dtype=float)
+    if u.ndim == 1:
+        u = u[:, None]
+    plan = grid.assembly_plan(u.shape[1])
+    dofs = plan.interior_dofs
+
+    def residual(v):
+        # gradient of sum_T vol(T) |grad v|^2 at the interior dofs
+        return plan.assemble_vector(2.0 * plan.gradients(v)).reshape(-1)[dofs]
+
+    step = np.zeros(u.size)
+    try:
+        step[dofs] = _solve_spd(plan.laplacian, -residual(u))
+    except LinearSolveError as exc:
+        raise NonConvergenceError(f"harmonic extension: {exc}",
+                                  field=DiscreteField(grid, u)) from exc
+    u = u + step.reshape(u.shape)
+    res = float(np.abs(residual(u)).max())
+    if not res <= HARMONIC_TOL:
+        raise NonConvergenceError(f"harmonic extension residual {res:.3e} > {HARMONIC_TOL:g}",
+                                  field=DiscreteField(grid, u))
+    return u
 
 
 # ----------------------------------------------------------------- the scheme

@@ -9,8 +9,8 @@ from pqvar.duality import (NonConvergenceError, SingularHessianError, conjugate,
                            conjugate_difference_probe, conjugate_hessian,
                            fenchel_young_gap, inverse_gradient, monotonicity_ratio,
                            monotonicity_ratios, second_order_bound)
-from pqvar.integrands import (AxisPower, PowerNorm, Scaled, Sum, ell_mu, flatten_form,
-                              frob2, inner, v_map)
+from pqvar.integrands import (AxisPower, Integrand, PowerNorm, Scaled, Sum, ell_mu,
+                              flatten_form, frob2, inner, v_map)
 from pqvar.model import Regime
 
 MODEL = Sum([PowerNorm(0.0, 2.0), AxisPower(1, 4.0)])
@@ -87,6 +87,19 @@ class TestInverseGradient:
     def test_quadratic_inverse(self):
         xi = np.array([[4.0, -2.0]])
         assert np.abs(inverse_gradient(PowerNorm(0.0, 2.0), xi) - xi / 2).max() < 1e-10
+
+    @pytest.mark.parametrize("name, z", [
+        ("quartic_iso", [[6.302448288980706, 7.518309300341385]]),
+        ("aniso2d_q4_vec", [[8.130623645282695, -0.8366253268615534],
+                            [2.6625959242598753, 2.46835144398055]]),
+    ])
+    def test_large_gradient_converges_at_tight_tolerance(self, name, z):
+        # at |F'(z)| of several hundred round-off keeps the residual above an
+        # absolute 1e-13; the tolerance is relative to |xi| there
+        F = registry.get(name).integrand
+        z = np.array(z)
+        res = conjugate(F, F.gradient(z), tol=1e-13)
+        assert np.abs(res.argmax - z).max() <= 1e-12 * (1 + np.sqrt(float(frob2(z))))
 
 
 class TestConjugateHessian:
@@ -189,6 +202,36 @@ class TestCoerciveDual:
             c_lo = 0.5 * (-star + math.sqrt(star * star + 4.0 * norm ** r.q_conj))
             c_needed = max(c_needed, c_up, c_lo)
         assert np.isfinite(c_needed)
+
+    def test_flat_objective_skips_line_search(self):
+        # near the maximizer the objective is flat at machine precision; halving
+        # the step there until t < 1e-18 costs about 60 evaluations per point
+        class Counting(Integrand):
+            def __init__(self, base):
+                self.base, self.values = base, 0
+
+            def value(self, z):
+                self.values += 1
+                return self.base.value(z)
+
+            def gradient(self, z):
+                return self.base.gradient(z)
+
+            def hessian(self, z):
+                return self.base.hessian(z)
+
+            def growth_exponents(self):
+                return self.base.growth_exponents()
+
+        rng = np.random.default_rng(20)
+        F = Counting(registry.get("aniso2d_q4").integrand)
+        iters = 0
+        for _ in range(20):
+            z = rng.normal(size=(1, 2)) * rng.uniform(0.1, 10.0)
+            res = conjugate(F, F.gradient(z), tol=1e-13)
+            assert np.abs(res.argmax - z).max() <= 1e-10 * (1 + np.sqrt(float(frob2(z))))
+            iters += res.newton_iters
+        assert F.values <= 3 * iters
 
     def test_iteration_budget(self):
         rng = np.random.default_rng(19)

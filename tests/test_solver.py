@@ -9,9 +9,9 @@ from pqvar import registry
 from pqvar.integrands import AxisPower, PowerNorm, Sum, frob2
 from pqvar.model import DiscreteField, Grid
 from pqvar.solver import (NonConvergenceError, RegularizedIntegrand, Schedule,
-                          SchemeViolationError, boundary_family, el_residual, energy,
-                          export_field_csv, export_gradients_csv, gamma_eps,
-                          grad_lp_norm, harmonic_extension, minimize_dirichlet,
+                          SchemeViolationError, assemble_hessian, boundary_family,
+                          el_residual, energy, export_field_csv, export_gradients_csv,
+                          gamma_eps, grad_lp_norm, harmonic_extension, minimize_dirichlet,
                           mollify_boundary, run_scheme, simplex_gradients)
 
 
@@ -36,6 +36,45 @@ def five_point_laplace(grid, boundary):
     out = b.copy()
     out[interior] = spla.spsolve(A, rhs)
     return out[:, None]
+
+
+def dense_mollify(grid, values, eps):
+    """The dense O(nb^2) bump-kernel mollifier, kept as the oracle of the sparse one."""
+    out = values.copy()
+    bidx = np.flatnonzero(grid.boundary_mask)
+    pts = grid.node_coords[bidx]
+    diff = pts[:, None, :] - pts[None, :, :]
+    t2 = (diff ** 2).sum(-1) / (eps * eps)
+    w = np.zeros_like(t2)
+    inside = t2 < 1.0
+    w[inside] = np.exp(-1.0 / (1.0 - t2[inside]))
+    w /= w.sum(axis=1, keepdims=True)
+    out[bidx] = w @ values[bidx]
+    return out
+
+
+def coo_hessian(F, grid, values):
+    """Full-dof energy hessian built element block by element block in COO form."""
+    N = values.shape[1]
+    H = F.hessian(simplex_gradients(grid, values))
+    rows, cols, data = [], [], []
+    comp = np.arange(N)
+    for t in range(grid.n_types):
+        lo, hi = t * grid.n_cells, (t + 1) * grid.n_cells
+        verts = grid.simplex_vertices[lo:hi]
+        G = grid.hat_grads[t]
+        blocks = grid.simplex_volume * np.einsum("cikjl,ak,bl->cabij", H[lo:hi], G, G)
+        for a in range(grid.dim + 1):
+            for b in range(grid.dim + 1):
+                r = verts[:, a, None, None] * N + comp[None, :, None]
+                c = verts[:, b, None, None] * N + comp[None, None, :]
+                r, c = np.broadcast_arrays(r, c)
+                rows.append(r.reshape(-1))
+                cols.append(c.reshape(-1))
+                data.append(blocks[:, a, b].reshape(-1))
+    K = sp.coo_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(grid.n_nodes * N,) * 2)
+    return K.tocsr()
 
 
 class TestGammaEps:
@@ -98,6 +137,16 @@ class TestMollify:
         out = mollify_boundary(grid, g, 0.4)
         bm = grid.boundary_mask
         assert np.abs(out[bm]).max() < np.abs(g[bm]).max()
+
+    @pytest.mark.parametrize("dim, cells, width", [
+        (2, 16, 0.5), (2, 16, 0.13), (2, 10, 0.3), (3, 6, 0.5), (3, 8, 0.25), (3, 5, 0.45),
+    ])
+    def test_matches_dense_kernel(self, dim, cells, width):
+        grid = Grid(dim, cells)
+        rng = np.random.default_rng(cells)
+        g = rng.uniform(-1.0, 1.0, size=(grid.n_nodes, 2))
+        assert np.abs(mollify_boundary(grid, g, width) - dense_mollify(grid, g, width)).max() \
+            <= 1e-15
 
 
 class TestEnergyExactness:
@@ -184,6 +233,19 @@ class TestMinimization:
             fields.append(fld.values)
         assert np.abs(fields[0] - fields[1]).max() <= 1e-7
 
+    def test_degenerate_hessian_takes_counted_gradient_steps(self):
+        # mu = 0, p = 4 has a zero hessian wherever the gradient vanishes, so from
+        # a zero interior the first Newton systems cannot be solved
+        grid = Grid(2, 8)
+        g = boundary_family("sine", grid, 1.0, 1)
+        init = g.copy()
+        init[grid.interior_mask] = 0.0
+        fld, rep = minimize_dirichlet(PowerNorm(0.0, 4.0), grid, g, init=init)
+        assert rep.gradient_fallbacks > 0
+        assert rep.residual_sup < 1e-9
+        _, regular = minimize_dirichlet(PowerNorm(0.0, 2.0), grid, g)
+        assert regular.gradient_fallbacks == 0
+
     def test_nonconvergence_carries_partial_state(self):
         grid = Grid(2, 16)
         entry = registry.get("aniso2d_q4")
@@ -192,6 +254,47 @@ class TestMinimization:
         with pytest.raises(NonConvergenceError) as exc:
             minimize_dirichlet(Feps, grid, g, max_iters=2, tol_residual=1e-14)
         assert exc.value.field is not None and exc.value.report.iterations == 2
+
+
+class TestAssemblyPlan:
+    @pytest.mark.parametrize("name, dim, cells", [
+        ("aniso2d_q4", 2, 6), ("aniso2d_q4_vec", 2, 5), ("aniso3d_q4", 3, 4),
+    ])
+    def test_interior_hessian_matches_coo_formula(self, name, dim, cells):
+        entry = registry.get(name)
+        grid = Grid(dim, cells)
+        rng = np.random.default_rng(cells)
+        vals = rng.normal(size=(grid.n_nodes, entry.regime.N))
+        dofs = grid.assembly_plan(entry.regime.N).interior_dofs
+        ref = coo_hessian(entry.integrand, grid, vals)[dofs][:, dofs].toarray()
+        K = assemble_hessian(entry.integrand, grid, vals).toarray()
+        assert np.abs(K - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("dim, cells", [(2, 5), (3, 3)])
+    def test_gradients_match_per_simplex_solve(self, dim, cells):
+        grid = Grid(dim, cells)
+        rng = np.random.default_rng(9)
+        vals = rng.normal(size=(grid.n_nodes, 2))
+        z = grid.assembly_plan(2).gradients(vals)
+        for s in range(grid.n_simplices):
+            verts = grid.simplex_vertices[s]
+            edges = grid.node_coords[verts[1:]] - grid.node_coords[verts[0]]
+            want = np.linalg.solve(edges, vals[verts[1:]] - vals[verts[0]]).T
+            assert np.abs(z[s] - want).max() <= 1e-12
+
+    def test_harmonic_extension_reproduces_affine_data_3d(self):
+        grid = Grid(3, 6)
+        g = boundary_family("affine", grid, 2.0, 3)
+        start = g.copy()
+        start[grid.interior_mask] = 0.0
+        assert np.abs(harmonic_extension(grid, start) - g).max() <= 1e-12
+
+    @pytest.mark.parametrize("dim, cells, N", [(2, 12, 2), (3, 6, 1)])
+    def test_harmonic_extension_matches_newton(self, dim, cells, N):
+        grid = Grid(dim, cells)
+        g = boundary_family("sinecos", grid, 1.5, N)
+        fld, _ = minimize_dirichlet(PowerNorm(0.0, 2.0), grid, g, tol_residual=1e-12)
+        assert np.abs(harmonic_extension(grid, g) - fld.values).max() <= 1e-10
 
 
 class TestElResidual:
