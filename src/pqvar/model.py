@@ -152,12 +152,20 @@ def _kuhn_offsets(dim):
     return np.array(blocks)  # (dim!, dim+1, dim)
 
 
-def _hat_gradients(verts):
-    """Gradients of the barycentric hat functions on a simplex with vertex rows `verts`."""
-    dim = verts.shape[1]
-    M = np.hstack([np.ones((dim + 1, 1)), verts])
-    C = np.linalg.inv(M)  # columns: coefficients of each hat function
-    return C[1:, :].T  # (dim+1, dim)
+def _kuhn_hat_gradients(offsets, cells_per_side):
+    """Exact hat-function gradients (types, dim+1, dim) of the Kuhn simplices with
+    the given unit-cell vertex offsets, on cells of side h = 1/cells_per_side.
+
+    With v_k = v_{k-1} + h e_pi(k), the barycentric coordinates in y = x/h are
+    lambda_k = y_pi(k) - y_pi(k+1), where y_pi(0) = 1 and y_pi(d+1) = 0, so
+    grad lambda_k = (e_pi(k) - e_pi(k+1)) / h with e_pi(0) = e_pi(d+1) = 0.  Every
+    entry is 0 or +-cells_per_side exactly: the PL-gradient operator keeps two
+    entries per row and a constant field has gradient exactly 0.
+    """
+    steps = np.diff(offsets, axis=1)  # rows e_pi(1..d)
+    pad = np.zeros_like(steps[:, :1])
+    e = np.concatenate([pad, steps, pad], axis=1)
+    return (e[:, :-1] - e[:, 1:]) * cells_per_side
 
 
 class Grid:
@@ -195,7 +203,7 @@ class Grid:
         self.interior_mask = ~self.boundary_mask
 
         offsets = _kuhn_offsets(dim)  # (types, dim+1, dim)
-        self.hat_grads = np.array([_hat_gradients(o * self.h) for o in offsets])  # (types, dim+1, dim)
+        self.hat_grads = _kuhn_hat_gradients(offsets, m)  # (types, dim+1, dim)
         self.simplex_volume = self.h ** dim / math.factorial(dim)
 
         caxes = [np.arange(m) for _ in range(dim)]
@@ -245,7 +253,8 @@ class AssemblyPlan:
     the gradient of the interpolant is sum_a u_a (x) hatgrad_a on every simplex.
     Its transpose assembles weak forms.  The interior CSR pattern and the map
     scattering element blocks into it are built at the first matrix assembly, so
-    fields that are only differentiated never pay for them.
+    fields that are only differentiated never pay for them; the map from that
+    pattern to banded storage is built at the first banded solve.
     """
 
     def __init__(self, grid: Grid, N: int):
@@ -320,6 +329,30 @@ class AssemblyPlan:
         data = np.bincount(scatter, weights=blocks.reshape(-1), minlength=nnz + 1)[:nnz]
         n = len(self.interior_dofs)
         return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+
+    @cached_property
+    def _band_map(self):
+        """(slots, dest, u): the slots of the interior CSR pattern's upper triangle,
+        their flat positions in Fortran-ordered LAPACK upper-band storage of shape
+        (u + 1, n), and the half-bandwidth u.  Entry (r, c), r <= c, sits at row
+        u + r - c of column c."""
+        _, indices, indptr, _ = self._interior_pattern
+        n = len(self.interior_dofs)
+        rows = np.repeat(np.arange(n), np.diff(indptr))
+        slots = np.flatnonzero(indices >= rows)
+        r, c = rows[slots], indices[slots]
+        u = int((c - r).max())
+        return slots, (u + r - c) + (u + 1) * c, u
+
+    def upper_band(self, K: sp.csr_matrix) -> np.ndarray:
+        """The upper triangle of a symmetric interior matrix assembled by this plan,
+        in Fortran-ordered LAPACK upper-band storage (u + 1, n).  With node-major
+        interior dofs the half-bandwidth u is small in 2d: m*N + N - 1 on m cells."""
+        slots, dest, u = self._band_map
+        n = K.shape[0]
+        band = np.zeros((u + 1) * n)
+        band[dest] = K.data[slots]
+        return band.reshape(u + 1, n, order="F")
 
     @cached_property
     def laplacian(self) -> sp.csr_matrix:

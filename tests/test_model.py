@@ -92,6 +92,15 @@ class TestGrid:
             edges = verts[1:] - verts[0]
             assert abs(abs(np.linalg.det(edges)) / math.factorial(3) - g.simplex_volume) < 1e-15
 
+    def test_kuhn_hat_gradients_are_exact(self):
+        # every hat gradient is a difference of two axis vectors over h, so no
+        # round-off may stand where a zero or +-1/h belongs
+        g = Grid(3, 20)
+        assert set(np.unique(np.abs(g.hat_grads)).tolist()) == {0.0, 20.0}
+        assert np.all(np.diff(g.assembly_plan(1).grad_op.indptr) == 2)
+        const = np.full((g.n_nodes, 2), 0.3)
+        assert np.all(g.assembly_plan(2).gradients(const) == 0.0)
+
 
 class TestDiscreteField:
     def test_affine_gradient_exact(self):

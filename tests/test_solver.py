@@ -5,14 +5,14 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from pqvar import registry
+from pqvar import registry, solver
 from pqvar.integrands import AxisPower, PowerNorm, Sum, frob2
 from pqvar.model import DiscreteField, Grid
-from pqvar.solver import (NonConvergenceError, RegularizedIntegrand, Schedule,
-                          SchemeViolationError, assemble_hessian, boundary_family,
-                          el_residual, energy, export_field_csv, export_gradients_csv,
-                          gamma_eps, grad_lp_norm, harmonic_extension, minimize_dirichlet,
-                          mollify_boundary, run_scheme, simplex_gradients)
+from pqvar.solver import (LinearSolveError, NonConvergenceError, RegularizedIntegrand,
+                          Schedule, SchemeViolationError, _solve_spd, assemble_hessian,
+                          boundary_family, el_residual, energy, export_field_csv,
+                          export_gradients_csv, gamma_eps, grad_lp_norm, harmonic_extension,
+                          minimize_dirichlet, mollify_boundary, run_scheme, simplex_gradients)
 
 
 def five_point_laplace(grid, boundary):
@@ -246,6 +246,23 @@ class TestMinimization:
         _, regular = minimize_dirichlet(PowerNorm(0.0, 2.0), grid, g)
         assert regular.gradient_fallbacks == 0
 
+    def test_flat_energy_skips_line_search(self, monkeypatch):
+        # near the minimizer the energy is flat at machine precision; halving the
+        # step there until t < 1e-18 costs about 60 energy evaluations per rung
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return energy(*args)
+
+        monkeypatch.setattr(solver, "energy", counting)
+        grid = Grid(2, 16)
+        entry = registry.get("aniso2d_q4_vec")
+        g = boundary_family("sine", grid, 2.0, 2)
+        res = run_scheme(entry.integrand, entry.regime, grid, g, Schedule.dyadic(4))
+        assert res.violations == []
+        assert len(calls) <= 3 * sum(r.iterations for r in res.reports)
+
     def test_nonconvergence_carries_partial_state(self):
         grid = Grid(2, 16)
         entry = registry.get("aniso2d_q4")
@@ -295,6 +312,63 @@ class TestAssemblyPlan:
         g = boundary_family("sinecos", grid, 1.5, N)
         fld, _ = minimize_dirichlet(PowerNorm(0.0, 2.0), grid, g, tol_residual=1e-12)
         assert np.abs(harmonic_extension(grid, g) - fld.values).max() <= 1e-10
+
+
+def newton_hessian(cells=16):
+    """A Newton hessian of the vectorial model near its first iterate, and its plan."""
+    grid = Grid(2, cells)
+    entry = registry.get("aniso2d_q4_vec")
+    Feps = RegularizedIntegrand(entry.integrand, 0.01, 4.0)
+    vals = harmonic_extension(grid, boundary_family("sine", grid, 1.0, 2))
+    return grid.assembly_plan(2), assemble_hessian(Feps, grid, vals)
+
+
+class TestLinearSolve:
+    def test_band_expands_to_the_hessian(self):
+        plan, K = newton_hessian()
+        band = plan.upper_band(K)
+        u, n = band.shape[0] - 1, K.shape[0]
+        assert u == 16 * 2 + 2 - 1
+        upper = np.zeros((n, n))
+        for k in range(u + 1):
+            # row u - k of the band holds the k-th superdiagonal, from column k on
+            upper += np.diag(band[u - k, k:], k)
+        # the assembly sums mirrored entries in different orders, so K is symmetric
+        # only to round-off; the band holds its upper triangle exactly
+        dense = K.toarray()
+        assert np.array_equal(upper, np.triu(dense))
+        assert np.abs(dense - dense.T).max() <= 1e-14 * np.abs(dense).max()
+
+    def test_banded_solution_matches_spsolve(self):
+        plan, K = newton_hessian()
+        rhs = np.random.default_rng(11).normal(size=K.shape[0])
+        ref = spla.spsolve(K.tocsc(), rhs)
+        x = _solve_spd(plan, K, rhs)
+        assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_indefinite_2d_system_raises(self):
+        plan = Grid(2, 8).assembly_plan(2)
+        K = plan.laplacian.copy()
+        K.data[0] = -K.data[0]
+        with pytest.raises(LinearSolveError):
+            _solve_spd(plan, K, np.ones(K.shape[0]))
+
+    @pytest.mark.parametrize("dim, cells, cg_calls", [(2, 8, 0), (3, 5, 1)])
+    def test_cg_only_in_3d(self, monkeypatch, dim, cells, cg_calls):
+        calls = []
+        cg = spla.cg
+
+        def counting(*args, **kw):
+            calls.append(1)
+            return cg(*args, **kw)
+
+        monkeypatch.setattr(spla, "cg", counting)
+        plan = Grid(dim, cells).assembly_plan(1)
+        K = plan.laplacian
+        rhs = np.random.default_rng(12).normal(size=K.shape[0])
+        x = _solve_spd(plan, K, rhs)
+        assert len(calls) == cg_calls
+        assert np.abs(K @ x - rhs).max() <= 1e-10 * np.abs(rhs).max()
 
 
 class TestElResidual:
