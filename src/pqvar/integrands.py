@@ -18,9 +18,29 @@ from .model import Regime, ShapeMismatchError
 
 
 def frob2(z):
-    """Squared Frobenius norm over the trailing (N, n) axes."""
-    z = np.asarray(z, dtype=float)
-    return (z * z).sum(axis=(-2, -1))
+    """Squared Frobenius norm over the trailing (N, n) axes.
+
+    The squared entries are added one at a time in row-major order, each a
+    vector op over the batch: numpy would reduce the trailing axes with inner
+    loops of length N*n.  For N*n < 8 the order is numpy's own, so the result
+    is bit-identical to (z * z).sum(axis=(-2, -1))."""
+    zT = np.asarray(z, dtype=float).T
+    return _square_sum([zT[s] for s in _slots(*zT.shape[1::-1])]).T
+
+
+@functools.lru_cache(maxsize=32)
+def _slots(N, n):
+    """The (j, i) index of every entry z[..., i, j] into the transpose z.T, in
+    row-major order of (i, j).  Indexing z.T puts the entry axes first, so one
+    entry is a batch vector, or a numpy scalar when z is a single point."""
+    return tuple((j, i) for i in range(N) for j in range(n))
+
+
+def _square_sum(w):
+    out = w[0] * w[0]
+    for x in w[1:]:
+        out += x * x
+    return out
 
 
 def ell_mu(mu, z):
@@ -52,14 +72,6 @@ def inner(a, b):
     return (np.asarray(a) * np.asarray(b)).sum(axis=(-2, -1))
 
 
-@functools.lru_cache(maxsize=32)
-def _eye_form(N, n):
-    """Identity bilinear form on R^{N x n}: delta_{ik} delta_{jl} as (N,n,N,n)."""
-    out = np.einsum("ik,jl->ijkl", np.eye(N), np.eye(n)).reshape(N, n, N, n)
-    out.setflags(write=False)
-    return out
-
-
 def flatten_form(H):
     """View a (..., N, n, N, n) bilinear form as (..., N*n, N*n) matrices."""
     H = np.asarray(H)
@@ -68,7 +80,13 @@ def flatten_form(H):
 
 
 class Integrand:
-    """Common interface: value(z), gradient(z), hessian(z), all batched."""
+    """Common interface: value(z), gradient(z), hessian(z), all batched.
+
+    Sums and scalings accumulate derivatives through the private hooks
+    _add_gradient(z, out, c) and _add_hessian(z, out, c), which add c F'(z) or
+    c F''(z) into a buffer the caller owns.  The defaults go through the public
+    methods, so an integrand that defines only value, gradient and hessian works
+    inside a Sum unchanged."""
 
     def value(self, z):
         raise NotImplementedError
@@ -78,6 +96,12 @@ class Integrand:
 
     def hessian(self, z):
         raise NotImplementedError
+
+    def _add_gradient(self, z, out, c):
+        out += c * self.gradient(z)
+
+    def _add_hessian(self, z, out, c):
+        out += c * self.hessian(z)
 
     def growth_exponents(self):
         """Structural (lowest, highest) growth degrees, used for solver seeds."""
@@ -97,9 +121,82 @@ def _as_batch(z):
     return z
 
 
+class _Accumulating(Integrand):
+    """An integrand whose derivatives are its hooks: the public gradient and
+    hessian allocate one zeroed output and add into it with c = 1."""
+
+    def gradient(self, z):
+        z = _as_batch(z)
+        out = np.zeros(z.shape)
+        self._add_gradient(z, out, 1.0)
+        return out
+
+    def hessian(self, z):
+        z = _as_batch(z)
+        out = np.zeros(z.shape + z.shape[-2:])
+        self._add_hessian(z, out, 1.0)
+        return out
+
+
+def _first_factor(t, p):
+    """a = p t^((p-2)/2), so that the gradient is a w.  At t = 0 the power gives
+    the analytic limit: 2 for p = 2, 0 for p > 2."""
+    return p if p == 2.0 else p * t ** ((p - 2.0) / 2.0)
+
+
+def _second_factor(t, p):
+    """b = p (p-2) t^((p-4)/2), so that the hessian is a Id + b w (x) w; None for
+    p = 2.  Below p = 4 the power is taken only where t > 0, and b is 0 at
+    t = 0, where w = 0 anyway."""
+    if p == 2.0:
+        return None
+    e = (p - 4.0) / 2.0
+    if e >= 0.0:
+        return p * (p - 2.0) * t ** e
+    b = np.zeros_like(t)
+    np.power(t, e, out=b, where=t > 0.0)
+    return p * (p - 2.0) * b
+
+
+class _Radial(_Accumulating):
+    """A radial term t^(p/2), where t = mu^2 + |w|^2 for a list w of entries of
+    z: all of them for a power norm, one column for an axis power.  Subclasses
+    return (t, p, slots, w) from _radial(z).
+
+    Entries are addressed by their slots (see _slots) in z.T and out.T, so the
+    Python loops run over the few (N, n) entries while every numpy operation is
+    a vector op over the whole batch, or a scalar op on a single point; t comes
+    with its batch axes reversed, as in z.T."""
+
+    def _add_gradient(self, z, out, c):
+        t, p, slots, w = self._radial(z)
+        a = _first_factor(t, p)
+        gT = out.T
+        for s, x in zip(slots, w):
+            gT[s] += c * (a * x)
+
+    def _add_hessian(self, z, out, c):
+        # c (a Id + b w (x) w) on the slots x slots entries
+        t, p, slots, w = self._radial(z)
+        a, b = _first_factor(t, p), _second_factor(t, p)
+        hT = out.T
+        if b is None:
+            for s in slots:
+                hT[s + s] += c * a
+            return
+        for k, s in enumerate(slots):
+            hT[s + s] += c * (a + b * (w[k] * w[k]))
+            for m in range(k + 1, len(slots)):
+                e = c * (b * (w[k] * w[m]))
+                hT[s + slots[m]] += e
+                hT[slots[m] + s] += e
+
+
 @dataclass
-class PowerNorm(Integrand):
-    """z -> ell_mu(z)^p = (mu^2 + |z|^2)^(p/2), p >= 2, mu in [0, 1]."""
+class PowerNorm(_Radial):
+    """z -> ell_mu(z)^p = (mu^2 + |z|^2)^(p/2), p >= 2, mu in [0, 1].  The hessian
+    p t^{(p-2)/2} Id + p(p-2) t^{(p-4)/2} z (x) z takes the analytic limit 0 at
+    the degenerate corner mu = 0, z = 0, p > 2."""
 
     mu: float
     p: float
@@ -114,36 +211,18 @@ class PowerNorm(Integrand):
         z = _as_batch(z)
         return (self.mu ** 2 + frob2(z)) ** (self.p / 2.0)
 
-    def gradient(self, z):
-        z = _as_batch(z)
-        t = self.mu ** 2 + frob2(z)
-        w = np.where(t > 0.0, t, 1.0) ** ((self.p - 2.0) / 2.0)
-        w = np.where(t > 0.0, w, 1.0 if self.p == 2.0 else 0.0)
-        return self.p * w[..., None, None] * z
-
-    def hessian(self, z):
-        # p t^{(p-2)/2} Id + p(p-2) t^{(p-4)/2} z (x) z, with the analytic limit 0
-        # at the degenerate corner mu = 0, z = 0, p > 2.
-        z = _as_batch(z)
-        N, n = z.shape[-2:]
-        t = self.mu ** 2 + frob2(z)
-        pos = t > 0.0
-        tsafe = np.where(pos, t, 1.0)
-        a = self.p * tsafe ** ((self.p - 2.0) / 2.0)
-        a = np.where(pos, a, self.p if self.p == 2.0 else 0.0)
-        b = self.p * (self.p - 2.0) * tsafe ** ((self.p - 4.0) / 2.0)
-        b = np.where(pos, b, 0.0)
-        eye = _eye_form(N, n)
-        H = a[..., None, None, None, None] * eye
-        H = H + b[..., None, None, None, None] * np.einsum("...ij,...kl->...ijkl", z, z)
-        return H
+    def _radial(self, z):
+        slots = _slots(*z.shape[-2:])
+        zT = z.T
+        w = [zT[s] for s in slots]
+        return self.mu ** 2 + _square_sum(w), self.p, slots, w
 
     def growth_exponents(self):
         return (self.p, self.p)
 
 
 @dataclass
-class AxisPower(Integrand):
+class AxisPower(_Radial):
     """z -> |z e_i|^q: the q-th power of the i-th column (1-based partial-derivative slot)."""
 
     i: int
@@ -155,44 +234,19 @@ class AxisPower(Integrand):
         if self.q < 2.0:
             raise ValueError(f"axis exponent must be >= 2, got {self.q}")
 
-    def _column(self, z):
-        if self.i > z.shape[-1]:
+    def _radial(self, z):
+        N, n = z.shape[-2:]
+        if self.i > n:
             raise ShapeMismatchError(
-                f"axis index i={self.i} exceeds the number of columns n={z.shape[-1]}")
-        return z[..., :, self.i - 1]
+                f"axis index i={self.i} exceeds the number of columns n={n}")
+        slots = _slots(N, n)[self.i - 1::n]
+        zT = z.T
+        w = [zT[s] for s in slots]
+        return _square_sum(w), self.q, slots, w
 
     def value(self, z):
-        z = _as_batch(z)
-        v = self._column(z)
-        return ((v * v).sum(axis=-1)) ** (self.q / 2.0)
-
-    def gradient(self, z):
-        z = _as_batch(z)
-        v = self._column(z)
-        r2 = (v * v).sum(axis=-1)
-        w = np.where(r2 > 0.0, r2, 1.0) ** ((self.q - 2.0) / 2.0)
-        w = np.where(r2 > 0.0, w, 1.0 if self.q == 2.0 else 0.0)
-        g = np.zeros_like(z)
-        g[..., :, self.i - 1] = self.q * w[..., None] * v
-        return g
-
-    def hessian(self, z):
-        z = _as_batch(z)
-        N, n = z.shape[-2:]
-        v = self._column(z)
-        r2 = (v * v).sum(axis=-1)
-        pos = r2 > 0.0
-        rsafe = np.where(pos, r2, 1.0)
-        a = self.q * rsafe ** ((self.q - 2.0) / 2.0)
-        a = np.where(pos, a, self.q if self.q == 2.0 else 0.0)
-        b = self.q * (self.q - 2.0) * rsafe ** ((self.q - 4.0) / 2.0)
-        b = np.where(pos, b, 0.0)
-        H = np.zeros(z.shape[:-2] + (N, n, N, n))
-        col = self.i - 1
-        eyeN = np.eye(N)
-        H[..., :, col, :, col] = a[..., None, None] * eyeN + b[..., None, None] * np.einsum(
-            "...i,...j->...ij", v, v)
-        return H
+        r2, q, _, _ = self._radial(_as_batch(z))
+        return (r2 ** (q / 2.0)).T
 
     def growth_exponents(self):
         return (self.q, self.q)
@@ -336,7 +390,7 @@ class EvenPolynomial(Integrand):
 
 
 @dataclass
-class Sum(Integrand):
+class Sum(_Accumulating):
     parts: list
 
     def __post_init__(self):
@@ -346,11 +400,13 @@ class Sum(Integrand):
     def value(self, z):
         return sum(p.value(z) for p in self.parts)
 
-    def gradient(self, z):
-        return sum(p.gradient(z) for p in self.parts)
+    def _add_gradient(self, z, out, c):
+        for p in self.parts:
+            p._add_gradient(z, out, c)
 
-    def hessian(self, z):
-        return sum(p.hessian(z) for p in self.parts)
+    def _add_hessian(self, z, out, c):
+        for p in self.parts:
+            p._add_hessian(z, out, c)
 
     def growth_exponents(self):
         lo = min(p.growth_exponents()[0] for p in self.parts)
@@ -359,7 +415,7 @@ class Sum(Integrand):
 
 
 @dataclass
-class Scaled(Integrand):
+class Scaled(_Accumulating):
     coeff: float
     inner: Integrand
 
@@ -370,11 +426,11 @@ class Scaled(Integrand):
     def value(self, z):
         return self.coeff * self.inner.value(z)
 
-    def gradient(self, z):
-        return self.coeff * self.inner.gradient(z)
+    def _add_gradient(self, z, out, c):
+        self.inner._add_gradient(z, out, c * self.coeff)
 
-    def hessian(self, z):
-        return self.coeff * self.inner.hessian(z)
+    def _add_hessian(self, z, out, c):
+        self.inner._add_hessian(z, out, c * self.coeff)
 
     def growth_exponents(self):
         return self.inner.growth_exponents()

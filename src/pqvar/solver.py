@@ -15,7 +15,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .integrands import Integrand, PowerNorm, Scaled, frob2
+from .integrands import Integrand, PowerNorm, Scaled, Sum, frob2
 from .model import AssemblyPlan, DiscreteField, Grid, SolveReport
 
 
@@ -60,9 +60,10 @@ class Schedule:
         return cls(epsilons=[2.0 ** -(i + 1) for i in range(k)], **kw)
 
 
-class RegularizedIntegrand(Integrand):
+class RegularizedIntegrand(Sum):
     """F_eps(z) = F(z) + gamma_eps * ell_1(z)^q: strictly convex with q-growth
-    from above and below regardless of the degeneracy of the base integrand."""
+    from above and below regardless of the degeneracy of the base integrand.
+    The Sum of the base and the scaled power norm, tagged with its parameters."""
 
     def __init__(self, base: Integrand, gamma_eps: float, q: float):
         if not (0.0 < gamma_eps < 1.0):
@@ -70,20 +71,7 @@ class RegularizedIntegrand(Integrand):
         self.base = base
         self.gamma_eps = float(gamma_eps)
         self.q = float(q)
-        self._reg = Scaled(self.gamma_eps, PowerNorm(1.0, self.q))
-
-    def value(self, z):
-        return self.base.value(z) + self._reg.value(z)
-
-    def gradient(self, z):
-        return self.base.gradient(z) + self._reg.gradient(z)
-
-    def hessian(self, z):
-        return self.base.hessian(z) + self._reg.hessian(z)
-
-    def growth_exponents(self):
-        lo, _ = self.base.growth_exponents()
-        return (min(lo, self.q), max(self.q, self.base.growth_exponents()[1]))
+        super().__init__([base, Scaled(self.gamma_eps, PowerNorm(1.0, self.q))])
 
 
 def gamma_eps(eps: float, grad_q_norm: float, q: float) -> float:
@@ -101,7 +89,8 @@ def mollify_boundary(grid: Grid, values: np.ndarray, eps: float) -> np.ndarray:
     """Smooth the boundary rows of a nodal array by a normalized bump kernel of
     width eps over the boundary node set; data is returned exactly when eps is
     below one grid cell.  The kernel is sparse: only pairs of boundary nodes
-    closer than eps are ever formed."""
+    closer than eps are ever formed, and each pair is applied in both directions
+    by np.bincount, with no kernel matrix built."""
     if eps <= 0.0:
         raise ValueError(f"mollifier width must be positive, got {eps}")
     values = np.asarray(values, dtype=float)
@@ -112,20 +101,25 @@ def mollify_boundary(grid: Grid, values: np.ndarray, eps: float) -> np.ndarray:
     from scipy.spatial import cKDTree
 
     bidx = np.flatnonzero(grid.boundary_mask)
+    nb = len(bidx)
     pts = grid.node_coords[bidx]
     # the slack keeps every pair with t2 < 1; t2 itself is computed from the
     # coordinates, so the weights do not depend on the tree's distances
-    pairs = cKDTree(pts).query_pairs(eps * (1.0 + 1e-9), output_type="ndarray")
-    diag = np.arange(len(bidx))
-    rows = np.concatenate([pairs[:, 0], pairs[:, 1], diag])
-    cols = np.concatenate([pairs[:, 1], pairs[:, 0], diag])
-    t2 = ((pts[rows] - pts[cols]) ** 2).sum(-1) / (eps * eps)
+    a, b = cKDTree(pts).query_pairs(eps * (1.0 + 1e-9), output_type="ndarray").T
+    t2 = sum((x[a] - x[b]) ** 2 for x in pts.T) / (eps * eps)
     inside = t2 < 1.0
-    rows, cols = rows[inside], cols[inside]
+    a, b = a[inside], b[inside]
     w = np.exp(-1.0 / (1.0 - t2[inside]))
-    w /= np.bincount(rows, weights=w, minlength=len(bidx))[rows]
-    kernel = sp.csr_matrix((w, (rows, cols)), shape=(len(bidx), len(bidx)))
-    out[bidx] = kernel @ values[bidx]
+    w_self = math.exp(-1.0)  # the kernel at t2 = 0
+    norm = w_self + np.bincount(a, weights=w, minlength=nb)
+    norm += np.bincount(b, weights=w, minlength=nb)
+    vb = values[bidx]
+    v = vb.reshape(nb, -1)
+    acc = w_self * v
+    for k in range(v.shape[1]):
+        acc[:, k] += np.bincount(a, weights=w * v[b, k], minlength=nb)
+        acc[:, k] += np.bincount(b, weights=w * v[a, k], minlength=nb)
+    out[bidx] = (acc / norm[:, None]).reshape(vb.shape)
     return out
 
 
@@ -258,8 +252,10 @@ def minimize_dirichlet(F: Integrand, grid: Grid, boundary: np.ndarray,
     residual = math.inf
     fallbacks = 0
     it = 0
+    g = None  # the gradient at u, when the flat branch below has assembled it
     for it in range(1, max_iters + 1):
-        g = assemble_gradient(F, grid, u)
+        if g is None:
+            g = assemble_gradient(F, grid, u)
         residual = float(np.abs(g[grid.interior_mask]).max())
         rel_dec = abs(prev_E - E) / max(abs(E), 1.0)
         if residual < tol_residual and rel_dec < tol_energy:
@@ -287,7 +283,7 @@ def minimize_dirichlet(F: Integrand, grid: Grid, boundary: np.ndarray,
             Ec = energy(F, grid, cand)
             if math.isfinite(Ec) and Ec < E:
                 prev_E, E = E, Ec
-                u = cand
+                u, g = cand, None
                 accepted = True
                 if energy_trace is not None:
                     energy_trace.append(E)
@@ -301,7 +297,7 @@ def minimize_dirichlet(F: Integrand, grid: Grid, boundary: np.ndarray,
             cres = float(np.abs(gc[grid.interior_mask]).max())
             if math.isfinite(cres) and cres < residual:
                 prev_E, E = E, energy(F, grid, cand)
-                u = cand
+                u, g = cand, gc
                 continue
             if residual <= tol_residual:
                 break

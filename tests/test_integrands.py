@@ -1,13 +1,16 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from pqvar import registry
-from pqvar.integrands import (AxisPower, EvenPolynomial, HomogeneousForm, MoserWeight,
-                              PowerNorm, Scaled, Sum, ell_mu, fd_check, frob2, inner,
-                              v_map)
+from pqvar.integrands import (AxisPower, EvenPolynomial, HomogeneousForm, Integrand,
+                              MoserWeight, PowerNorm, Scaled, Sum, ell_mu, fd_check, frob2,
+                              inner, v_map)
 from pqvar.model import Regime, ShapeMismatchError
+from pqvar.solver import RegularizedIntegrand
 
 
 def test_ell_mu_values():
@@ -120,6 +123,175 @@ class TestFiniteDifferences:
             z = rng.normal(size=e.shape)
             out = fd_check(e.integrand, z, 1e-5)
             assert out["grad_err"] <= 1e-6 * (1 + abs(float(e.integrand.value(z))))
+
+
+def _ref_factors(t, p):
+    pos = t > 0.0
+    tsafe = np.where(pos, t, 1.0)
+    a = np.where(pos, p * tsafe ** ((p - 2.0) / 2.0), p if p == 2.0 else 0.0)
+    b = np.where(pos, p * (p - 2.0) * tsafe ** ((p - 4.0) / 2.0), 0.0)
+    return a, b
+
+
+def ref_power_norm(mu, p, z):
+    """Closed-form gradient and hessian of (mu^2 + |z|^2)^(p/2), by broadcasting
+    over the whole (N, n, N, n) form."""
+    N, n = z.shape[-2:]
+    a, b = _ref_factors(mu ** 2 + (z * z).sum(axis=(-2, -1)), p)
+    eye = np.einsum("ik,jl->ijkl", np.eye(N), np.eye(n))
+    H = a[..., None, None, None, None] * eye \
+        + b[..., None, None, None, None] * np.einsum("...ij,...kl->...ijkl", z, z)
+    return a[..., None, None] * z, H
+
+
+def ref_axis_power(i, q, z):
+    """Closed-form gradient and hessian of |z e_i|^q."""
+    N, n = z.shape[-2:]
+    v = z[..., :, i - 1]
+    a, b = _ref_factors((v * v).sum(axis=-1), q)
+    g = np.zeros_like(z)
+    g[..., :, i - 1] = a[..., None] * v
+    H = np.zeros(z.shape + (N, n))
+    H[..., :, i - 1, :, i - 1] = a[..., None, None] * np.eye(N) \
+        + b[..., None, None] * np.einsum("...i,...j->...ij", v, v)
+    return g, H
+
+
+def _reference(F, z):
+    if isinstance(F, PowerNorm):
+        return ref_power_norm(F.mu, F.p, z)
+    if isinstance(F, AxisPower):
+        return ref_axis_power(F.i, F.q, z)
+    if isinstance(F, Scaled):
+        g, H = _reference(F.inner, z)
+        return F.coeff * g, F.coeff * H
+    parts = [_reference(P, z) for P in F.parts]
+    return sum(g for g, _ in parts), sum(H for _, H in parts)
+
+
+def _rel_err(x, ref):
+    return float(np.abs(x - ref).max() / max(np.abs(ref).max(), 1e-300))
+
+
+class PublicOnly(Integrand):
+    """An integrand that defines only the public methods: 1.5 |z|^2."""
+
+    def value(self, z):
+        return 1.5 * frob2(z)
+
+    def gradient(self, z):
+        return 3.0 * np.asarray(z, dtype=float)
+
+    def hessian(self, z):
+        z = np.asarray(z, dtype=float)
+        N, n = z.shape[-2:]
+        eye = np.eye(N * n).reshape(N, n, N, n)
+        return np.broadcast_to(3.0 * eye, z.shape + (N, n))  # read-only
+
+    def growth_exponents(self):
+        return (2.0, 2.0)
+
+
+class TestKernels:
+    TERMS = [PowerNorm(0.0, 2.0), PowerNorm(1.0, 2.0), PowerNorm(0.0, 3.0), PowerNorm(0.5, 4.0),
+             PowerNorm(0.0, 5.5), AxisPower(1, 2.0), AxisPower(2, 3.0), AxisPower(1, 4.0),
+             AxisPower(2, 5.0),
+             Sum([PowerNorm(0.0, 2.0), AxisPower(1, 4.0), AxisPower(2, 4.0),
+                  Scaled(0.3, PowerNorm(1.0, 4.0))])]
+
+    @pytest.mark.parametrize("shape", [(2, 3), (1, 2), (7, 1, 3), (7, 2, 2), (3, 4, 2, 3)])
+    @pytest.mark.parametrize("F", TERMS, ids=repr)
+    def test_matches_closed_form(self, F, shape):
+        rng = np.random.default_rng(len(shape) + 10 * shape[-1])
+        z = rng.normal(size=shape) * np.exp(rng.uniform(-3.0, 2.0, size=shape[:-2] + (1, 1)))
+        if len(shape) > 2:
+            z[(0,) * (len(shape) - 2)] = 0.0  # one point at the degenerate corner
+            z[(1,) * (len(shape) - 2) + (slice(None), 0)] = 0.0  # and one zero column
+        g_ref, H_ref = _reference(F, z)
+        g, H = F.gradient(z), F.hessian(z)
+        assert g.shape == z.shape and H.shape == z.shape + z.shape[-2:]
+        assert _rel_err(g, g_ref) <= 1e-14
+        assert _rel_err(H, H_ref) <= 1e-14
+
+    @pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 6.0])
+    def test_degenerate_corners(self, p):
+        z0 = np.zeros((3, 2, 2))
+        zc = np.array([[[0.0, 1.5], [0.0, -2.0]]])  # first column zero
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            F = PowerNorm(0.0, p)
+            assert F.value(z0).max() == 0.0
+            assert np.abs(F.gradient(z0)).max() == 0.0 and np.abs(F.hessian(z0)).max() == 0.0
+            A = AxisPower(1, p)
+            assert A.value(zc)[0] == 0.0
+            assert np.abs(A.gradient(zc)).max() == 0.0 and np.abs(A.hessian(zc)).max() == 0.0
+            # the second column is not degenerate
+            g_ref, H_ref = ref_axis_power(2, p, zc)
+            assert _rel_err(AxisPower(2, p).hessian(zc), H_ref) <= 1e-14
+            assert _rel_err(AxisPower(2, p).gradient(zc), g_ref) <= 1e-14
+
+    def test_quadratic_cases(self):
+        rng = np.random.default_rng(11)
+        for z in (rng.normal(size=(4, 2, 3)), np.zeros((4, 2, 3))):
+            H = PowerNorm(0.0, 2.0).hessian(z)
+            assert np.array_equal(H, np.broadcast_to(2.0 * np.eye(6).reshape(2, 3, 2, 3), H.shape))
+            assert np.array_equal(PowerNorm(0.0, 2.0).gradient(z), 2.0 * z)
+            g = AxisPower(3, 2.0).gradient(z)
+            assert np.array_equal(g[..., 2], 2.0 * z[..., 2]) and not g[..., :2].any()
+            H = AxisPower(3, 2.0).hessian(z)
+            assert np.array_equal(H[..., :, 2, :, 2], np.broadcast_to(2.0 * np.eye(2), (4, 2, 2)))
+            H[..., :, 2, :, 2] = 0.0
+            assert not H.any()
+
+    def test_even_polynomial_in_a_sum(self):
+        # an EvenPolynomial defines only the public methods: the Sum adds its
+        # derivatives through the default hooks
+        Q = HomogeneousForm.from_terms(1, 2, 2, [(1.0, (1, 1)), (0.5, (1, 2)), (2.0, (2, 2))])
+        rng = np.random.default_rng(12)
+        z = rng.normal(size=(5, 1, 2))
+        P = EvenPolynomial([Q, HomogeneousForm.from_terms(1, 2, 4, [(1.0, (1, 1, 2, 2))])])
+        A = AxisPower(1, 4.0)
+        F = Sum([P, A])
+        assert np.array_equal(F.value(z), P.value(z) + A.value(z))
+        assert np.array_equal(F.gradient(z), P.gradient(z) + A.gradient(z))
+        assert np.array_equal(F.hessian(z), P.hessian(z) + A.hessian(z))
+
+    def test_public_only_integrand_in_a_sum(self):
+        rng = np.random.default_rng(13)
+        z = rng.normal(size=(6, 2, 2))
+        E, A = PublicOnly(), AxisPower(2, 3.0)
+        assert not E.hessian(z).flags.writeable
+        F = Sum([E, Scaled(2.0, E), A])
+        assert np.array_equal(F.gradient(z), (E.gradient(z) + 2.0 * E.gradient(z)) + A.gradient(z))
+        assert np.array_equal(F.hessian(z), (E.hessian(z) + 2.0 * E.hessian(z)) + A.hessian(z))
+        assert F.hessian(z).flags.writeable
+
+    def test_scaled_by_zero(self):
+        z = np.random.default_rng(14).normal(size=(3, 1, 2))
+        F = Scaled(0.0, PowerNorm(0.0, 4.0))
+        assert not F.value(z).any() and not F.gradient(z).any() and not F.hessian(z).any()
+        G = Sum([PowerNorm(0.0, 2.0), F])
+        assert np.array_equal(G.hessian(z), PowerNorm(0.0, 2.0).hessian(z))
+
+    def test_frob2_matches_reduction(self):
+        rng = np.random.default_rng(15)
+        for shape in [(1, 2), (2, 2), (9, 1, 3), (5, 3, 2, 3)]:
+            z = rng.normal(size=shape)
+            assert np.array_equal(frob2(z), (z * z).sum(axis=(-2, -1)))
+        assert isinstance(frob2(np.ones((2, 3))), np.floating)
+
+    def test_hessian_allocates_one_output(self):
+        # the terms add into one buffer: no per-term (S, N, n, N, n) arrays
+        F = RegularizedIntegrand(registry.get("aniso3d_q4").integrand, 0.01, 4.0)
+        z = np.random.default_rng(16).normal(size=(48000, 1, 3))
+        F.hessian(z[:10])
+        tracemalloc.start()
+        try:
+            H = F.hessian(z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * H.nbytes
 
 
 class TestGrowthSandwich:

@@ -263,6 +263,31 @@ class TestMinimization:
         assert res.violations == []
         assert len(calls) <= 3 * sum(r.iterations for r in res.reports)
 
+    def test_flat_branch_gradient_is_reused(self, monkeypatch):
+        # the flat branch assembles the gradient at the candidate it accepts;
+        # the next iteration must not assemble it again
+        assemble = solver.assemble_gradient
+        calls, per_solve = [], []
+
+        def counting_gradient(*args):
+            calls.append(1)
+            return assemble(*args)
+
+        def counting_minimize(*args, **kw):
+            calls.clear()
+            fld, rep = minimize_dirichlet(*args, **kw)
+            per_solve.append((len(calls), rep.iterations))
+            return fld, rep
+
+        monkeypatch.setattr(solver, "assemble_gradient", counting_gradient)
+        monkeypatch.setattr(solver, "minimize_dirichlet", counting_minimize)
+        grid = Grid(2, 16)
+        entry = registry.get("aniso2d_q4_vec")
+        g = boundary_family("sine", grid, 2.0, 2)
+        res = run_scheme(entry.integrand, entry.regime, grid, g, Schedule.dyadic(4))
+        assert res.violations == [] and len(per_solve) == 4
+        assert per_solve == [(its + 1, its) for _, its in per_solve]
+
     def test_nonconvergence_carries_partial_state(self):
         grid = Grid(2, 16)
         entry = registry.get("aniso2d_q4")
