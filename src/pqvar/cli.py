@@ -331,9 +331,7 @@ def _fmt(x):
         return ""
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    if isinstance(x, float) and math.isinf(x):
-        return "inf"
-    return f"{x:.17g}" if isinstance(x, (float, np.floating)) else str(x)
+    return solver._fmt(x) if isinstance(x, (float, np.floating)) else str(x)
 
 
 def write_csv(path, header, rows):
@@ -574,7 +572,7 @@ def cmd_sweep(args):
     jobs = [(cfg_text, base_dir, args.vary, v) for v in values]
     if cfg.workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(_sweep_point_star, jobs))
+            results = list(pool.map(_sweep_point, *zip(*jobs)))
     else:
         results = [_sweep_point(*job) for job in jobs]
     rows = []
@@ -594,10 +592,6 @@ def cmd_sweep(args):
     for row in rows:
         print(",".join(_fmt(v) for v in row))
     return 0
-
-
-def _sweep_point_star(job):
-    return _sweep_point(*job)
 
 
 def cmd_gehring(args):

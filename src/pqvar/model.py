@@ -305,12 +305,14 @@ class AssemblyPlan:
         # element-block entries in the order (simplex, i, j, a, b) of assemble_matrix
         rows = pos[verts[:, None, None, :, None] * N + comp[None, :, None, None, None]]
         cols = pos[verts[:, None, None, None, :] * N + comp[None, None, :, None, None]]
-        rows, cols = np.broadcast_arrays(rows, cols)
         keep = ((rows >= 0) & (cols >= 0)).ravel()
-        keys, slots = np.unique(rows.ravel()[keep] * n_int + cols.ravel()[keep],
-                                return_inverse=True)
-        scatter = np.full(rows.size, len(keys), dtype=np.int64)
-        scatter[keep] = slots
+        kept = (rows * n_int + cols).ravel()[keep]
+        # sort and bisect: np.unique's return_inverse holds four more arrays the
+        # size of `kept` at once, which set the peak memory of a 3d solve
+        keys = np.sort(kept)
+        keys = keys[np.r_[True, keys[1:] != keys[:-1]]]
+        scatter = np.full(keep.size, len(keys), dtype=np.int64)
+        scatter[keep] = np.searchsorted(keys, kept)
         indptr = np.zeros(n_int + 1, dtype=np.int64)
         np.cumsum(np.bincount(keys // n_int, minlength=n_int), out=indptr[1:])
         GG = g.simplex_volume * np.einsum("tak,tbl->tklab", g.hat_grads, g.hat_grads)
@@ -353,13 +355,6 @@ class AssemblyPlan:
         band = np.zeros((u + 1) * n)
         band[dest] = K.data[slots]
         return band.reshape(u + 1, n, order="F")
-
-    @cached_property
-    def laplacian(self) -> sp.csr_matrix:
-        """Interior hessian of the energy sum_T vol(T) |grad u|^2."""
-        g, N = self.grid, self.N
-        form = 2.0 * np.einsum("ij,kl->ikjl", np.eye(N), np.eye(g.dim))
-        return self.assemble_matrix(np.broadcast_to(form, (g.n_simplices,) + form.shape))
 
 
 class DiscreteField:

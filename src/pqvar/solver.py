@@ -154,15 +154,17 @@ def assemble_hessian(F: Integrand, grid: Grid, values: np.ndarray) -> sp.csr_mat
 
 
 class LinearSolveError(ArithmeticError):
-    """An interior system is not positive definite to the solver (banded Cholesky
-    in 2d, Jacobi-preconditioned CG in 3d), or its solution is not finite."""
+    """A Newton system is not positive definite to the solver (banded Cholesky in
+    2d, Jacobi-preconditioned CG in 3d), or its solution is not finite."""
 
 
 CG_RTOL = 1e-12
 
 
 def _solve_spd(plan: AssemblyPlan, K: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
-    """Solve K x = rhs for a symmetric positive definite K assembled by `plan`.
+    """Solve the Newton system K x = rhs for a symmetric positive definite K
+    assembled by `plan`.  The harmonic extension does not come here: it has its
+    own sine-basis solve.
 
     The method is fixed by the grid dimension, as measured on the Newton systems
     of the benchmark ladders.  In 2d the node-major interior numbering makes K
@@ -325,25 +327,37 @@ HARMONIC_TOL = 1e-10
 def harmonic_extension(grid: Grid, boundary: np.ndarray) -> np.ndarray:
     """Interior values of the discrete |z|^2 minimizer with the given boundary rows.
 
-    One solve with the plan's interior Laplacian; raises NonConvergenceError
-    unless the sup norm of the interior residual ends at most HARMONIC_TOL."""
+    On the Kuhn grid the diagonal couplings of the P1 Laplacian assemble to 0, so
+    its interior hessian is 2 h^(d-2) times the (2d+1)-point stencil, which the
+    sine basis S[j, k] = sin(pi j k / m), j, k = 1..m-1, diagonalizes with
+    S S = (m/2) I.  The solve applies S along every lattice axis, divides by the
+    eigenvalues 2 h^(d-2) sum_axes (2 - 2 cos(pi j / m)), and applies S again:
+    no factorization and no iteration.  Raises NonConvergenceError unless the
+    sup norm of the assembled interior residual ends at most HARMONIC_TOL."""
     u = np.array(boundary, dtype=float)
     if u.ndim == 1:
         u = u[:, None]
     plan = grid.assembly_plan(u.shape[1])
     dofs = plan.interior_dofs
+    m, d = grid.cells_per_side, grid.dim
 
     def residual(v):
         # gradient of sum_T vol(T) |grad v|^2 at the interior dofs
         return plan.assemble_vector(2.0 * plan.gradients(v)).reshape(-1)[dofs]
 
-    step = np.zeros(u.size)
-    try:
-        step[dofs] = _solve_spd(plan, plan.laplacian, -residual(u))
-    except LinearSolveError as exc:
-        raise NonConvergenceError(f"harmonic extension: {exc}",
-                                  field=DiscreteField(grid, u)) from exc
-    u = u + step.reshape(u.shape)
+    j = np.arange(1, m)
+    S = np.sin(np.pi * np.outer(j, j) / m)
+    lam = 2.0 - 2.0 * np.cos(np.pi * j / m)
+    eig = 2.0 * grid.h ** (d - 2) * sum(np.meshgrid(*[lam] * d, indexing="ij", sparse=True))
+
+    def sine_transform(x):
+        for a in range(d):
+            x = np.moveaxis(np.tensordot(S, x, axes=(1, a)), 0, a)
+        return x
+
+    rhs = -residual(u).reshape((m - 1,) * d + (u.shape[1],))
+    step = sine_transform(sine_transform(rhs) / eig[..., None]) * (2.0 / m) ** d
+    u[grid.interior_mask] += step.reshape(-1, u.shape[1])
     res = float(np.abs(residual(u)).max())
     if not res <= HARMONIC_TOL:
         raise NonConvergenceError(f"harmonic extension residual {res:.3e} > {HARMONIC_TOL:g}",
@@ -372,13 +386,16 @@ def run_scheme(F: Integrand, r, grid: Grid, boundary: np.ndarray, schedule: Sche
 
     Per epsilon the boundary data is mollified at the scheduled width, extended
     harmonically to estimate ||grad u~_eps||_q, and the regularized energy is
-    minimized warm-started from the previous rung.  Monitors: the regularized
-    energies, the viscosity terms gamma_eps ||grad u_eps||_q^q (expected to
-    decrease), W^{1,p} increments between consecutive rungs, and the minimality
-    margins L^-1 ||grad u||_p^p + gamma ||grad u||_q^q <= E_eps(u_eps)
-    <= E_eps(u~_eps).  A non-monotone viscosity term and per-rung solver
-    failures are aggregated into `violations`; with strict=True they raise
-    SchemeViolationError at the end instead.
+    minimized.  The first rung starts from the harmonic extension; each later one
+    from the previous minimizer plus the harmonic extension of the change in the
+    mollified data, which carries the new boundary rows into the interior with no
+    boundary layer.  Monitors: the regularized energies, the viscosity terms
+    gamma_eps ||grad u_eps||_q^q (expected to decrease), W^{1,p} increments
+    between consecutive rungs, and the minimality margins
+    L^-1 ||grad u||_p^p + gamma ||grad u||_q^q <= E_eps(u_eps) <= E_eps(u~_eps).
+    A non-monotone viscosity term and per-rung solver failures are aggregated
+    into `violations`; with strict=True they raise SchemeViolationError at the
+    end instead.
     """
     boundary = np.asarray(boundary, dtype=float)
     if boundary.ndim == 1:
@@ -396,8 +413,7 @@ def run_scheme(F: Integrand, r, grid: Grid, boundary: np.ndarray, schedule: Sche
         if prev_values is None:
             init = tilde
         else:
-            init = prev_values.copy()
-            init[grid.boundary_mask] = g_eps[grid.boundary_mask]
+            init = prev_values + (tilde - prev_tilde)
         try:
             fld, rep = minimize_dirichlet(Feps, grid, g_eps,
                                           tol_energy=schedule.tol_energy,
@@ -423,7 +439,7 @@ def run_scheme(F: Integrand, r, grid: Grid, boundary: np.ndarray, schedule: Sche
         margins.append((rep.energy - lhs, e_tilde - rep.energy))
         if prev_values is not None:
             increments.append(w1p_norm(grid, fld.values - prev_values, r.p))
-        prev_values = np.array(fld.values)
+        prev_values, prev_tilde = np.array(fld.values), tilde
         if keep_fields:
             fields.append(fld)
     if strict and violations:

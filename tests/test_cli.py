@@ -1,10 +1,11 @@
+import math
 import os
 import textwrap
 
 import numpy as np
 import pytest
 
-from pqvar.cli import (ConfigError, load_polynomial, main, parse_config,
+from pqvar.cli import (ConfigError, _fmt, load_polynomial, main, parse_config,
                        parse_integrand)
 from pqvar.integrands import AxisPower, PowerNorm, Scaled, Sum
 
@@ -108,6 +109,13 @@ class TestConfig:
     def test_schedule_count(self):
         cfg = parse_config(MODEL_CFG.replace("epsilons = 0.5,0.25", "schedule_count = 3"))
         assert cfg.epsilons == [0.5, 0.25, 0.125]
+
+
+class TestCsvFormat:
+    @pytest.mark.parametrize("x", [0.1, -0.0, 1e300, math.inf, -math.inf, math.nan,
+                                   np.float64(1 / 3)])
+    def test_floats_print_with_17_digits(self, x):
+        assert _fmt(x) == f"{x:.17g}"
 
 
 class TestSubcommands:

@@ -308,6 +308,11 @@ class TestGrowthSandwich:
         assert np.all(vals <= r.L * (ell ** r.p + ell ** r.q) + 1e-12)
 
     @pytest.mark.parametrize("name", registry.names())
+    def test_registered_constant_dominates_sample(self, name):
+        e = registry.get(name)
+        assert e.regime.L >= registry.required_structural_constant(e, seed=1)
+
+    @pytest.mark.parametrize("name", registry.names())
     def test_stress_growth_bound(self, name):
         # |F'(z)| <= c (ell^{p-1} + ell^{q-1}) with a finite sampled c
         e = registry.get(name)

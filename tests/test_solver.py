@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -339,6 +340,71 @@ class TestAssemblyPlan:
         assert np.abs(harmonic_extension(grid, g) - fld.values).max() <= 1e-10
 
 
+def laplacian(grid, N):
+    """Interior hessian of the energy sum_T vol(T) |grad u|^2 for N components."""
+    return assemble_hessian(PowerNorm(0.0, 2.0), grid, np.zeros((grid.n_nodes, N)))
+
+
+class TestHarmonicExtension:
+    @pytest.mark.parametrize("cells", [2, 3, 7, 16])
+    @pytest.mark.parametrize("dim, N", [(2, 1), (2, 2), (3, 1)])
+    def test_sine_basis_matches_spsolve(self, dim, N, cells):
+        # cells = 2 leaves a single interior node
+        grid = Grid(dim, cells)
+        rng = np.random.default_rng(100 * dim + 10 * N + cells)
+        g = rng.normal(size=(grid.n_nodes, N))  # interior rows must not matter
+        g0 = g.copy()
+        g0[grid.interior_mask] = 0.0
+        dofs = grid.assembly_plan(N).interior_dofs
+        # the energy is quadratic, so its gradient at g0 is the boundary coupling
+        rhs = -solver.assemble_gradient(PowerNorm(0.0, 2.0), grid, g0).reshape(-1)[dofs]
+        ref = np.atleast_1d(spla.spsolve(laplacian(grid, N).tocsc(), rhs))
+        u = harmonic_extension(grid, g)
+        assert np.array_equal(u[grid.boundary_mask], g[grid.boundary_mask])
+        x = u.reshape(-1)[dofs]
+        assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_no_factorization_or_cg(self, monkeypatch, dim):
+        def forbidden(*args, **kw):
+            raise AssertionError("harmonic extension called a sparse solver")
+
+        monkeypatch.setattr(sla, "cholesky_banded", forbidden)
+        monkeypatch.setattr(spla, "cg", forbidden)
+        monkeypatch.setattr(solver, "_solve_spd", forbidden)
+        grid = Grid(dim, 6)
+        harmonic_extension(grid, boundary_family("sinecos", grid, 1.0, 1))
+
+
+@pytest.fixture(scope="module")
+def vectorial_ladder():
+    """The amplitude-2 vectorial ladder on 16 cells, with its fields kept."""
+    grid = Grid(2, 16)
+    entry = registry.get("aniso2d_q4_vec")
+    g = boundary_family("sine", grid, 2.0, 2)
+    res = run_scheme(entry.integrand, entry.regime, grid, g, Schedule.dyadic(4),
+                     keep_fields=True)
+    return grid, entry, g, res
+
+
+class TestWarmStart:
+    def test_newton_iterations_per_rung(self, vectorial_ladder):
+        # the previous minimizer with only the boundary rows replaced took
+        # [6, 7, 5, 4]; the harmonic lift removes the one-cell boundary layer
+        _, _, _, res = vectorial_ladder
+        assert res.violations == []
+        assert [r.iterations for r in res.reports] == [6, 4, 4, 4]
+
+    def test_rungs_match_cold_starts(self, vectorial_ladder):
+        grid, entry, g, res = vectorial_ladder
+        for rep, fld in zip(res.reports, res.fields):
+            g_eps = mollify_boundary(grid, g, rep.epsilon)
+            Feps = RegularizedIntegrand(entry.integrand, rep.gamma_eps, entry.regime.q)
+            cold, _ = minimize_dirichlet(Feps, grid, g_eps,
+                                         init=harmonic_extension(grid, g_eps))
+            assert np.abs(fld.values - cold.values).max() <= 1e-10
+
+
 def newton_hessian(cells=16):
     """A Newton hessian of the vectorial model near its first iterate, and its plan."""
     grid = Grid(2, cells)
@@ -372,8 +438,9 @@ class TestLinearSolve:
         assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_indefinite_2d_system_raises(self):
-        plan = Grid(2, 8).assembly_plan(2)
-        K = plan.laplacian.copy()
+        grid = Grid(2, 8)
+        plan = grid.assembly_plan(2)
+        K = laplacian(grid, 2)
         K.data[0] = -K.data[0]
         with pytest.raises(LinearSolveError):
             _solve_spd(plan, K, np.ones(K.shape[0]))
@@ -388,8 +455,9 @@ class TestLinearSolve:
             return cg(*args, **kw)
 
         monkeypatch.setattr(spla, "cg", counting)
-        plan = Grid(dim, cells).assembly_plan(1)
-        K = plan.laplacian
+        grid = Grid(dim, cells)
+        plan = grid.assembly_plan(1)
+        K = laplacian(grid, 1)
         rhs = np.random.default_rng(12).normal(size=K.shape[0])
         x = _solve_spd(plan, K, rhs)
         assert len(calls) == cg_calls
