@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import diagnostics, growth, solver
+from . import diagnostics, duality, growth, solver
 from .integrands import (AxisPower, EvenPolynomial, HomogeneousForm, Integrand,
                          PowerNorm, Scaled, Sum)
 from .model import (DiagnosticsEntry, DiagnosticsReport, Region, Regime,
@@ -462,8 +462,6 @@ def cmd_check(args):
 
 
 def cmd_conjugate(args):
-    from .duality import conjugate
-
     cfg = load_config(args.config)
     rng = np.random.default_rng(cfg.seed)
     N, n = cfg.regime.N, cfg.regime.n
@@ -471,7 +469,11 @@ def cmd_conjugate(args):
     for _ in range(args.count):
         xi = rng.normal(size=(N, n))
         xi *= args.radius * rng.uniform(0.05, 1.0) / max(np.linalg.norm(xi), 1e-12)
-        res = conjugate(cfg.integrand, xi)
+        try:
+            res = duality.conjugate(cfg.integrand, xi)
+        except duality.NonConvergenceError as exc:
+            print(f"conjugation failed to converge: {exc}")
+            return 3
         rows.append([v for v in xi.reshape(-1)] + [res.value]
                     + [v for v in res.argmax.reshape(-1)]
                     + [res.newton_iters, res.residual])

@@ -11,22 +11,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import newton
 from .integrands import Integrand, flatten_form, frob2, inner, v_map
 from .model import Regime
+from .newton import NonConvergenceError
 
 DEFAULT_TOL = 1e-10
 MAX_ITERS = 200
 CONDITION_LIMIT = 1e12
-FLAT_ASCENT = 1e-15  # relative to max(1, |objective|)
-
-
-class NonConvergenceError(RuntimeError):
-    """Newton failed to reach the residual tolerance; usually an ill-conditioned custom integrand."""
-
-    def __init__(self, message, z=None, residual=None):
-        super().__init__(message)
-        self.z = z
-        self.residual = residual
 
 
 class SingularHessianError(ArithmeticError):
@@ -41,75 +33,6 @@ class ConjugateResult:
     residual: float
 
 
-def _maximize_concave(value_fn, grad_fn, neg_hess_fn, z0, tol, max_iters):
-    """Damped Newton ascent for a strictly concave objective.
-
-    grad_fn returns the gradient (N, n); neg_hess_fn the negated hessian (positive
-    definite away from degenerate corners).  Falls back to scaled gradient steps
-    when the hessian is singular or too ill-conditioned (Cholesky-diagonal proxy
-    for the condition number).
-    """
-    z = np.array(z0, dtype=float)
-    N, n = z.shape
-    d = N * n
-    val = value_fn(z)
-    if not np.isfinite(val):
-        raise NonConvergenceError("objective not finite at the start point", z=z)
-    for it in range(max_iters):
-        g = grad_fn(z)
-        res = math.sqrt(float(frob2(g)))
-        if not np.isfinite(res):
-            raise NonConvergenceError("non-finite gradient during iteration", z=z, residual=res)
-        if res <= tol:
-            return z, it, res
-        H = flatten_form(neg_hess_fn(z))
-        gf = g.reshape(d)
-        step = None
-        try:
-            C = np.linalg.cholesky(H)
-            diag = np.diagonal(C)
-            if (diag.max() / diag.min()) ** 2 <= CONDITION_LIMIT:
-                step = np.linalg.solve(H, gf)
-                if not np.all(np.isfinite(step)):
-                    step = None
-        except np.linalg.LinAlgError:
-            step = None
-        if step is None:
-            # degenerate hessian: plain ascent scaled by the largest curvature
-            step = gf / max(float(np.abs(H).sum(axis=1).max()), 1.0)
-        # a predicted ascent of a few ulps of the objective is invisible to the
-        # line search, which would halve t some 60 times before giving up
-        flat = float(gf @ step) <= FLAT_ASCENT * max(1.0, abs(val))
-        step = step.reshape(N, n)
-        t = 0.0 if flat else 1.0
-        accepted = False
-        while t > 1e-18:
-            cand = z + t * step
-            cval = value_fn(cand)
-            if np.isfinite(cval) and cval > val:
-                z, val = cand, cval
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            # the objective is flat at machine precision near the maximizer; accept
-            # the full step if it contracts the first-order residual instead
-            cand = z + step
-            cres = math.sqrt(float(frob2(grad_fn(cand))))
-            if np.isfinite(cres) and cres < res:
-                z, val = cand, value_fn(cand)
-            elif res <= 100 * tol:
-                return z, it + 1, res
-            else:
-                raise NonConvergenceError("line search stalled", z=z, residual=res)
-    g = grad_fn(z)
-    res = math.sqrt(float(frob2(g)))
-    if res <= tol:
-        return z, max_iters, res
-    raise NonConvergenceError(f"no convergence after {max_iters} iterations (residual {res:.3e})",
-                              z=z, residual=res)
-
-
 def _newton_seed(F: Integrand, xi):
     """Start from a power-branch inverse: |z0| ~ |xi|^(1/(p-1)) along xi.
 
@@ -121,7 +44,7 @@ def _newton_seed(F: Integrand, xi):
     norm = math.sqrt(float(frob2(xi)))
     if norm == 0.0:
         return np.zeros_like(np.asarray(xi, dtype=float))
-    direction = xi / max(1.0, norm)
+    direction = xi / norm
     cands = [direction * norm ** (1.0 / (p_lo - 1.0))]
     if q_hi > p_lo:
         cands.append(direction * norm ** (1.0 / (q_hi - 1.0)))
@@ -130,22 +53,47 @@ def _newton_seed(F: Integrand, xi):
 
 
 def conjugate(F: Integrand, xi, tol=DEFAULT_TOL, max_iters=MAX_ITERS) -> ConjugateResult:
-    """F*(xi) with its maximizer: solves sup_z <z, xi> - F(z)."""
+    """F*(xi) with its maximizer: solves sup_z <z, xi> - F(z).
+
+    `newton.minimize` minimizes F(z) - <z, xi> from `_newton_seed` until the
+    residual |F'(z) - xi| is at most tol, relative above |xi| = 1, and accepts a
+    residual up to 100 tol where the objective is flat.  A hessian that is
+    singular, or too ill-conditioned by the Cholesky-diagonal proxy for its
+    condition number, gives way to a gradient step scaled by the largest
+    curvature."""
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     xi = np.asarray(xi, dtype=float)
 
-    def val(z):
-        return float(inner(z, xi) - F.value(z))
+    def objective(z):
+        return float(F.value(z) - inner(z, xi))
 
-    def grad(z):
-        return xi - F.gradient(z)
+    def gradient(z):
+        g = F.gradient(z) - xi
+        return g, math.sqrt(float(frob2(g)))
+
+    def newton_step(z, g):
+        H = flatten_form(F.hessian(z))
+        rhs = -g.reshape(-1)
+        step = None
+        try:
+            diag = np.diagonal(np.linalg.cholesky(H))
+            if (diag.max() / diag.min()) ** 2 <= CONDITION_LIMIT:
+                step = np.linalg.solve(H, rhs)
+        except np.linalg.LinAlgError:
+            pass
+        if step is None or not np.all(np.isfinite(step)):
+            # degenerate hessian: plain descent scaled by the largest curvature
+            step = rhs / max(float(np.abs(H).sum(axis=1).max()), 1.0)
+        return step.reshape(z.shape), -float(rhs @ step)
 
     # round-off in F'(z) grows with |xi|, so the residual test is relative above |xi| = 1
     scaled_tol = tol * max(1.0, math.sqrt(float(frob2(xi))))
-    z, iters, res = _maximize_concave(val, grad, F.hessian, _newton_seed(F, xi), scaled_tol,
-                                      max_iters)
-    return ConjugateResult(value=val(z), argmax=z, newton_iters=iters, residual=res)
+    z, f, res, iters = newton.minimize(
+        objective, gradient, newton_step, _newton_seed(F, xi),
+        converged=lambda res, f, f_prev: res <= scaled_tol, stall_tol=100 * scaled_tol,
+        max_iters=max_iters, partial=lambda z, f, res, iters: {"z": z, "residual": res})
+    return ConjugateResult(value=-f, argmax=z, newton_iters=iters, residual=res)
 
 
 def inverse_gradient(F: Integrand, xi, tol=DEFAULT_TOL, max_iters=MAX_ITERS):

@@ -15,17 +15,10 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from . import newton
 from .integrands import Integrand, PowerNorm, Scaled, Sum, frob2
 from .model import AssemblyPlan, DiscreteField, Grid, SolveReport
-
-
-class NonConvergenceError(RuntimeError):
-    """Newton ran out of iterations; carries the partial field and report."""
-
-    def __init__(self, message, field=None, report=None):
-        super().__init__(message)
-        self.field = field
-        self.report = report
+from .newton import NonConvergenceError
 
 
 class SchemeViolationError(RuntimeError):
@@ -217,8 +210,6 @@ def w1p_norm(grid: Grid, values: np.ndarray, p: float) -> float:
 
 # ----------------------------------------------------------------- minimization
 
-FLAT_DECREASE = 1e-15  # relative to max(1, |energy|)
-
 
 def minimize_dirichlet(F: Integrand, grid: Grid, boundary: np.ndarray,
                        tol_energy=1e-12, tol_residual=1e-9, max_iters=100,
@@ -230,7 +221,10 @@ def minimize_dirichlet(F: Integrand, grid: Grid, boundary: np.ndarray,
     its interior rows seed the first iterate unless `init` is given.  The energy
     decreases monotonically; iteration stops once the relative energy decrease
     drops below tol_energy while the Euler-Lagrange residual sup-norm is below
-    tol_residual.
+    tol_residual, or, when the energy is flat to machine precision, once that
+    residual is at most tol_residual.  The loop is `newton.minimize`; the Newton
+    system is solved by `_solve_spd`, with a diagonally scaled gradient step
+    where that fails.
     """
     boundary = np.asarray(boundary, dtype=float)
     if boundary.ndim == 1:
@@ -244,81 +238,40 @@ def minimize_dirichlet(F: Integrand, grid: Grid, boundary: np.ndarray,
     u[grid.boundary_mask] = boundary[grid.boundary_mask]
     plan = grid.assembly_plan(N)
     int_dofs = plan.interior_dofs
-
-    E = energy(F, grid, u)
-    if not math.isfinite(E):
-        raise NonConvergenceError("energy not finite at the initial iterate")
-    if energy_trace is not None:
-        energy_trace.append(E)
-    prev_E = math.inf
-    residual = math.inf
     fallbacks = 0
-    it = 0
-    g = None  # the gradient at u, when the flat branch below has assembled it
-    for it in range(1, max_iters + 1):
-        if g is None:
-            g = assemble_gradient(F, grid, u)
-        residual = float(np.abs(g[grid.interior_mask]).max())
-        rel_dec = abs(prev_E - E) / max(abs(E), 1.0)
-        if residual < tol_residual and rel_dec < tol_energy:
-            it -= 1
-            break
-        gi = g.reshape(-1)[int_dofs]
-        K = assemble_hessian(F, grid, u)
+
+    def gradient(v):
+        gi = assemble_gradient(F, grid, v).reshape(-1)[int_dofs]
+        return gi, float(np.abs(gi).max())
+
+    def newton_step(v, gi):
+        nonlocal fallbacks
+        K = assemble_hessian(F, grid, v)
         try:
             step = _solve_spd(plan, K, -gi)
         except LinearSolveError:
             # degenerate system: fall back to a safeguarded gradient step
             fallbacks += 1
             step = -gi / max(float(K.diagonal().max()), 1.0)
-        # a predicted decrease of a few ulps of the energy is invisible to the
-        # line search, which would halve t some 60 times before giving up
-        flat = -float(gi @ step) <= FLAT_DECREASE * max(1.0, abs(E))
-        du = np.zeros((grid.n_nodes * N,))
+        du = np.zeros(v.size)
         du[int_dofs] = step
-        du = du.reshape(u.shape)
+        return du.reshape(v.shape), float(gi @ step)
 
-        t = 0.0 if flat else 1.0
-        accepted = False
-        while t > 1e-18:
-            cand = u + t * du
-            Ec = energy(F, grid, cand)
-            if math.isfinite(Ec) and Ec < E:
-                prev_E, E = E, Ec
-                u, g = cand, None
-                accepted = True
-                if energy_trace is not None:
-                    energy_trace.append(E)
-                break
-            t *= 0.5
-        if not accepted:
-            # energy flat to machine precision: accept the full Newton step if it
-            # still contracts the first-order residual, else stop here
-            cand = u + du
-            gc = assemble_gradient(F, grid, cand)
-            cres = float(np.abs(gc[grid.interior_mask]).max())
-            if math.isfinite(cres) and cres < residual:
-                prev_E, E = E, energy(F, grid, cand)
-                u, g = cand, gc
-                continue
-            if residual <= tol_residual:
-                break
-            raise NonConvergenceError(
-                f"line search stalled at residual {residual:.3e}",
-                field=DiscreteField(grid, u),
-                report=SolveReport(E, residual, it, gradient_fallbacks=fallbacks))
-    else:
-        raise NonConvergenceError(
-            f"no convergence after {max_iters} iterations (residual {residual:.3e})",
-            field=DiscreteField(grid, u),
-            report=SolveReport(E, residual, max_iters, gradient_fallbacks=fallbacks))
+    def converged(res, E, E_prev):
+        return res < tol_residual and abs(E_prev - E) / max(abs(E), 1.0) < tol_energy
 
-    fld = DiscreteField(grid, u)
-    report = SolveReport(energy=E, residual_sup=residual, iterations=it,
+    def partial(v, E, res, iters):
+        return {"field": DiscreteField(grid, v),
+                "report": SolveReport(E, res, iters, gradient_fallbacks=fallbacks)}
+
+    u, E, residual, iters = newton.minimize(
+        lambda v: energy(F, grid, v), gradient, newton_step, u, converged,
+        stall_tol=tol_residual, max_iters=max_iters, partial=partial, values=energy_trace)
+    report = SolveReport(energy=E, residual_sup=residual, iterations=iters,
                          gradient_fallbacks=fallbacks)
     if isinstance(F, RegularizedIntegrand):
         report.gamma_eps = F.gamma_eps
-    return fld, report
+    return DiscreteField(grid, u), report
 
 
 HARMONIC_TOL = 1e-10
@@ -422,8 +375,8 @@ def run_scheme(F: Integrand, r, grid: Grid, boundary: np.ndarray, schedule: Sche
                                           init=init)
         except NonConvergenceError as exc:
             violations.append(f"eps={eps}: {exc}")
-            if exc.field is None:
-                raise
+            if not math.isfinite(exc.report.energy):
+                raise  # the rung never had a finite energy to go on from
             fld, rep = exc.field, exc.report
         rep.epsilon = eps
         rep.gamma_eps = gam

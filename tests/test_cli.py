@@ -5,6 +5,7 @@ import textwrap
 import numpy as np
 import pytest
 
+from pqvar import duality
 from pqvar.cli import (ConfigError, _fmt, load_polynomial, main, parse_config,
                        parse_integrand)
 from pqvar.integrands import AxisPower, PowerNorm, Scaled, Sum
@@ -79,7 +80,7 @@ class TestIntegrandLanguage:
     def test_poly_odd_monomial_rejected(self, tmp_path):
         poly = tmp_path / "odd.poly"
         poly.write_text("1.0 1 1\n1.0 1 1 1\n")
-        with pytest.raises(Exception):  # NotEvenError surfaces through the parser
+        with pytest.raises(ConfigError, match="degree-3"):  # NotEvenError as a ConfigError
             load_polynomial(str(poly), (1, 2))
 
 
@@ -155,6 +156,14 @@ class TestSubcommands:
         rows = out.read_text().strip().split("\n")
         assert rows[0].startswith("xi11,xi12,value,z11,z12")
         assert len(rows) == 5
+
+    def test_conjugate_nonconvergence_exit_code(self, model_cfg, monkeypatch, capsys):
+        def failing(F, xi, **kw):
+            raise duality.NonConvergenceError("line search stalled", z=xi, residual=1.0)
+
+        monkeypatch.setattr(duality, "conjugate", failing)
+        assert main(["conjugate", "--config", model_cfg, "--count", "2"]) == 3
+        assert "line search stalled" in capsys.readouterr().out
 
     def test_solve_outputs(self, model_cfg, tmp_path, capsys):
         outdir = tmp_path / "run"

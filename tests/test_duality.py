@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from pqvar import registry
-from pqvar.duality import (NonConvergenceError, SingularHessianError, conjugate,
-                           conjugate_difference_probe, conjugate_hessian,
-                           fenchel_young_gap, inverse_gradient, monotonicity_ratio,
-                           monotonicity_ratios, second_order_bound)
+from pqvar import duality, registry, solver
+from pqvar.duality import (DEFAULT_TOL, NonConvergenceError, SingularHessianError,
+                           _newton_seed, conjugate, conjugate_difference_probe,
+                           conjugate_hessian, fenchel_young_gap, inverse_gradient,
+                           monotonicity_ratio, monotonicity_ratios, second_order_bound)
 from pqvar.integrands import (AxisPower, Integrand, PowerNorm, Scaled, Sum, ell_mu,
                               flatten_form, frob2, inner, v_map)
 from pqvar.model import Regime
@@ -241,6 +241,47 @@ class TestCoerciveDual:
                 xi = rng.normal(size=e.shape)
                 xi *= 10 ** rng.uniform(-3, 3) / max(np.sqrt(float(frob2(xi))), 1e-12)
                 assert conjugate(e.integrand, xi).newton_iters <= 60
+
+
+class TestNewtonCore:
+    def test_one_error_class(self):
+        assert solver.NonConvergenceError is duality.NonConvergenceError
+
+    def test_nonconvergence_carries_partial_state(self):
+        F = registry.get("aniso2d_q4_vec").integrand
+        xi = F.gradient(np.array([[2.0, -1.0], [0.5, 3.0]]))
+        with pytest.raises(NonConvergenceError) as exc:
+            conjugate(F, xi, max_iters=1)
+        assert exc.value.z.shape == (2, 2)
+        assert exc.value.residual > DEFAULT_TOL * np.sqrt(float(frob2(xi)))
+
+    @pytest.mark.parametrize("norm", [1e-3, 0.5, 7.0])
+    def test_seed_follows_the_power_branch(self, norm):
+        # |z0| = |xi|^(1/(p-1)) on both sides of |xi| = 1
+        xi = np.array([[0.6, -0.8]]) * norm
+        z0 = _newton_seed(PowerNorm(0.0, 4.0), xi)
+        assert math.sqrt(float(frob2(z0))) == pytest.approx(norm ** (1.0 / 3.0), rel=1e-14)
+
+    def test_small_xi_at_high_power_converges(self):
+        # from a seed much closer to 0 than the maximizer, the hessian of |z|^20
+        # fails the conditioning test and the line search stalls
+        F = PowerNorm(0.0, 20.0)
+        xi = np.array([[6e-4, 8e-4]])
+        res = conjugate(F, xi)
+        assert np.abs(F.gradient(res.argmax) - xi).max() <= DEFAULT_TOL
+
+    def test_iteration_count_pinned(self):
+        # Newton iterations over 10 seeded points per built-in; a change to the
+        # loop, the seed or the Newton step that moves the total must say so
+        rng = np.random.default_rng(24)
+        total = 0
+        for name in registry.names():
+            e = registry.get(name)
+            for _ in range(10):
+                xi = rng.normal(size=e.shape)
+                xi *= 10 ** rng.uniform(-3, 3) / np.sqrt(float(frob2(xi)))
+                total += conjugate(e.integrand, xi, tol=1e-13).newton_iters
+        assert total == 196
 
 
 class TestMonotonicity:

@@ -298,6 +298,23 @@ class TestMinimization:
             minimize_dirichlet(Feps, grid, g, max_iters=2, tol_residual=1e-14)
         assert exc.value.field is not None and exc.value.report.iterations == 2
 
+    def test_start_without_finite_energy_raises(self):
+        grid = Grid(2, 8)
+        g = boundary_family("sine", grid, 1.0, 1)
+        init = g.copy()
+        init[grid.interior_mask] = np.inf
+        with pytest.raises(NonConvergenceError, match="not finite at the start") as exc:
+            minimize_dirichlet(PowerNorm(0.0, 2.0), grid, g, init=init)
+        assert not math.isfinite(exc.value.report.energy) and exc.value.report.iterations == 0
+
+    def test_convergence_tested_after_the_last_step(self):
+        grid = Grid(2, 16)
+        Feps = RegularizedIntegrand(registry.get("aniso2d_q4").integrand, 0.01, 4.0)
+        g = boundary_family("sine", grid, 2.0, 1)
+        fld, rep = minimize_dirichlet(Feps, grid, g)
+        last, rep_last = minimize_dirichlet(Feps, grid, g, max_iters=rep.iterations)
+        assert np.array_equal(last.values, fld.values) and rep_last == rep
+
 
 class TestAssemblyPlan:
     @pytest.mark.parametrize("name, dim, cells", [
@@ -394,6 +411,14 @@ class TestWarmStart:
         _, _, _, res = vectorial_ladder
         assert res.violations == []
         assert [r.iterations for r in res.reports] == [6, 4, 4, 4]
+
+    def test_newton_iterations_per_rung_3d(self):
+        grid = Grid(3, 6)
+        entry = registry.get("aniso3d_q4")
+        g = boundary_family("sine", grid, 1.0, 1)
+        res = run_scheme(entry.integrand, entry.regime, grid, g, Schedule.dyadic(4))
+        assert res.violations == []
+        assert [r.iterations for r in res.reports] == [4, 4, 3, 1]
 
     def test_rungs_match_cold_starts(self, vectorial_ladder):
         grid, entry, g, res = vectorial_ladder
