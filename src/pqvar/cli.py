@@ -35,9 +35,9 @@ import numpy as np
 from . import diagnostics, duality, growth, solver
 from .integrands import (AxisPower, EvenPolynomial, HomogeneousForm, Integrand,
                          PowerNorm, Scaled, Sum)
-from .model import (DiagnosticsEntry, DiagnosticsReport, Region, Regime,
-                    InvalidRegimeError)
-from .solver import Schedule
+from .model import (DiagnosticsEntry, DiagnosticsReport, Grid, InvalidRegimeError, Region,
+                    RegionError, Regime, validate_regime)
+from .solver import Schedule, _fmt, write_csv
 
 
 class ConfigError(ValueError):
@@ -224,8 +224,11 @@ _KNOWN_KEYS = {"n", "N", "p", "q", "mu", "L", "integrand", "cells", "epsilons",
                "t_grid", "sobolev_exp", "seed", "workers"}
 
 
-def _floats(text):
-    return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+def _floats(key, text, line=None):
+    try:
+        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+    except ValueError:
+        raise ConfigError(f"bad number list for {key!r}: {text!r}", line=line) from None
 
 
 def parse_config(text, base_dir=".") -> ExperimentConfig:
@@ -258,9 +261,12 @@ def parse_config(text, base_dir=".") -> ExperimentConfig:
                 raise ConfigError(f"missing required key {key!r}")
             return default
         try:
-            return conv(float(raw[key]))
+            val = float(raw[key])
         except ValueError:
             raise ConfigError(f"bad number for {key!r}: {raw[key]!r}", line=lines[key])
+        if conv is int and not val.is_integer():
+            raise ConfigError(f"{key!r} must be an integer, got {raw[key]!r}", line=lines[key])
+        return conv(val)
 
     n = number("n", 2, int)
     N = number("N", 1, int)
@@ -277,14 +283,23 @@ def parse_config(text, base_dir=".") -> ExperimentConfig:
     integrand = parse_integrand(expr, (N, n), base_dir=base_dir,
                                 line_no=lines.get("integrand"))
 
+    def floats(key, default):
+        return _floats(key, raw.get(key, default), line=lines.get(key))
+
     cells = number("cells", 32, int)
-    if "epsilons" in raw:
-        eps = _floats(raw["epsilons"])
-    else:
-        count = number("schedule_count", 4, int)
-        eps = [2.0 ** -(i + 1) for i in range(count)]
+    if cells < 2:
+        raise ConfigError(f"cells must be at least 2, got {cells}", line=lines["cells"])
+    eps_key = "epsilons" if "epsilons" in raw else "schedule_count"
+    eps = floats(eps_key, "") if eps_key == "epsilons" else number(eps_key, 4, int)
+    try:
+        schedule = Schedule(eps) if eps_key == "epsilons" else Schedule.dyadic(eps)
+    except ValueError as exc:
+        raise ConfigError(str(exc), line=lines.get(eps_key))
     boundary = raw.get("boundary", "sine")
-    amplitudes = _floats(raw.get("amplitudes", "1.0"))
+    if boundary not in solver.BOUNDARY_FAMILIES:
+        raise ConfigError(f"unknown boundary {boundary!r} (choose from "
+                          f"{', '.join(solver.BOUNDARY_FAMILIES)})", line=lines["boundary"])
+    amplitudes = floats("amplitudes", "1.0")
     estimates = [tok.strip() for tok in raw.get("estimates", "hd,sup").split(",") if tok.strip()]
     known_estimates = {"hd", "sup", "rh", "cacc", "stress", "decay"}
     for est in estimates:
@@ -303,16 +318,14 @@ def parse_config(text, base_dir=".") -> ExperimentConfig:
             raise ConfigError(f"bad region: {exc}", line=lines["region"])
     else:
         region = Region((0.5,) * n, 0.45, "ball")
-    t_grid = _floats(raw.get("t_grid", "1.1,1.25,1.5,1.75"))
+    t_grid = floats("t_grid", "1.1,1.25,1.5,1.75")
     sobolev_exp = number("sobolev_exp", 4.0 * q / p)
     seed = number("seed", 0, int)
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}", line=lines["seed"])
     workers = number("workers", 1, int)
-    try:
-        Schedule(epsilons=eps)
-    except ValueError as exc:
-        raise ConfigError(str(exc), line=lines.get("epsilons"))
     return ExperimentConfig(regime=regime, integrand_expr=expr, integrand=integrand,
-                            cells=cells, epsilons=eps, boundary=boundary,
+                            cells=cells, epsilons=schedule.epsilons, boundary=boundary,
                             amplitudes=amplitudes, estimates=estimates, region=region,
                             t_grid=t_grid, sobolev_exp=sobolev_exp, seed=seed,
                             workers=workers)
@@ -323,22 +336,7 @@ def load_config(path) -> ExperimentConfig:
         return parse_config(fh.read(), base_dir=os.path.dirname(os.path.abspath(path)))
 
 
-# ------------------------------------------------------------ CSV plumbing
-
-
-def _fmt(x):
-    if x is None:
-        return ""
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return solver._fmt(x) if isinstance(x, (float, np.floating)) else str(x)
-
-
-def write_csv(path, header, rows):
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+# ------------------------------------------------------------ CSV rows
 
 
 def _diag_rows(report: DiagnosticsReport):
@@ -355,57 +353,48 @@ DIAG_HEADER = ["estimate_id", "lhs", "rhs", "ratio", "fitted_exponent",
 
 
 def _solve_once(cfg: ExperimentConfig, amplitude: float):
-    from .model import Grid
-
+    if cfg.regime.n not in (2, 3):
+        raise ConfigError(f"solves need n = 2 or 3, got n = {cfg.regime.n}")
     grid = Grid(cfg.regime.n, cfg.cells)
     g = solver.boundary_family(cfg.boundary, grid, amplitude, cfg.regime.N, seed=cfg.seed)
-    res = solver.run_scheme(cfg.integrand, cfg.regime, grid, g, cfg.schedule())
-    return res
+    return solver.run_scheme(cfg.integrand, cfg.regime, grid, g, cfg.schedule())
 
 
 def measure_estimates(cfg: ExperimentConfig, amplitude: float, scheme_result) -> DiagnosticsReport:
     """Measure the selected estimates on the final field of one scheme run."""
-    rep = DiagnosticsReport()
     fld = scheme_result.field
     r = cfg.regime
     F = cfg.integrand
     B = cfg.region
-    eps = scheme_result.reports[-1].epsilon
     chain = diagnostics.hd_exponents(r, cfg.sobolev_exp)
+    entries = []
     if "hd" in cfg.estimates:
-        e = diagnostics.higher_diff_measure(fld, F, r, chain, B)
-        e.amplitude, e.epsilon = amplitude, eps
-        rep.add(e)
+        entries.append(diagnostics.higher_diff_measure(fld, F, r, chain, B))
     if "sup" in cfg.estimates:
-        e = diagnostics.sup_grad_measure(fld, F, B, b=chain.b)
-        e.amplitude, e.epsilon = amplitude, eps
-        rep.add(e)
+        entries.append(diagnostics.sup_grad_measure(fld, F, B, b=chain.b))
     if "rh" in cfg.estimates and r.n == 2:
         base = diagnostics.region_energy_average(fld, F, B) + 1.0
         for t, lhs, _ in diagnostics.reverse_holder_scan(fld, F, r, cfg.t_grid, B, b=chain.b):
-            rep.add(DiagnosticsEntry(f"rh_t={t:g}", lhs=lhs, rhs=base ** chain.b,
-                                     grid=fld.grid.cells_per_side, amplitude=amplitude,
-                                     epsilon=eps))
+            entries.append(DiagnosticsEntry(f"rh_t={t:g}", lhs=lhs, rhs=base ** chain.b))
     if "cacc" in cfg.estimates and r.N == 1:
         cut = (B.scaled(0.4), B.scaled(0.8))
         for alpha in (-1.0, 0.0, 2.0):
             cc = diagnostics.caccioppoli_check(fld, F, r, alpha, cut)
-            rep.add(DiagnosticsEntry(f"cacc_a={alpha:g}", lhs=cc.lhs, rhs=cc.rhs,
-                                     grid=fld.grid.cells_per_side, amplitude=amplitude,
-                                     epsilon=eps))
+            entries.append(DiagnosticsEntry(f"cacc_a={alpha:g}", lhs=cc.lhs, rhs=cc.rhs))
     if "stress" in cfg.estimates:
         ratio = diagnostics.stress_integrability(fld, F, r, B)
-        rep.add(DiagnosticsEntry("stress", lhs=ratio, rhs=1.0,
-                                 grid=fld.grid.cells_per_side, amplitude=amplitude,
-                                 epsilon=eps))
+        entries.append(DiagnosticsEntry("stress", lhs=ratio, rhs=1.0))
     if "decay" in cfg.estimates:
         radii = [B.radius * f for f in (0.45, 0.35, 0.25, 0.18)]
         ld = diagnostics.log_decay_profile(fld, F, r, radii, B)
         for s, mass in zip(ld.radii, ld.masses):
             pred = ld.amplitude * math.log(B.radius / s) ** (-ld.decay_exponent)
-            rep.add(DiagnosticsEntry(f"decay_r={s:g}", lhs=mass, rhs=max(pred, 0.0),
-                                     grid=fld.grid.cells_per_side, amplitude=amplitude,
-                                     epsilon=eps))
+            entries.append(DiagnosticsEntry(f"decay_r={s:g}", lhs=mass, rhs=max(pred, 0.0)))
+    rep = DiagnosticsReport()
+    eps = scheme_result.reports[-1].epsilon
+    for e in entries:
+        e.grid, e.amplitude, e.epsilon = fld.grid.cells_per_side, amplitude, eps
+        rep.add(e)
     return rep
 
 
@@ -479,26 +468,18 @@ def cmd_conjugate(args):
                     + [res.newton_iters, res.residual])
     header = [f"xi{i+1}{j+1}" for i in range(N) for j in range(n)] + ["value"] \
         + [f"z{i+1}{j+1}" for i in range(N) for j in range(n)] + ["iters", "residual"]
-    if args.out:
-        write_csv(args.out, header, rows)
-    else:
-        print(",".join(header))
-        for row in rows:
-            print(",".join(_fmt(v) for v in row))
+    write_csv(args.out or sys.stdout, header, rows)
     return 0
 
 
 def cmd_solve(args):
-    from .model import Grid
-
     cfg = load_config(args.config)
-    os.makedirs(args.out, exist_ok=True)
-    amp = cfg.amplitudes[0]
     try:
-        res = _solve_once(cfg, amp)
+        res = _solve_once(cfg, cfg.amplitudes[0])
     except solver.NonConvergenceError as exc:
         print(f"solver failed to converge: {exc}")
         return 3
+    os.makedirs(args.out, exist_ok=True)
     rows = []
     for rep, gterm in zip(res.reports, res.gamma_terms):
         rows.append((rep.epsilon, rep.gamma_eps, rep.energy, rep.residual_sup,
@@ -510,7 +491,7 @@ def cmd_solve(args):
     solver.export_gradients_csv(res.field, os.path.join(args.out, "gradients.csv"))
     for v in res.violations:
         print(f"scheme monitor: {v}")
-    print(f"solved {len(res.reports)} rungs; final energy {_fmt(res.energies[-1])}; "
+    print(f"solved {len(res.reports)} rungs; final energy {_fmt(res.reports[-1].energy)}; "
           f"outputs in {args.out}")
     if any(v.startswith("eps=") for v in res.violations):
         return 3
@@ -536,8 +517,6 @@ def cmd_diagnose(args):
 
 def _sweep_point(cfg_text, base_dir, vary, value):
     cfg = parse_config(cfg_text, base_dir=base_dir)
-    from .model import validate_regime
-
     if vary == "q":
         try:
             cfg.regime = cfg.regime.with_exponents(q=value)
@@ -567,7 +546,7 @@ def cmd_sweep(args):
         cfg_text = fh.read()
     base_dir = os.path.dirname(os.path.abspath(args.config))
     cfg = parse_config(cfg_text, base_dir=base_dir)  # validate before the pool spins up
-    values = _floats(args.values)
+    values = _floats("--values", args.values)
     if args.vary not in ("q", "amplitude"):
         print(f"cannot vary {args.vary!r}; choose q or amplitude")
         return 2
@@ -590,9 +569,7 @@ def cmd_sweep(args):
               "rhs", "ratio", "error"]
     if args.out:
         write_csv(args.out, header, rows)
-    print(",".join(header))
-    for row in rows:
-        print(",".join(_fmt(v) for v in row))
+    write_csv(sys.stdout, header, rows)
     return 0
 
 
@@ -684,7 +661,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
+    except (ConfigError, RegionError) as exc:
         print(f"config error: {exc}")
         return 2
 

@@ -95,39 +95,54 @@ def _noise_floor_sq(W, h, dim):
     return dim * W[(0,) * dim].size * per_component ** 2
 
 
+def _dual_grid(grid, per_simplex):
+    """The dual-grid discretization of a per-simplex matrix field: its cell
+    averages W, (m,)*dim + (N, n), and the differences of W between cell centers
+    along each axis, central inside and one-sided at the array edge."""
+    W = grid.per_cell(per_simplex)
+    return W, np.gradient(W, grid.h, axis=tuple(range(grid.dim)), edge_order=1)
+
+
 def _cell_gradient_sq(grid, per_simplex):
-    """|grad_h W|^2 per cell for a per-simplex matrix field W: cell-average, then
-    central differences between cell centers (one-sided at the array edge)."""
-    W = grid.per_cell(per_simplex)  # (m,)*dim + (N, n)
-    axes = tuple(range(grid.dim))
-    grads = np.gradient(W, grid.h, axis=axes, edge_order=1)
-    if grid.dim == 1:
-        grads = [grads]
+    """|grad_h W|^2 per cell, (m,)*dim, for a per-simplex matrix field W."""
+    W, parts = _dual_grid(grid, per_simplex)
     total = np.zeros(W.shape[:grid.dim])
-    for gpart in grads:
+    for gpart in parts:
         total += (gpart ** 2).sum(axis=(-2, -1))
     total[total <= _noise_floor_sq(W, grid.h, grid.dim)] = 0.0
-    return total  # (m,)*dim
+    return total
+
+
+def v_gradient_sq(field: DiscreteField, F: Integrand, r: Regime):
+    """Per-cell |grad_h V_{mu,p}(grad u)|^2 and |grad_h V_{1,q'}(F'(grad u))|^2."""
+    vp, vq = v_fields(field, F, r)
+    return _cell_gradient_sq(field.grid, vp), _cell_gradient_sq(field.grid, vq)
+
+
+def _region_mask(grid, region: Region, by_cell=False):
+    """Mask of the cells (by center) or simplices (by barycenter) inside the
+    region; raises RegionError when the grid puts none there."""
+    mask = grid.cells_in(region) if by_cell else grid.simplices_in(region)
+    if not mask.any():
+        what = "cell centers" if by_cell else "simplex barycenters"
+        raise RegionError(f"no {what} inside {region}; refine the grid or enlarge the region")
+    return mask
 
 
 def _region_cell_mean(grid, cell_values, region: Region):
-    mask = grid.cells_in(region).reshape(cell_values.shape)
-    if not mask.any():
-        raise RegionError(f"no cell centers inside region {region}")
+    mask = _region_mask(grid, region, by_cell=True).reshape(cell_values.shape)
     return float(cell_values[mask].mean())
 
 
 def _region_cell_integral(grid, cell_values, region: Region):
-    mask = grid.cells_in(region).reshape(cell_values.shape)
+    mask = _region_mask(grid, region, by_cell=True).reshape(cell_values.shape)
     cellvol = grid.h ** grid.dim
     return float(cell_values[mask].sum() * cellvol)
 
 
 def region_energy_average(field: DiscreteField, F: Integrand, region: Region) -> float:
     """Volume-weighted average of F(grad u) over simplices with barycenter in the region."""
-    mask = field.grid.simplices_in(region)
-    if not mask.any():
-        raise RegionError(f"no simplex barycenters inside region {region}")
+    mask = _region_mask(field.grid, region)
     vals = F.value(field.gradients[mask])
     return float(vals.mean())
 
@@ -139,9 +154,8 @@ def higher_diff_measure(field: DiscreteField, F: Integrand, r: Regime,
     half = B.scaled(0.5)
     if not half.inside_unit_box():
         raise RegionError("B/2 must sit inside the solved unit box")
-    vp, vq = v_fields(field, F, r)
-    dens = _cell_gradient_sq(field.grid, vp) + _cell_gradient_sq(field.grid, vq)
-    lhs = _region_cell_mean(field.grid, dens, half)
+    gp, gq = v_gradient_sq(field, F, r)
+    lhs = _region_cell_mean(field.grid, gp + gq, half)
     rhs = (region_energy_average(field, F, B) + 1.0) ** chain.b
     return DiagnosticsEntry("hdes", lhs=lhs, rhs=rhs, grid=field.grid.cells_per_side)
 
@@ -151,10 +165,7 @@ def sup_grad_measure(field: DiscreteField, F: Integrand, B: Region,
     """lhs: sup over simplices in B/8 of |grad u|; rhs: (avg_B F + 1)^b.
 
     The exponent b is supplied by the caller (a chain value or a sweep fit)."""
-    eighth = B.scaled(1.0 / 8.0)
-    mask = field.grid.simplices_in(eighth)
-    if not mask.any():
-        raise RegionError("no simplices in B/8; refine the grid or enlarge B")
+    mask = _region_mask(field.grid, B.scaled(1.0 / 8.0))
     lhs = float(np.sqrt(frob2(field.gradients[mask])).max())
     rhs = (region_energy_average(field, F, B) + 1.0) ** b
     return DiagnosticsEntry("sup_grad", lhs=lhs, rhs=rhs, grid=field.grid.cells_per_side)
@@ -173,9 +184,7 @@ def reverse_holder_scan(field: DiscreteField, F: Integrand, r: Regime, t_grid,
     if any(not (1.0 < t < 2.0) for t in t_grid):
         raise ValueError("t_grid entries must lie in (1, 2)")
     eighth = B.scaled(1.0 / 8.0)
-    vp, vq = v_fields(field, F, r)
-    gp = _cell_gradient_sq(field.grid, vp)
-    gq = _cell_gradient_sq(field.grid, vq)
+    gp, gq = v_gradient_sq(field, F, r)
     base = region_energy_average(field, F, B) + 1.0
     out = []
     for t in t_grid:
@@ -225,9 +234,8 @@ def log_decay_profile(field: DiscreteField, F: Integrand, r: Regime, radii,
     half = B.scaled(0.5)
     if radii[0] >= half.radius:
         raise RegionError("largest profile ball must sit strictly inside B/2")
-    vp, vq = v_fields(field, F, r)
-    dens = _cell_gradient_sq(field.grid, vp) + _cell_gradient_sq(field.grid, vq)
-    masses = [_region_cell_integral(field.grid, dens, Region(B.center, s, "ball"))
+    gp, gq = v_gradient_sq(field, F, r)
+    masses = [_region_cell_integral(field.grid, gp + gq, Region(B.center, s, "ball"))
               for s in radii]
     gamma = (r.q + r.p) / (2.0 * r.q)
     expo = gamma + 2.0
@@ -297,10 +305,7 @@ def caccioppoli_check(field: DiscreteField, F: Integrand, r: Regime, alpha: floa
     ramp_mask = ((dist_c > inner_r.radius) & (dist_c < outer_r.radius)).reshape(cell_l.shape)
     grad_eta = np.where(ramp_mask, 1.0 / (outer_r.radius - inner_r.radius), 0.0)
 
-    # grad_h of the scalar cell field l_alpha
-    grads = np.gradient(cell_l, grid.h, axis=tuple(range(grid.dim)), edge_order=1)
-    grad_l2 = sum(g ** 2 for g in (grads if isinstance(grads, list) else list(grads)))
-    grad_l2[grad_l2 <= _noise_floor_sq(cell_l[..., None, None], grid.h, grid.dim)] = 0.0
+    grad_l2 = _cell_gradient_sq(grid, l_alpha[:, None, None])
 
     cellvol = grid.h ** grid.dim
     lhs = math.sqrt(float((eta_c ** 2 * grad_l2).sum() * cellvol))
@@ -469,10 +474,7 @@ def gehring_selfimprove(values: np.ndarray, M: float, m: float, c_hat=None,
 def stress_integrability(field: DiscreteField, F: Integrand, r: Regime,
                          B: Region) -> float:
     """||F'(grad u)||_{q'}^{q'} over B divided by (energy over B + 1)."""
-    mask = field.grid.simplices_in(B)
-    if not mask.any():
-        raise RegionError(f"no simplices inside region {B}")
-    z = field.gradients[mask]
+    z = field.gradients[_region_mask(field.grid, B)]
     vol = field.grid.simplex_volume
     qc = r.q_conj
     num = float(vol * (np.sqrt(frob2(F.gradient(z))) ** qc).sum())
@@ -485,10 +487,7 @@ def second_order_samples(field: DiscreteField, max_samples=256, seed=0):
     w is the cell-averaged gradient, dw its dual-grid derivative in every
     direction."""
     grid = field.grid
-    W = grid.per_cell(field.gradients)  # (m,)*dim + (N, n)
-    parts = np.gradient(W, grid.h, axis=tuple(range(grid.dim)), edge_order=1)
-    if grid.dim == 1:
-        parts = [parts]
+    W, parts = _dual_grid(grid, field.gradients)
     flatW = W.reshape((-1,) + W.shape[grid.dim:])
     flatD = [g.reshape((-1,) + W.shape[grid.dim:]) for g in parts]
     rng = np.random.default_rng(seed)

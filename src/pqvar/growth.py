@@ -71,6 +71,21 @@ def sample_gradients(rng, shape, n_samples, r_min=1e-3, r_max=1e3):
     return (dirs * radii[:, None]).reshape((n_samples,) + tuple(shape))
 
 
+def sample_hessians(F: Integrand, shape, n_samples, radius, seed):
+    """Gradients z drawn by `sample_gradients` on [1e-3, radius] from `seed`, with
+    the ascending eigenvalues of F''(z) and |F'(z)| at each sample."""
+    rng = np.random.default_rng(seed)
+    z = sample_gradients(rng, shape, n_samples, r_min=1e-3, r_max=radius)
+    eigs = np.linalg.eigvalsh(flatten_form(F.hessian(z)))
+    return z, eigs, np.sqrt(frob2(F.gradient(z)))
+
+
+def stress_bound_ratio(eigs, grad_norm, q):
+    """|F''(z)| / (1 + |F'(z)|^((q-2)/(q-1))), the sampled ratio that the
+    stress-controlled hessian bound caps, from the eigenvalues of F''(z)."""
+    return np.abs(eigs).max(axis=-1) / (1.0 + grad_norm ** ((q - 2.0) / (q - 1.0)))
+
+
 def check_legendre(F: Integrand, r: Regime, n_samples: int, radius: float,
                    seed=0, keep_worst=3) -> LegendreCertificate:
     """Sample the quantified growth constants and verify p-ellipticity from below.
@@ -87,16 +102,12 @@ def check_legendre(F: Integrand, r: Regime, n_samples: int, radius: float,
     if not (r.p < r.q):
         raise InvalidRegimeError(
             "certification requires strict p < q; the equal-exponent case is classical")
-    rng = np.random.default_rng(seed)
-    z = sample_gradients(rng, (r.N, r.n), n_samples, r_min=1e-3, r_max=radius)
-    Hf = flatten_form(F.hessian(z))
-    eigs = np.linalg.eigvalsh(Hf)
-    lam_min, lam_max = eigs[:, 0], eigs[:, -1]
+    z, eigs, grad_norm = sample_hessians(F, (r.N, r.n), n_samples, radius, seed)
+    lam_min = eigs[:, 0]
     hess_norm = np.abs(eigs).max(axis=1)
-    grad_norm = np.sqrt(frob2(F.gradient(z)))
     znorm = np.sqrt(frob2(z))
 
-    ratio3 = hess_norm / (1.0 + grad_norm ** ((r.q - 2.0) / (r.q - 1.0)))
+    ratio3 = stress_bound_ratio(eigs, grad_norm, r.q)
     ratio1 = (hess_norm / znorm ** (r.p - 2.0)) / (1.0 + grad_norm ** ((r.q - r.p) / (r.q - 1.0)))
 
     floor = ell_mu(r.mu, z) ** (r.p - 2.0) / r.L
@@ -174,11 +185,8 @@ def polynomial_growth_exponents(P: EvenPolynomial, n_samples=4096, radius=100.0,
         raise DegenerateFormError("polynomial has no nonconstant component")
     q = max(degrees)
     p_max = min(degrees)
-    rng = np.random.default_rng(seed)
-    z = sample_gradients(rng, (P.N, P.n), n_samples, r_min=1e-3, r_max=radius)
-    hess_norm = np.abs(np.linalg.eigvalsh(flatten_form(P.hessian(z)))).max(axis=1)
-    grad_norm = np.sqrt(frob2(P.gradient(z)))
-    c = (hess_norm / (1.0 + grad_norm ** ((q - 2.0) / (q - 1.0)))).max()
+    _, eigs, grad_norm = sample_hessians(P, (P.N, P.n), n_samples, radius, seed)
+    c = stress_bound_ratio(eigs, grad_norm, q).max()
     return PolyGrowthResult(q=float(q), p_max=float(p_max), constant=float(c))
 
 

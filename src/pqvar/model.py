@@ -19,7 +19,7 @@ class InvalidRegimeError(ValueError):
 
 
 class ShapeMismatchError(ValueError):
-    """A gradient matrix does not match the (N, n) shape expected by its context."""
+    """A gradient matrix or nodal array does not match the shape expected by its context."""
 
 
 class RegionError(ValueError):
@@ -357,19 +357,26 @@ class AssemblyPlan:
         return band.reshape(u + 1, n, order="F")
 
 
+def nodal_array(grid: Grid, values) -> np.ndarray:
+    """Nodal values as a float (n_nodes, N) array, not copied when they already
+    are one; a 1-d input becomes one column.  Raises ShapeMismatchError unless
+    there is one row per grid node."""
+    out = np.asarray(values, dtype=float)
+    if out.ndim == 1:
+        out = out[:, None]
+    if out.shape[0] != grid.n_nodes:
+        raise ShapeMismatchError(
+            f"nodal array has {out.shape[0]} rows, grid has {grid.n_nodes} nodes")
+    return out
+
+
 class DiscreteField:
     """Piecewise-linear vector field on a Grid; per-simplex gradients cached at construction."""
 
     def __init__(self, grid: Grid, nodal_values: np.ndarray):
-        nodal_values = np.asarray(nodal_values, dtype=float)
-        if nodal_values.ndim == 1:
-            nodal_values = nodal_values[:, None]
-        if nodal_values.shape[0] != grid.n_nodes:
-            raise ShapeMismatchError(
-                f"nodal_values has {nodal_values.shape[0]} rows, grid has {grid.n_nodes} nodes")
         self.grid = grid
-        self.values = nodal_values.copy()
-        self.N = nodal_values.shape[1]
+        self.values = nodal_array(grid, nodal_values).copy()
+        self.N = self.values.shape[1]
         self.gradients = grid.assembly_plan(self.N).gradients(self.values)
         self.values.setflags(write=False)
         self.gradients.setflags(write=False)

@@ -9,10 +9,9 @@ with a safety margin, not proofs.
 
 from dataclasses import dataclass
 
-import numpy as np
-
+from .growth import sample_hessians, stress_bound_ratio
 from .integrands import (AxisPower, EvenPolynomial, HomogeneousForm, Integrand,
-                         PowerNorm, Scaled, Sum)
+                         PowerNorm, Scaled, Sum, ell_mu)
 from .model import Regime
 
 
@@ -111,22 +110,14 @@ def required_structural_constant(entry: BuiltinEntry, n_samples=20000, radius=1e
     """Sampled lower bound on any admissible L for this entry (sandwich + hessian
     bounds).  Used offline to choose the registered values; tests assert the
     registered L dominates a fresh sample."""
-    from .growth import sample_gradients
-    from .integrands import ell_mu, flatten_form, frob2
-
     r = entry.regime
-    F = entry.integrand
-    rng = np.random.default_rng(seed)
-    z = sample_gradients(rng, entry.shape, n_samples, r_min=1e-3, r_max=radius)
+    z, eigs, grad_norm = sample_hessians(entry.integrand, entry.shape, n_samples, radius, seed)
     ell = ell_mu(r.mu, z)
-    vals = F.value(z)
-    eigs = np.linalg.eigvalsh(flatten_form(F.hessian(z)))
-    grad_norm = np.sqrt(frob2(F.gradient(z)))
+    vals = entry.integrand.value(z)
     need = [
         (vals / (ell ** r.p + ell ** r.q)).max(),          # upper sandwich
         (ell ** r.p / vals).max(),                         # lower sandwich
-        (np.abs(eigs).max(axis=1)
-         / (1.0 + grad_norm ** ((r.q - 2.0) / (r.q - 1.0)))).max(),  # hessian upper
+        stress_bound_ratio(eigs, grad_norm, r.q).max(),    # hessian upper
         (ell ** (r.p - 2.0) / eigs[:, 0]).max(),           # ellipticity lower
     ]
     return float(max(need))

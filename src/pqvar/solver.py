@@ -8,6 +8,7 @@ boundary data, and tracks the convergence monitors of the approximation.
 """
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +18,7 @@ import scipy.sparse.linalg as spla
 
 from . import newton
 from .integrands import Integrand, PowerNorm, Scaled, Sum, frob2
-from .model import AssemblyPlan, DiscreteField, Grid, SolveReport
+from .model import AssemblyPlan, DiscreteField, Grid, SolveReport, nodal_array
 from .newton import NonConvergenceError
 
 
@@ -27,11 +28,10 @@ class SchemeViolationError(RuntimeError):
 
 @dataclass
 class Schedule:
+    """The viscosity ladder: strictly decreasing epsilons in (0, 1]; each rung
+    mollifies the boundary data at its own epsilon."""
+
     epsilons: list
-    mollifier_widths: list | None = None
-    tol_energy: float = 1e-12
-    tol_residual: float = 1e-9
-    max_newton_iters: int = 100
 
     def __post_init__(self):
         eps = list(self.epsilons)
@@ -39,18 +39,12 @@ class Schedule:
             raise ValueError("epsilons must be a non-empty list inside (0, 1]")
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ValueError("epsilons must be strictly decreasing")
-        if self.tol_energy <= 0 or self.tol_residual <= 0:
-            raise ValueError("tolerances must be positive")
         self.epsilons = eps
-        if self.mollifier_widths is None:
-            self.mollifier_widths = list(eps)
-        elif len(self.mollifier_widths) != len(eps):
-            raise ValueError("mollifier_widths must match epsilons in length")
 
     @classmethod
-    def dyadic(cls, k: int, **kw):
+    def dyadic(cls, k: int):
         """The default ladder eps_k = 2^-k, k = 1..k_max."""
-        return cls(epsilons=[2.0 ** -(i + 1) for i in range(k)], **kw)
+        return cls(epsilons=[2.0 ** -(i + 1) for i in range(k)])
 
 
 class RegularizedIntegrand(Sum):
@@ -226,17 +220,12 @@ def minimize_dirichlet(F: Integrand, grid: Grid, boundary: np.ndarray,
     system is solved by `_solve_spd`, with a diagonally scaled gradient step
     where that fails.
     """
-    boundary = np.asarray(boundary, dtype=float)
-    if boundary.ndim == 1:
-        boundary = boundary[:, None]
-    N = boundary.shape[1]
-    u = np.array(init if init is not None else boundary, dtype=float)
-    if u.ndim == 1:
-        u = u[:, None]
+    boundary = nodal_array(grid, boundary)
+    u = nodal_array(grid, boundary if init is None else init).copy()
     if u.shape != boundary.shape:
         raise ValueError(f"init shape {u.shape} does not match boundary shape {boundary.shape}")
     u[grid.boundary_mask] = boundary[grid.boundary_mask]
-    plan = grid.assembly_plan(N)
+    plan = grid.assembly_plan(u.shape[1])
     int_dofs = plan.interior_dofs
     fallbacks = 0
 
@@ -269,8 +258,6 @@ def minimize_dirichlet(F: Integrand, grid: Grid, boundary: np.ndarray,
         stall_tol=tol_residual, max_iters=max_iters, partial=partial, values=energy_trace)
     report = SolveReport(energy=E, residual_sup=residual, iterations=iters,
                          gradient_fallbacks=fallbacks)
-    if isinstance(F, RegularizedIntegrand):
-        report.gamma_eps = F.gamma_eps
     return DiscreteField(grid, u), report
 
 
@@ -287,9 +274,7 @@ def harmonic_extension(grid: Grid, boundary: np.ndarray) -> np.ndarray:
     eigenvalues 2 h^(d-2) sum_axes (2 - 2 cos(pi j / m)), and applies S again:
     no factorization and no iteration.  Raises NonConvergenceError unless the
     sup norm of the assembled interior residual ends at most HARMONIC_TOL."""
-    u = np.array(boundary, dtype=float)
-    if u.ndim == 1:
-        u = u[:, None]
+    u = nodal_array(grid, boundary).copy()
     plan = grid.assembly_plan(u.shape[1])
     dofs = plan.interior_dofs
     m, d = grid.cells_per_side, grid.dim
@@ -325,7 +310,6 @@ def harmonic_extension(grid: Grid, boundary: np.ndarray) -> np.ndarray:
 class SchemeResult:
     reports: list
     field: DiscreteField
-    energies: list
     gamma_terms: list
     w1p_increments: list
     enes_margins: list
@@ -337,7 +321,7 @@ def run_scheme(F: Integrand, r, grid: Grid, boundary: np.ndarray, schedule: Sche
                keep_fields=False, strict=False) -> SchemeResult:
     """The vanishing-viscosity ladder: mollify data, regularize, solve, monitor.
 
-    Per epsilon the boundary data is mollified at the scheduled width, extended
+    Per epsilon the boundary data is mollified at width epsilon, extended
     harmonically to estimate ||grad u~_eps||_q, and the regularized energy is
     minimized.  The first rung starts from the harmonic extension; each later one
     from the previous minimizer plus the harmonic extension of the change in the
@@ -350,15 +334,13 @@ def run_scheme(F: Integrand, r, grid: Grid, boundary: np.ndarray, schedule: Sche
     into `violations`; with strict=True they raise SchemeViolationError at the
     end instead.
     """
-    boundary = np.asarray(boundary, dtype=float)
-    if boundary.ndim == 1:
-        boundary = boundary[:, None]
-    reports, energies, gamma_terms, increments, margins, fields = [], [], [], [], [], []
+    boundary = nodal_array(grid, boundary)
+    reports, gamma_terms, increments, margins, fields = [], [], [], [], []
     violations = []
     prev_values = None
     fld = None
-    for eps, width in zip(schedule.epsilons, schedule.mollifier_widths):
-        g_eps = mollify_boundary(grid, boundary, width)
+    for eps in schedule.epsilons:
+        g_eps = mollify_boundary(grid, boundary, eps)
         tilde = harmonic_extension(grid, g_eps)
         norm_q = grad_lp_norm(grid, tilde, r.q)
         gam = gamma_eps(eps, norm_q, r.q)
@@ -368,11 +350,7 @@ def run_scheme(F: Integrand, r, grid: Grid, boundary: np.ndarray, schedule: Sche
         else:
             init = prev_values + (tilde - prev_tilde)
         try:
-            fld, rep = minimize_dirichlet(Feps, grid, g_eps,
-                                          tol_energy=schedule.tol_energy,
-                                          tol_residual=schedule.tol_residual,
-                                          max_iters=schedule.max_newton_iters,
-                                          init=init)
+            fld, rep = minimize_dirichlet(Feps, grid, g_eps, init=init)
         except NonConvergenceError as exc:
             violations.append(f"eps={eps}: {exc}")
             if not math.isfinite(exc.report.energy):
@@ -381,7 +359,6 @@ def run_scheme(F: Integrand, r, grid: Grid, boundary: np.ndarray, schedule: Sche
         rep.epsilon = eps
         rep.gamma_eps = gam
         reports.append(rep)
-        energies.append(rep.energy)
         gterm = gam * grad_lp_norm(grid, fld.values, r.q) ** r.q
         if gamma_terms and gterm > gamma_terms[-1] * (1.0 + 1e-9):
             violations.append(
@@ -397,12 +374,15 @@ def run_scheme(F: Integrand, r, grid: Grid, boundary: np.ndarray, schedule: Sche
             fields.append(fld)
     if strict and violations:
         raise SchemeViolationError("; ".join(violations))
-    return SchemeResult(reports=reports, field=fld, energies=energies,
-                        gamma_terms=gamma_terms, w1p_increments=increments,
-                        enes_margins=margins, violations=violations, fields=fields)
+    return SchemeResult(reports=reports, field=fld, gamma_terms=gamma_terms,
+                        w1p_increments=increments, enes_margins=margins,
+                        violations=violations, fields=fields)
 
 
 # ----------------------------------------------------------------- boundary data
+
+
+BOUNDARY_FAMILIES = ("affine", "sine", "sinecos", "random")
 
 
 def boundary_family(name: str, grid: Grid, amplitude: float, N: int, seed=0) -> np.ndarray:
@@ -424,7 +404,7 @@ def boundary_family(name: str, grid: Grid, amplitude: float, N: int, seed=0) -> 
         rng = np.random.default_rng(seed)
         g = amplitude * rng.normal(size=(grid.n_nodes, N))
     else:
-        raise ValueError(f"unknown boundary family {name!r}")
+        raise ValueError(f"unknown boundary family {name!r}; choose from {BOUNDARY_FAMILIES}")
     return g
 
 
@@ -432,19 +412,32 @@ def boundary_family(name: str, grid: Grid, amplitude: float, N: int, seed=0) -> 
 
 
 def _fmt(x):
-    return f"{x:.17g}"
+    """One CSV cell: floats with 17 significant digits, integers as integers,
+    None as an empty cell, anything else through str."""
+    if x is None:
+        return ""
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return f"{x:.17g}" if isinstance(x, (float, np.floating)) else str(x)
+
+
+def write_csv(dest, header, rows):
+    """A header line and one line per row, each cell through `_fmt`; `dest` is
+    a path or an open text stream."""
+    if isinstance(dest, (str, os.PathLike)):
+        with open(dest, "w") as fh:
+            return write_csv(fh, header, rows)
+    dest.write(",".join(header) + "\n")
+    for row in rows:
+        dest.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def export_field_csv(fld: DiscreteField, path):
     """Node snapshot: index, coordinates, values; 17 significant digits."""
     dim = fld.grid.dim
     cols = ["node"] + ["xyz"[k] for k in range(dim)] + [f"v{j+1}" for j in range(fld.N)]
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for i in range(fld.grid.n_nodes):
-            row = [str(i)] + [_fmt(c) for c in fld.grid.node_coords[i]] \
-                + [_fmt(v) for v in fld.values[i]]
-            fh.write(",".join(row) + "\n")
+    write_csv(path, cols, ([i, *fld.grid.node_coords[i], *fld.values[i]]
+                           for i in range(fld.grid.n_nodes)))
 
 
 def export_gradients_csv(fld: DiscreteField, path):
@@ -452,9 +445,5 @@ def export_gradients_csv(fld: DiscreteField, path):
     dim = fld.grid.dim
     cols = ["simplex"] + [f"b{'xyz'[k]}" for k in range(dim)] \
         + [f"g{i+1}{j+1}" for i in range(fld.N) for j in range(dim)]
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for s in range(fld.grid.n_simplices):
-            row = [str(s)] + [_fmt(c) for c in fld.grid.barycenters[s]] \
-                + [_fmt(v) for v in fld.gradients[s].reshape(-1)]
-            fh.write(",".join(row) + "\n")
+    write_csv(path, cols, ([s, *fld.grid.barycenters[s], *fld.gradients[s].reshape(-1)]
+                           for s in range(fld.grid.n_simplices)))

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import textwrap
 
 import numpy as np
@@ -110,6 +111,21 @@ class TestConfig:
     def test_schedule_count(self):
         cfg = parse_config(MODEL_CFG.replace("epsilons = 0.5,0.25", "schedule_count = 3"))
         assert cfg.epsilons == [0.5, 0.25, 0.125]
+
+    def test_bad_number_list_names_key_and_line(self):
+        with pytest.raises(ConfigError, match="amplitudes") as exc:
+            parse_config(MODEL_CFG.replace("amplitudes = 1.0", "amplitudes = 1,x"))
+        assert exc.value.line == 12
+
+    def test_readme_config_block(self):
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme) as fh:
+            text = fh.read()
+        block = re.search(r"### Config format\n.*?```\n(.*?)```", text, re.S).group(1)
+        cfg = parse_config(block)
+        assert cfg.regime.n == 2
+        assert cfg.estimates == ["hd", "sup", "cacc", "stress"]
+        assert len(cfg.epsilons) == 4 and cfg.schedule().epsilons == cfg.epsilons
 
 
 class TestCsvFormat:
@@ -232,3 +248,23 @@ class TestSubcommands:
         bad = tmp_path / "bad.cfg"
         bad.write_text("n = 2\nN = 1\np = 2\nq = 4\nL = 8\nintegrand = axis(i=9,q=4)\n")
         assert main(["check", "--config", str(bad)]) == 2
+
+    @pytest.mark.parametrize("command, old, new", [
+        ("solve", "amplitudes = 1.0", "amplitudes = x"),
+        ("solve", "seed = 42", "seed = 42\nt_grid = 1.1,zz"),
+        ("solve", "boundary = sine", "boundary = foo"),
+        ("solve", "cells = 12", "cells = 1"),
+        ("solve", "cells = 12", "cells = inf"),
+        ("solve", "n = 2", "n = 2.5"),
+        ("conjugate", "seed = 42", "seed = -1"),
+        ("solve", "epsilons = 0.5,0.25", "schedule_count = 0"),
+        ("solve", "n = 2", "n = 4"),
+        ("diagnose", "n = 2", "n = 4"),
+        # the default region's B/8 holds no simplex barycenter at 8 cells
+        ("diagnose", "cells = 12", "cells = 8"),
+    ])
+    def test_bad_config_values_exit_2(self, tmp_path, capsys, command, old, new):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(MODEL_CFG.replace(old, new))
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().out.startswith("config error:")

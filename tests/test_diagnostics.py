@@ -17,8 +17,8 @@ from pqvar.diagnostics import (CaccioppoliResult, InadmissibleSobolevExponent,
 from pqvar.duality import second_order_bound
 from pqvar.growth import gehring_exponent
 from pqvar.integrands import PowerNorm, ell_mu, frob2, v_map
-from pqvar.model import DiscreteField, Grid, Region, Regime
-from pqvar.solver import boundary_family, minimize_dirichlet
+from pqvar.model import DiscreteField, Grid, Region, RegionError, Regime
+from pqvar.solver import Schedule, boundary_family, minimize_dirichlet, run_scheme
 
 B = Region((0.5, 0.5), 0.45, "ball")
 
@@ -54,6 +54,28 @@ class TestExponentChain:
         assert all(b2 < b1 for b1, b2 in zip(bs, bs[1:]))
         assert bs[-1] == pytest.approx(r.q / r.p, abs=1e-2)
         assert all(b > r.q / r.p for b in bs)
+
+
+class TestDualGridOracle:
+    """The dual-grid |grad_h W|^2 of the PL gradients of u = prod sin(pi x_i),
+    averaged over the unit box, converges to the integral of |D^2 u|^2, which is
+    pi^4 d^2 / 2^d, at second order."""
+
+    @pytest.mark.parametrize("dim, cells, finest_tol", [(2, (16, 32, 64), 2e-3),
+                                                        (3, (6, 12, 24), 2e-2)])
+    def test_second_order_convergence(self, dim, cells, finest_tol):
+        from pqvar.diagnostics import _cell_gradient_sq
+
+        exact = math.pi ** 4 * dim ** 2 / 2 ** dim
+        errors = []
+        for m in cells:
+            grid = Grid(dim, m)
+            fld = DiscreteField(grid, np.prod(np.sin(np.pi * grid.node_coords), axis=1))
+            measured = float(_cell_gradient_sq(grid, fld.gradients).mean())
+            errors.append(abs(measured - exact) / exact)
+        orders = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
+        assert all(order >= 1.8 for order in orders), (errors, orders)
+        assert errors[-1] <= finest_tol, errors
 
 
 class TestVFields:
@@ -229,6 +251,18 @@ class TestLogDecay:
                                 [0.2, 0.15, 0.1], B)
         assert out.masses == [0.0, 0.0, 0.0]
         assert out.amplitude == 0.0 and out.fit_residual == 0.0
+
+    def test_ball_without_cells_is_region_error(self, scalar_entry):
+        # the CLI's decay radii on 8 cells: the smallest ball (radius 0.081)
+        # holds no cell center, which must not read as an exact fit with C = 0
+        grid = Grid(2, 8)
+        g = boundary_family("sine", grid, 1.0, 1)
+        res = run_scheme(scalar_entry.integrand, scalar_entry.regime, grid, g,
+                         Schedule.dyadic(2))
+        radii = [B.radius * f for f in (0.45, 0.35, 0.25, 0.18)]
+        with pytest.raises(RegionError):
+            log_decay_profile(res.field, scalar_entry.integrand, scalar_entry.regime,
+                              radii, B)
 
     def test_needs_three_radii(self, scalar_entry):
         grid = Grid(2, 8)

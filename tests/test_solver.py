@@ -564,13 +564,10 @@ class TestSchedule:
     def test_dyadic(self):
         s = Schedule.dyadic(4)
         assert s.epsilons == [0.5, 0.25, 0.125, 0.0625]
-        assert s.mollifier_widths == s.epsilons
 
     def test_rejects_non_decreasing(self):
         with pytest.raises(ValueError):
             Schedule(epsilons=[0.5, 0.5])
-        with pytest.raises(ValueError):
-            Schedule(epsilons=[0.5, 0.25], mollifier_widths=[0.5])
 
     def test_regularized_integrand_domain(self):
         with pytest.raises(ValueError):
