@@ -2,7 +2,7 @@
 
 Subcommands: check, conjugate, solve, diagnose, sweep (config-driven, CSV out)
 and gehring, moser (pure arithmetic, flags only).  Exit codes: 0 success,
-1 certification/diagnostic failure, 2 config error, 3 solver non-convergence.
+1 certification/diagnostic failure, 2 config or flag error, 3 solver non-convergence.
 
 Config files are plain text `key = value` lines; `#` starts a comment.  The
 integrand mini-language:
@@ -599,6 +599,22 @@ def cmd_moser(args):
     return 0
 
 
+def _count(text):
+    """argparse type: an integer of at least 1."""
+    k = int(text)
+    if k < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {k}")
+    return k
+
+
+def _radius(text):
+    """argparse type: a positive finite float."""
+    r = float(text)
+    if not (0.0 < r < math.inf):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    return r
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="pqvar",
@@ -608,15 +624,15 @@ def build_parser():
 
     pc = sub.add_parser("check", help="growth certification of the configured integrand")
     pc.add_argument("--config", required=True)
-    pc.add_argument("--samples", type=int, default=10000)
-    pc.add_argument("--radius", type=float, default=1e3)
+    pc.add_argument("--samples", type=_count, default=10000)
+    pc.add_argument("--radius", type=_radius, default=1e3)
     pc.add_argument("--out", default=None)
     pc.set_defaults(fn=cmd_check)
 
     pj = sub.add_parser("conjugate", help="table of conjugate values at sampled points")
     pj.add_argument("--config", required=True)
-    pj.add_argument("--count", type=int, default=10)
-    pj.add_argument("--radius", type=float, default=5.0)
+    pj.add_argument("--count", type=_count, default=10)
+    pj.add_argument("--radius", type=_radius, default=5.0)
     pj.add_argument("--out", default=None)
     pj.set_defaults(fn=cmd_conjugate)
 

@@ -3,6 +3,10 @@
 Everything here is immutable after construction so that solver assembly and
 diagnostics sweeps can read the same objects from several workers.  The one
 exception is a grid's assembly plans, built on first use and then fixed.
+
+scipy is imported inside the functions that use it, never at module level, so
+`import pqvar` and the duality and certification paths load numpy alone; its
+functions are looked up on the module objects at call time.
 """
 
 import itertools
@@ -11,7 +15,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 
 class InvalidRegimeError(ValueError):
@@ -258,6 +261,8 @@ class AssemblyPlan:
     """
 
     def __init__(self, grid: Grid, N: int):
+        import scipy.sparse as sp
+
         self.grid = grid
         self.N = N
         S, d = grid.n_simplices, grid.dim
@@ -319,10 +324,12 @@ class AssemblyPlan:
         GG = GG.reshape(g.n_types, g.dim * g.dim, d1 * d1)
         return scatter, keys % n_int, indptr, GG
 
-    def assemble_matrix(self, H) -> sp.csr_matrix:
+    def assemble_matrix(self, H) -> "scipy.sparse.csr_matrix":
         """Interior-interior matrix sum_T vol(T) H_T[i,k,j,l] hatgrad_a,k hatgrad_b,l
         from per-simplex forms H (n_simplices, N, dim, N, dim); rows and columns
         follow `interior_dofs`."""
+        import scipy.sparse as sp
+
         g, N = self.grid, self.N
         scatter, indices, indptr, GG = self._interior_pattern
         Hij = np.asarray(H, dtype=float).transpose(0, 1, 3, 2, 4)
@@ -346,7 +353,7 @@ class AssemblyPlan:
         u = int((c - r).max())
         return slots, (u + r - c) + (u + 1) * c, u
 
-    def upper_band(self, K: sp.csr_matrix) -> np.ndarray:
+    def upper_band(self, K: "scipy.sparse.csr_matrix") -> np.ndarray:
         """The upper triangle of a symmetric interior matrix assembled by this plan,
         in Fortran-ordered LAPACK upper-band storage (u + 1, n).  With node-major
         interior dofs the half-bandwidth u is small in 2d: m*N + N - 1 on m cells."""

@@ -5,6 +5,10 @@ the piecewise-linear interpolant (gradients are constant per simplex), so the
 minimization scheme is isolated from quadrature artifacts.  The vanishing-
 viscosity ladder adds gamma_eps ell_1(z)^q to the integrand, mollifies the
 boundary data, and tracks the convergence monitors of the approximation.
+
+scipy is imported inside the functions that use it, never at module level, so
+`import pqvar` and the duality and certification paths load numpy alone; its
+functions are looked up on the module objects at call time.
 """
 
 import math
@@ -12,9 +16,6 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import newton
 from .integrands import Integrand, PowerNorm, Scaled, Sum, frob2
@@ -84,7 +85,6 @@ def mollify_boundary(grid: Grid, values: np.ndarray, eps: float) -> np.ndarray:
     out = values.copy()
     if eps <= grid.h:
         return out
-    # imported here: scipy.spatial would add about 0.09 s to every `import pqvar`
     from scipy.spatial import cKDTree
 
     bidx = np.flatnonzero(grid.boundary_mask)
@@ -133,7 +133,7 @@ def assemble_gradient(F: Integrand, grid: Grid, values: np.ndarray) -> np.ndarra
     return plan.assemble_vector(F.gradient(plan.gradients(values)))
 
 
-def assemble_hessian(F: Integrand, grid: Grid, values: np.ndarray) -> sp.csr_matrix:
+def assemble_hessian(F: Integrand, grid: Grid, values: np.ndarray) -> "scipy.sparse.csr_matrix":
     """Sparse energy hessian over the interior dofs (node-major, component-minor),
     in the order of the plan's `interior_dofs`."""
     plan = grid.assembly_plan(values.shape[1])
@@ -148,7 +148,7 @@ class LinearSolveError(ArithmeticError):
 CG_RTOL = 1e-12
 
 
-def _solve_spd(plan: AssemblyPlan, K: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
+def _solve_spd(plan: AssemblyPlan, K: "scipy.sparse.csr_matrix", rhs: np.ndarray) -> np.ndarray:
     """Solve the Newton system K x = rhs for a symmetric positive definite K
     assembled by `plan`.  The harmonic extension does not come here: it has its
     own sine-basis solve.
@@ -161,6 +161,8 @@ def _solve_spd(plan: AssemblyPlan, K: sp.csr_matrix, rhs: np.ndarray) -> np.ndar
     LinearSolveError when the factorization finds K not positive definite, the
     diagonal is not positive, CG does not converge, or x is not finite."""
     if plan.grid.dim == 2:
+        import scipy.linalg as sla
+
         try:
             factor = sla.cholesky_banded(plan.upper_band(K), overwrite_ab=True,
                                          check_finite=False)
@@ -168,6 +170,9 @@ def _solve_spd(plan: AssemblyPlan, K: sp.csr_matrix, rhs: np.ndarray) -> np.ndar
             raise LinearSolveError(f"banded Cholesky failed: {exc}") from exc
         x = sla.cho_solve_banded((factor, False), rhs, check_finite=False)
     else:
+        import scipy.sparse as sp
+        import scipy.sparse.linalg as spla
+
         diag = K.diagonal()
         if not np.all(diag > 0.0):
             raise LinearSolveError("hessian diagonal is not positive")

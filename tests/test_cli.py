@@ -1,11 +1,14 @@
 import math
 import os
 import re
+import subprocess
+import sys
 import textwrap
 
 import numpy as np
 import pytest
 
+import pqvar
 from pqvar import duality
 from pqvar.cli import (ConfigError, _fmt, load_polynomial, main, parse_config,
                        parse_integrand)
@@ -181,6 +184,22 @@ class TestSubcommands:
         assert main(["conjugate", "--config", model_cfg, "--count", "2"]) == 3
         assert "line search stalled" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flags", [
+        ["check", "--samples", "0"],
+        ["check", "--radius", "0"],
+        ["check", "--radius", "-1"],
+        ["conjugate", "--count", "0"],
+        ["conjugate", "--count", "-3"],
+        ["conjugate", "--radius", "0"],
+        ["conjugate", "--radius", "-5"],
+        ["conjugate", "--radius", "nan"],
+    ])
+    def test_bad_flags_exit_2(self, model_cfg, capsys, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(flags + ["--config", model_cfg])
+        assert exc.value.code == 2
+        assert f"argument {flags[1]}: must be" in capsys.readouterr().err
+
     def test_solve_outputs(self, model_cfg, tmp_path, capsys):
         outdir = tmp_path / "run"
         assert main(["solve", "--config", model_cfg, "--out", str(outdir)]) == 0
@@ -268,3 +287,35 @@ class TestSubcommands:
         cfg.write_text(MODEL_CFG.replace(old, new))
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().out.startswith("config error:")
+
+
+NUMPY_ONLY_SCRIPT = textwrap.dedent("""\
+    import sys
+    import numpy as np
+    from pqvar import cli, duality, growth, registry, solver
+    from pqvar.model import Grid
+
+    def scipy_modules():
+        return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+    entry = registry.get("aniso2d_q4")
+    duality.conjugate(entry.integrand, np.array([[1.0, -0.5]]))
+    growth.check_legendre(entry.integrand, entry.regime, n_samples=200, radius=10.0)
+    assert cli.main(["check", "--config", sys.argv[1], "--samples", "200"]) == 0
+    assert cli.main(["conjugate", "--config", sys.argv[1], "--count", "2"]) == 0
+    print("before", scipy_modules())
+    grid = Grid(2, 6)
+    solver.minimize_dirichlet(entry.integrand, grid, solver.boundary_family("sine", grid, 1.0, 1))
+    print("after", "scipy.linalg" in sys.modules)
+""")
+
+
+def test_duality_and_certification_load_no_scipy(model_cfg):
+    """`import pqvar`, a conjugation, a certificate and the `check` and `conjugate`
+    commands run on numpy alone; a 2d solve then loads scipy.linalg."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pqvar.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", NUMPY_ONLY_SCRIPT, model_cfg], env=env,
+                         capture_output=True, text=True, check=True).stdout.splitlines()
+    assert "before []" in out
+    assert out[-1] == "after True"
