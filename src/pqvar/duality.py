@@ -19,6 +19,8 @@ from .newton import NonConvergenceError
 DEFAULT_TOL = 1e-10
 MAX_ITERS = 200
 CONDITION_LIMIT = 1e12
+SEED_ITERS = 50  # cap on the scalar Newton steps of the seed
+RAY_SCALES = np.array([0.0, 1.0, 2.0])[:, None, None]  # the s at which the seed samples F(s d)
 
 
 class SingularHessianError(ArithmeticError):
@@ -34,28 +36,58 @@ class ConjugateResult:
 
 
 def _newton_seed(F: Integrand, xi):
-    """Start from a power-branch inverse: |z0| ~ |xi|^(1/(p-1)) along xi.
+    """Start at the maximizer, along the ray of xi, of a two-power model of F.
 
-    Superlinearity makes far starts expensive under damped Newton, so between
-    the low- and high-order branch inverses the one with the better objective
-    value wins (for unbalanced growth the low branch badly overshoots at large
-    |xi|)."""
-    p_lo, q_hi = F.growth_exponents()
+    With (p, q) = F.growth_exponents() and d = xi/|xi|, the ray profile
+    phi(s) = F(s d) - F(0) is fitted by a s^p + b s^q from its values at s = 1
+    and 2 (at s = 1 alone when p = q), taken in one batched call of F.value.
+    The seed is s d with a p s^(p-1) + b q s^(q-1) = |xi|, the maximizer of
+    s |xi| - phi(s).  Every built-in is such a profile on every ray, so for the
+    radial ones the seed is the maximizer itself.  Where the fit is unusable
+    (p <= 1, a or b negative or not finite, or both zero) the seed is d."""
+    xi = np.asarray(xi, dtype=float)
     norm = math.sqrt(float(frob2(xi)))
     if norm == 0.0:
-        return np.zeros_like(np.asarray(xi, dtype=float))
-    direction = xi / norm
-    cands = [direction * norm ** (1.0 / (p_lo - 1.0))]
-    if q_hi > p_lo:
-        cands.append(direction * norm ** (1.0 / (q_hi - 1.0)))
-    scores = [float(inner(z, xi) - F.value(z)) for z in cands]
-    return cands[int(np.argmax(scores))]
+        return np.zeros_like(xi)
+    d = xi / norm
+    p, q = (float(e) for e in F.growth_exponents())
+    if p <= 1.0:
+        return d
+    f = F.value(RAY_SCALES[:3 if q > p else 2] * d).tolist()
+    phi1 = f[1] - f[0]
+    b = (f[2] - f[0] - 2.0 ** p * phi1) / (2.0 ** q - 2.0 ** p) if q > p else 0.0
+    s = _ray_root(phi1 - b, p, b, q, norm)
+    return d if s is None else s * d
+
+
+def _ray_root(a, p, b, q, r):
+    """The s > 0 with a p s^(p-1) + b q s^(q-1) = r, for p, q > 1 and r > 0.
+
+    In t = log s the log of the left side is convex with slope in [p-1, q-1],
+    so scalar Newton from the smaller one-term root falls monotonically onto the
+    root.  Each term is kept as its log over r (-inf for a zero coefficient),
+    which is at most 0 from there on, so no power overflows.  None when a or b
+    is negative or not finite, when both are zero, or when s would overflow."""
+    if not (a >= 0.0 and b >= 0.0 and a + b > 0.0 and math.isfinite(a + b)):
+        return None
+    la, lb = (math.log(c) + math.log(e) - math.log(r) if c > 0.0 else -math.inf
+              for c, e in ((a, p), (b, q)))
+    ka, kb = p - 1.0, q - 1.0
+    t = min(-la / ka, -lb / kb)
+    for _ in range(SEED_ITERS):
+        u, v = math.exp(la + ka * t), math.exp(lb + kb * t)
+        dt = math.log(u + v) * (u + v) / (ka * u + kb * v)
+        t -= dt
+        if abs(dt) <= 1e-15 * max(1.0, abs(t)):
+            break
+    return math.exp(t) if t < 700.0 else None
 
 
 def conjugate(F: Integrand, xi, tol=DEFAULT_TOL, max_iters=MAX_ITERS) -> ConjugateResult:
     """F*(xi) with its maximizer: solves sup_z <z, xi> - F(z).
 
-    `newton.minimize` minimizes F(z) - <z, xi> from `_newton_seed` until the
+    `newton.minimize` minimizes F(z) - <z, xi> from `_newton_seed`, the
+    maximizer along the ray of xi of a two-power fit of F, until the
     residual |F'(z) - xi| is at most tol, relative above |xi| = 1, and accepts a
     residual up to 100 tol where the objective is flat.  A hessian that is
     singular, or too ill-conditioned by the Cholesky-diagonal proxy for its

@@ -173,8 +173,23 @@ class TestSubcommands:
         assert main(["conjugate", "--config", model_cfg, "--count", "4",
                      "--out", str(out)]) == 0
         rows = out.read_text().strip().split("\n")
-        assert rows[0].startswith("xi11,xi12,value,z11,z12")
+        assert rows[0] == "xi11,xi12,value,z11,z12,iters,residual"
         assert len(rows) == 5
+        F = parse_integrand("power(mu=0,p=2) + axis(i=1,q=4) + axis(i=2,q=4)", (1, 2))
+        for row in rows[1:]:
+            cells = [float(c) for c in row.split(",")]
+            xi, value, z = np.array([cells[0:2]]), cells[2], np.array([cells[3:5]])
+            norm = float(np.linalg.norm(xi))
+            assert np.linalg.norm(F.gradient(z) - xi) <= duality.DEFAULT_TOL * max(1.0, norm)
+            zxi, Fz = float((z * xi).sum()), float(F.value(z))
+            assert value == pytest.approx(zxi - Fz, rel=1e-12, abs=1e-15)
+
+    def test_conjugate_is_deterministic(self, model_cfg, tmp_path):
+        outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for out in outs:
+            assert main(["conjugate", "--config", model_cfg, "--count", "6",
+                         "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_conjugate_nonconvergence_exit_code(self, model_cfg, monkeypatch, capsys):
         def failing(F, xi, **kw):

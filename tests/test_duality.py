@@ -9,8 +9,8 @@ from pqvar.duality import (DEFAULT_TOL, NonConvergenceError, SingularHessianErro
                            _newton_seed, conjugate, conjugate_difference_probe,
                            conjugate_hessian, fenchel_young_gap, inverse_gradient,
                            monotonicity_ratio, monotonicity_ratios, second_order_bound)
-from pqvar.integrands import (AxisPower, Integrand, PowerNorm, Scaled, Sum, ell_mu,
-                              flatten_form, frob2, inner, v_map)
+from pqvar.integrands import (AxisPower, EvenPolynomial, HomogeneousForm, Integrand, PowerNorm,
+                              Scaled, Sum, ell_mu, flatten_form, frob2, inner, v_map)
 from pqvar.model import Regime
 
 MODEL = Sum([PowerNorm(0.0, 2.0), AxisPower(1, 4.0)])
@@ -256,11 +256,50 @@ class TestNewtonCore:
         assert exc.value.residual > DEFAULT_TOL * np.sqrt(float(frob2(xi)))
 
     @pytest.mark.parametrize("norm", [1e-3, 0.5, 7.0])
-    def test_seed_follows_the_power_branch(self, norm):
-        # |z0| = |xi|^(1/(p-1)) on both sides of |xi| = 1
-        xi = np.array([[0.6, -0.8]]) * norm
-        z0 = _newton_seed(PowerNorm(0.0, 4.0), xi)
-        assert math.sqrt(float(frob2(z0))) == pytest.approx(norm ** (1.0 / 3.0), rel=1e-14)
+    def test_seed_is_the_ray_maximizer(self, norm):
+        # for a radial integrand the maximizer lies on the ray of xi, where the
+        # two-power fit of F is exact, so the seed is the maximizer itself
+        d = np.array([[0.6, -0.8]])
+        for F, radius in [(PowerNorm(0.0, 4.0), (norm / 4.0) ** (1.0 / 3.0)),
+                          (Scaled(0.25, PowerNorm(0.0, 4.0)), norm ** (1.0 / 3.0)),
+                          (PowerNorm(1.0, 2.0), norm / 2.0)]:
+            z0 = _newton_seed(F, norm * d)
+            np.testing.assert_allclose(z0, radius * d, rtol=1e-14, atol=0.0)
+            np.testing.assert_allclose(F.gradient(z0), norm * d, rtol=1e-14, atol=0.0)
+
+    def test_degree_one_component(self):
+        # growth exponents (1, 2): no two-power fit, the seed falls back to xi/|xi|
+        c = np.array([0.7, -1.3])
+        F = EvenPolynomial([HomogeneousForm(1, 2, 1, c), HomogeneousForm(1, 2, 2, np.eye(2))])
+        assert F.growth_exponents() == (1.0, 2.0)
+        for xi in (np.array([[3.0, 4.0]]), np.array([[-2e-3, 1e-3]]), np.array([[0.7, -1.3]])):
+            res = conjugate(F, xi)
+            np.testing.assert_allclose(F.gradient(res.argmax), xi, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(res.argmax, (xi - c) / 2.0, rtol=0.0, atol=1e-12)
+
+    def test_radial_builtins_take_no_iterations(self):
+        # the seed is the maximizer, to round-off, on 30 rays at |xi| in [1e-3, 1e3]
+        for name in ("quad", "nondeg_quad", "quartic_iso"):
+            F = registry.get(name).integrand
+            for k, norm in enumerate(np.logspace(-3.0, 3.0, 30)):
+                angle = 0.3 + 2.0 * math.pi * k / 30
+                xi = norm * np.array([[math.cos(angle), math.sin(angle)]])
+                assert conjugate(F, xi, tol=1e-13).newton_iters == 0, (name, norm)
+
+    def test_anisotropic_iteration_totals(self):
+        # 100 fixed points per built-in at |xi| in [1e-3, 1e3]: the ray-fit seed
+        # takes 318-358 iterations per built-in, a seed from the growth exponents
+        # alone, |z0| = |xi|^(1/(p-1)) or |xi|^(1/(q-1)), takes 435-485
+        totals = {}
+        for name in ("aniso2d_q4", "aniso2d_q4_vec", "aniso3d_q4", "aniso3d_q5"):
+            e = registry.get(name)
+            rng = np.random.default_rng(31)
+            totals[name] = 0
+            for _ in range(100):
+                xi = rng.normal(size=e.shape)
+                xi *= 10 ** rng.uniform(-3, 3) / np.sqrt(float(frob2(xi)))
+                totals[name] += conjugate(e.integrand, xi, tol=1e-13).newton_iters
+        assert max(totals.values()) <= 380, totals
 
     def test_small_xi_at_high_power_converges(self):
         # from a seed much closer to 0 than the maximizer, the hessian of |z|^20
@@ -274,14 +313,15 @@ class TestNewtonCore:
         # Newton iterations over 10 seeded points per built-in; a change to the
         # loop, the seed or the Newton step that moves the total must say so
         rng = np.random.default_rng(24)
-        total = 0
+        totals = {}
         for name in registry.names():
             e = registry.get(name)
+            totals[name] = 0
             for _ in range(10):
                 xi = rng.normal(size=e.shape)
                 xi *= 10 ** rng.uniform(-3, 3) / np.sqrt(float(frob2(xi)))
-                total += conjugate(e.integrand, xi, tol=1e-13).newton_iters
-        assert total == 196
+                totals[name] += conjugate(e.integrand, xi, tol=1e-13).newton_iters
+        assert sum(totals.values()) == 130, totals
 
 
 class TestMonotonicity:
