@@ -11,15 +11,22 @@ integrand mini-language:
     term := [coeff '*'] atom
     atom := 'power(mu=<r>,p=<r>)' | 'axis(i=<int>,q=<r>)' | 'poly(<file>)'
 
-Whitespace is insignificant.  A poly file holds one monomial per line: a
-coefficient followed by 1-based flat indices into z (row-major over (N, n));
-`1.0 1 1 2 2` is the monomial z_1^2 z_2^2.
+Whitespace is insignificant.  Each key of an atom appears once, as a number:
+mu in [0, 1], p >= 2, q >= 2, i an integer in 1..n, coeff >= 0.  A poly file
+holds one monomial per line: a coefficient followed by 1-based flat indices
+into z (row-major over (N, n)); `1.0 1 1 2 2` is the monomial z_1^2 z_2^2.
+
+These config errors exit 2 before any solve: malformed lines, unknown keys, bad
+numbers, an integrand term out of range or syntax (by line and column), an
+empty amplitudes list, sobolev_exp <= 2q/p, rh with n != 2 or a t_grid entry
+outside (1, 2), and cacc with N != 1.  A q-sweep checks sobolev_exp at each q;
+a point it does not suit carries the error in its row.
 
 Recognized keys (defaults in parentheses): n (2), N (1), p, q, mu (0), L,
 integrand, cells (32), epsilons (0.5,0.25,0.125,0.0625) or schedule_count,
 boundary (sine), amplitudes (1.0), estimates (hd,sup), region
-(0.5,...,0.45,ball), t_grid (1.1,1.25,1.5,1.75), sobolev_exp (4q/p), seed (0),
-workers (1).
+(0.5,...,0.45,ball), t_grid (1.1,1.25,1.5,1.75), sobolev_exp (4q/p, following
+q in a sweep), seed (0), workers (1).
 """
 
 import argparse
@@ -52,113 +59,10 @@ class ConfigError(ValueError):
 
 # ------------------------------------------------------------ mini-language
 
-_TOKEN = re.compile(r"\s*(?:(?P<plus>\+)|(?P<star>\*)|(?P<name>[a-zA-Z_]\w*)"
-                    r"|(?P<lpar>\()|(?P<rpar>\))|(?P<comma>,)|(?P<eq>=)"
-                    r"|(?P<num>[-+]?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?)"
-                    r"|(?P<path>[./\w-]+))")
-
-
-def _tokenize(text, line_no):
-    pos = 0
-    out = []
-    while pos < len(text):
-        mobj = _TOKEN.match(text, pos)
-        if mobj is None or mobj.end() == pos:
-            raise ConfigError(f"unrecognized integrand syntax near {text[pos:pos+10]!r}",
-                              line=line_no, col=pos + 1)
-        kind = mobj.lastgroup
-        out.append((kind, mobj.group(kind), mobj.start(kind) + 1))
-        pos = mobj.end()
-    out.append(("end", "", len(text) + 1))
-    return out
-
-
-class _ExprParser:
-    def __init__(self, text, line_no, base_dir, shape):
-        self.text = text
-        self.tokens = _tokenize(text, line_no)
-        self.k = 0
-        self.line_no = line_no
-        self.base_dir = base_dir
-        self.shape = shape  # (N, n)
-
-    def peek(self):
-        return self.tokens[self.k]
-
-    def take(self, kind):
-        tk = self.tokens[self.k]
-        if tk[0] != kind:
-            raise ConfigError(f"expected {kind}, found {tk[1]!r}",
-                              line=self.line_no, col=tk[2])
-        self.k += 1
-        return tk
-
-    def parse(self) -> Integrand:
-        terms = [self.term()]
-        while self.peek()[0] == "plus":
-            self.take("plus")
-            terms.append(self.term())
-        self.take("end")
-        return terms[0] if len(terms) == 1 else Sum(terms)
-
-    def term(self) -> Integrand:
-        tk = self.peek()
-        if tk[0] == "num":
-            coeff = float(self.take("num")[1])
-            self.take("star")
-            return Scaled(coeff, self.atom())
-        return self.atom()
-
-    def atom(self) -> Integrand:
-        name_tok = self.take("name")
-        name = name_tok[1]
-        self.take("lpar")
-        if name == "power":
-            kw = self.kwargs({"mu": float, "p": float})
-            self.take("rpar")
-            return PowerNorm(kw["mu"], kw["p"])
-        if name == "axis":
-            kw = self.kwargs({"i": int, "q": float})
-            self.take("rpar")
-            N, n = self.shape
-            if not (1 <= kw["i"] <= n):
-                raise ConfigError(f"axis index i={kw['i']} out of range 1..{n}",
-                                  line=self.line_no, col=name_tok[2])
-            return AxisPower(kw["i"], kw["q"])
-        if name == "poly":
-            # the argument is a raw path: consume tokens to the matching ')'
-            start_col = self.tokens[self.k][2]
-            while self.tokens[self.k][0] not in ("rpar", "end"):
-                self.k += 1
-            if self.tokens[self.k][0] != "rpar":
-                raise ConfigError("poly(...) missing closing parenthesis",
-                                  line=self.line_no, col=start_col)
-            end_col = self.tokens[self.k][2]
-            self.take("rpar")
-            val = self.text[start_col - 1:end_col - 1].strip()
-            if not val:
-                raise ConfigError("poly(...) needs a file path", line=self.line_no,
-                                  col=start_col)
-            return load_polynomial(os.path.join(self.base_dir, val), self.shape,
-                                   line=self.line_no, col=start_col)
-        raise ConfigError(f"unknown atom {name!r} (expected power, axis or poly)",
-                          line=self.line_no, col=name_tok[2])
-
-    def kwargs(self, spec):
-        out = {}
-        first = True
-        while len(out) < len(spec):
-            if not first:
-                self.take("comma")
-            first = False
-            key = self.take("name")[1]
-            if key not in spec:
-                raise ConfigError(f"unknown argument {key!r}", line=self.line_no,
-                                  col=self.tokens[self.k - 1][2])
-            self.take("eq")
-            tok = self.take("num")
-            out[key] = spec[key](float(tok[1])) if spec[key] is int else spec[key](tok[1])
-        return out
+_NUM = r"[-+]?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?"
+# one whole term, [coeff '*'] name '(' args ')', with the blanks around it
+_TERM = re.compile(rf"\s*(?P<term>(?:(?P<coeff>{_NUM})\s*\*\s*)?"
+                   rf"(?P<name>\w+)\s*\((?P<args>[^()]*)\))\s*")
 
 
 def load_polynomial(path, shape, line=None, col=None) -> EvenPolynomial:
@@ -192,8 +96,74 @@ def load_polynomial(path, shape, line=None, col=None) -> EvenPolynomial:
     return poly
 
 
+# atom name -> (constructor, {key: conversion}); poly takes a file path instead
+_ATOMS = {"power": (PowerNorm, {"mu": float, "p": float}),
+          "axis": (AxisPower, {"i": int, "q": float}),
+          "poly": (load_polynomial, None)}
+
+
+def _atom_kwargs(name, spec, args, line_no, col):
+    """The `key=<number>` pairs of one atom, each key of `spec` exactly once."""
+    usage = f"{name}(...) takes {', '.join(k + '=<number>' for k in spec)}, each once"
+    kw = {}
+    start = col
+    for part in args.split(","):
+        key, _, val = (tok.strip() for tok in part.partition("="))
+        at = col + len(part) - len(part.lstrip())
+        if key not in spec or key in kw or re.fullmatch(_NUM, val) is None:
+            raise ConfigError(f"{usage}; got {part.strip()!r}", line=line_no, col=at)
+        if spec[key] is int and not float(val).is_integer():
+            raise ConfigError(f"{name}(...) needs an integer {key}, got {val}",
+                              line=line_no, col=at)
+        kw[key] = spec[key](float(val))
+        col += len(part) + 1
+    if len(kw) < len(spec):
+        raise ConfigError(f"{usage}; got {args.strip()!r}", line=line_no, col=start)
+    return kw
+
+
+def _term(m, shape, base_dir, line_no) -> Integrand:
+    """The integrand of one matched term; errors name the term's column."""
+    name, args, col = m.group("name"), m.group("args").strip(), m.start("term") + 1
+    if name not in _ATOMS:
+        raise ConfigError(f"unknown atom {name!r} (expected {', '.join(_ATOMS)})",
+                          line=line_no, col=col)
+    make, spec = _ATOMS[name]
+    if spec is None:
+        if not args:
+            raise ConfigError("poly(...) needs a file path", line=line_no, col=col)
+        atom = make(os.path.join(base_dir, args), shape, line=line_no, col=col)
+    else:
+        kw = _atom_kwargs(name, spec, m.group("args"), line_no, m.start("args") + 1)
+        if name == "axis" and kw["i"] > shape[1]:
+            raise ConfigError(f"axis index i={kw['i']} out of range 1..{shape[1]}",
+                              line=line_no, col=col)
+    coeff = m.group("coeff")
+    try:
+        atom = atom if spec is None else make(**kw)
+        return atom if coeff is None else Scaled(float(coeff), atom)
+    except ValueError as exc:  # the constructors' own range checks
+        raise ConfigError(str(exc), line=line_no, col=col) from None
+
+
 def parse_integrand(text, shape, base_dir=".", line_no=None) -> Integrand:
-    return _ExprParser(text, line_no, base_dir, shape).parse()
+    """Parse `term ('+' term)*`, one whole term at a time; columns count from
+    the start of `text`."""
+    terms, pos = [], 0
+    while True:
+        m = _TERM.match(text, pos)
+        if m is None:
+            pos += len(text[pos:]) - len(text[pos:].lstrip())
+            raise ConfigError(f"expected [coeff *] name(args), found {text[pos:pos+10]!r}",
+                              line=line_no, col=pos + 1)
+        terms.append(_term(m, shape, base_dir, line_no))
+        pos = m.end()
+        if pos == len(text):
+            return terms[0] if len(terms) == 1 else Sum(terms)
+        if text[pos] != "+" or not text[pos + 1:].strip():
+            raise ConfigError(f"unexpected {text[pos:pos+10]!r} after a term",
+                              line=line_no, col=pos + 1)
+        pos += 1
 
 
 # ------------------------------------------------------------ config files
@@ -202,7 +172,6 @@ def parse_integrand(text, shape, base_dir=".", line_no=None) -> Integrand:
 @dataclass
 class ExperimentConfig:
     regime: Regime
-    integrand_expr: str
     integrand: Integrand
     cells: int
     epsilons: list
@@ -211,12 +180,19 @@ class ExperimentConfig:
     estimates: list
     region: Region
     t_grid: list
-    sobolev_exp: float
+    sobolev_key: float | None  # the sobolev_exp value; None follows the regime's default
     seed: int
     workers: int = 1
 
     def schedule(self) -> Schedule:
         return Schedule(epsilons=list(self.epsilons))
+
+    @property
+    def sobolev_exp(self) -> float:
+        """The configured value, else the default 4q/p at the current regime."""
+        if self.sobolev_key is None:
+            return diagnostics.default_sobolev_exponent(self.regime)
+        return self.sobolev_key
 
 
 _KNOWN_KEYS = {"n", "N", "p", "q", "mu", "L", "integrand", "cells", "epsilons",
@@ -279,8 +255,7 @@ def parse_config(text, base_dir=".") -> ExperimentConfig:
     except InvalidRegimeError as exc:
         raise ConfigError(str(exc))
 
-    expr = need("integrand")
-    integrand = parse_integrand(expr, (N, n), base_dir=base_dir,
+    integrand = parse_integrand(need("integrand"), (N, n), base_dir=base_dir,
                                 line_no=lines.get("integrand"))
 
     def floats(key, default):
@@ -300,6 +275,8 @@ def parse_config(text, base_dir=".") -> ExperimentConfig:
         raise ConfigError(f"unknown boundary {boundary!r} (choose from "
                           f"{', '.join(solver.BOUNDARY_FAMILIES)})", line=lines["boundary"])
     amplitudes = floats("amplitudes", "1.0")
+    if not amplitudes:
+        raise ConfigError("amplitudes needs at least one value", line=lines["amplitudes"])
     estimates = [tok.strip() for tok in raw.get("estimates", "hd,sup").split(",") if tok.strip()]
     known_estimates = {"hd", "sup", "rh", "cacc", "stress", "decay"}
     for est in estimates:
@@ -319,16 +296,28 @@ def parse_config(text, base_dir=".") -> ExperimentConfig:
     else:
         region = Region((0.5,) * n, 0.45, "ball")
     t_grid = floats("t_grid", "1.1,1.25,1.5,1.75")
-    sobolev_exp = number("sobolev_exp", 4.0 * q / p)
+    sobolev = number("sobolev_exp") if "sobolev_exp" in raw else None
+    # the measurements' own preconditions, checked before any solve
+    if sobolev is not None:
+        try:
+            diagnostics.hd_exponents(regime, sobolev)
+        except diagnostics.InadmissibleSobolevExponent as exc:
+            raise ConfigError(str(exc), line=lines["sobolev_exp"])
+    try:
+        if "rh" in estimates:
+            diagnostics.check_reverse_holder(n, t_grid)
+        if "cacc" in estimates:
+            diagnostics.check_caccioppoli(N)
+    except ValueError as exc:
+        raise ConfigError(f"estimates: {exc}", line=lines.get("estimates"))
     seed = number("seed", 0, int)
     if seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {seed}", line=lines["seed"])
     workers = number("workers", 1, int)
-    return ExperimentConfig(regime=regime, integrand_expr=expr, integrand=integrand,
-                            cells=cells, epsilons=schedule.epsilons, boundary=boundary,
+    return ExperimentConfig(regime=regime, integrand=integrand, cells=cells,
+                            epsilons=schedule.epsilons, boundary=boundary,
                             amplitudes=amplitudes, estimates=estimates, region=region,
-                            t_grid=t_grid, sobolev_exp=sobolev_exp, seed=seed,
-                            workers=workers)
+                            t_grid=t_grid, sobolev_key=sobolev, seed=seed, workers=workers)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -372,11 +361,11 @@ def measure_estimates(cfg: ExperimentConfig, amplitude: float, scheme_result) ->
         entries.append(diagnostics.higher_diff_measure(fld, F, r, chain, B))
     if "sup" in cfg.estimates:
         entries.append(diagnostics.sup_grad_measure(fld, F, B, b=chain.b))
-    if "rh" in cfg.estimates and r.n == 2:
+    if "rh" in cfg.estimates:
         base = diagnostics.region_energy_average(fld, F, B) + 1.0
         for t, lhs, _ in diagnostics.reverse_holder_scan(fld, F, r, cfg.t_grid, B, b=chain.b):
             entries.append(DiagnosticsEntry(f"rh_t={t:g}", lhs=lhs, rhs=base ** chain.b))
-    if "cacc" in cfg.estimates and r.N == 1:
+    if "cacc" in cfg.estimates:
         cut = (B.scaled(0.4), B.scaled(0.8))
         for alpha in (-1.0, 0.0, 2.0):
             cc = diagnostics.caccioppoli_check(fld, F, r, alpha, cut)
@@ -533,9 +522,13 @@ def _sweep_point(cfg_text, base_dir, vary, value):
     if not solvable:
         return row
     try:
+        # before the solve: an explicit sobolev_exp may not suit this q
+        diagnostics.hd_exponents(cfg.regime, cfg.sobolev_exp)
         res = _solve_once(cfg, amp)
         rep = measure_estimates(cfg, amp, res)
         row["entries"] = [(e.estimate_id, e.lhs, e.rhs, e.ratio) for e in rep.entries]
+    except diagnostics.InadmissibleSobolevExponent as exc:
+        row["error"] = str(exc)
     except solver.NonConvergenceError as exc:
         row["error"] = f"non-convergence: {exc}"
     return row

@@ -171,6 +171,14 @@ def sup_grad_measure(field: DiscreteField, F: Integrand, B: Region,
     return DiagnosticsEntry("sup_grad", lhs=lhs, rhs=rhs, grid=field.grid.cells_per_side)
 
 
+def check_reverse_holder(dim: int, t_grid):
+    """Raise ValueError unless a reverse Holder scan can run: 2d, every t in (1, 2)."""
+    if dim != 2:
+        raise ValueError("reverse Holder scan is a 2d measurement")
+    if any(not (1.0 < t < 2.0) for t in t_grid):
+        raise ValueError("t_grid entries must lie in (1, 2)")
+
+
 def reverse_holder_scan(field: DiscreteField, F: Integrand, r: Regime, t_grid,
                         B: Region, b: float = 1.0):
     """Integrability scan on a 2d solve: for each t in (1, 2) the averaged
@@ -179,10 +187,7 @@ def reverse_holder_scan(field: DiscreteField, F: Integrand, r: Regime, t_grid,
     Returns a list of (t, lhs, ratio); aggregation across an amplitude sweep is
     done by `best_reverse_holder_t`.
     """
-    if field.grid.dim != 2:
-        raise ValueError("reverse Holder scan is a 2d measurement")
-    if any(not (1.0 < t < 2.0) for t in t_grid):
-        raise ValueError("t_grid entries must lie in (1, 2)")
+    check_reverse_holder(field.grid.dim, t_grid)
     eighth = B.scaled(1.0 / 8.0)
     gp, gq = v_gradient_sq(field, F, r)
     base = region_energy_average(field, F, B) + 1.0
@@ -272,6 +277,12 @@ def moser_a_alpha(alpha: float, alpha0: float = -1.0) -> float:
     return (alpha + 2.0) / (alpha + 1.0)
 
 
+def check_caccioppoli(N: int):
+    """Raise ScalarOnlyError unless the field is scalar (N = 1)."""
+    if N != 1:
+        raise ScalarOnlyError("the power Caccioppoli measurement needs a scalar field")
+
+
 def caccioppoli_check(field: DiscreteField, F: Integrand, r: Regime, alpha: float,
                       cutoff) -> CaccioppoliResult:
     """Energy estimate for powers of the gradient weight on a scalar solve.
@@ -281,8 +292,7 @@ def caccioppoli_check(field: DiscreteField, F: Integrand, r: Regime, alpha: floa
     rhs = A_alpha M^(1/2) ||l_alpha(grad u) grad eta||_L2, where
     M = max(1, sup_{supp eta} |F'(grad u)|^((q-p)/(q-1))).
     """
-    if field.N != 1:
-        raise ScalarOnlyError("the power Caccioppoli measurement needs a scalar field")
+    check_caccioppoli(field.N)
     inner_r, outer_r = cutoff
     if inner_r.kind != outer_r.kind or inner_r.center != outer_r.center:
         raise RegionError("cutoff regions must be concentric and of the same kind")

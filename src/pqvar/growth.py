@@ -87,7 +87,7 @@ def stress_bound_ratio(eigs, grad_norm, q):
 
 
 def check_legendre(F: Integrand, r: Regime, n_samples: int, radius: float,
-                   seed=0, keep_worst=3) -> LegendreCertificate:
+                   seed=0) -> LegendreCertificate:
     """Sample the quantified growth constants and verify p-ellipticity from below.
 
     Records sup |F''| / (1 + |F'|^((q-2)/(q-1))) and
@@ -118,7 +118,7 @@ def check_legendre(F: Integrand, r: Regime, n_samples: int, radius: float,
             f"p-ellipticity lower bound fails: lambda_min={lam_min[k]:.6g} < "
             f"L^-1 ell_mu^(p-2)={floor[k]:.6g}", witness=z[k], margin=float(margin[k]))
 
-    order = np.argsort(ratio3)[::-1][:keep_worst]
+    order = np.argsort(ratio3)[::-1][:3]  # the three largest stress-bound ratios
     return LegendreCertificate(
         regime=r,
         constant_assf3=float(ratio3.max()),

@@ -23,10 +23,6 @@ from .model import AssemblyPlan, DiscreteField, Grid, SolveReport, nodal_array
 from .newton import NonConvergenceError
 
 
-class SchemeViolationError(RuntimeError):
-    """A monitored quantity of the approximation ladder moved the wrong way."""
-
-
 @dataclass
 class Schedule:
     """The viscosity ladder: strictly decreasing epsilons in (0, 1]; each rung
@@ -323,7 +319,7 @@ class SchemeResult:
 
 
 def run_scheme(F: Integrand, r, grid: Grid, boundary: np.ndarray, schedule: Schedule,
-               keep_fields=False, strict=False) -> SchemeResult:
+               keep_fields=False) -> SchemeResult:
     """The vanishing-viscosity ladder: mollify data, regularize, solve, monitor.
 
     Per epsilon the boundary data is mollified at width epsilon, extended
@@ -336,8 +332,7 @@ def run_scheme(F: Integrand, r, grid: Grid, boundary: np.ndarray, schedule: Sche
     between consecutive rungs, and the minimality margins
     L^-1 ||grad u||_p^p + gamma ||grad u||_q^q <= E_eps(u_eps) <= E_eps(u~_eps).
     A non-monotone viscosity term and per-rung solver failures are aggregated
-    into `violations`; with strict=True they raise SchemeViolationError at the
-    end instead.
+    into `violations`.
     """
     boundary = nodal_array(grid, boundary)
     reports, gamma_terms, increments, margins, fields = [], [], [], [], []
@@ -377,8 +372,6 @@ def run_scheme(F: Integrand, r, grid: Grid, boundary: np.ndarray, schedule: Sche
         prev_values, prev_tilde = np.array(fld.values), tilde
         if keep_fields:
             fields.append(fld)
-    if strict and violations:
-        raise SchemeViolationError("; ".join(violations))
     return SchemeResult(reports=reports, field=fld, gamma_terms=gamma_terms,
                         w1p_increments=increments, enes_margins=margins,
                         violations=violations, fields=fields)

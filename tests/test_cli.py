@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import pqvar
-from pqvar import duality
+from pqvar import cli, duality, solver
 from pqvar.cli import (ConfigError, _fmt, load_polynomial, main, parse_config,
                        parse_integrand)
 from pqvar.integrands import AxisPower, PowerNorm, Scaled, Sum
@@ -30,6 +30,24 @@ MODEL_CFG = textwrap.dedent("""\
     estimates = hd,sup
     seed = 42
 """)
+
+
+# config values that a run would reject or drop, each rejected by the parser;
+# `old` and `new` may hold several replacements separated by ';'
+PARSE_TIME_REJECTIONS = [
+    ("diagnose", "seed = 42", "seed = 42\nsobolev_exp = 1"),
+    ("diagnose", "estimates = hd,sup", "estimates = hd,rh\nt_grid = 1.5,2.5"),
+    ("solve", "amplitudes = 1.0", "amplitudes ="),
+    ("diagnose", "amplitudes = 1.0", "amplitudes = ,"),
+    ("diagnose", "n = 2;estimates = hd,sup", "n = 3;estimates = hd,rh"),
+    ("diagnose", "N = 1;estimates = hd,sup", "N = 2;estimates = hd,cacc"),
+]
+
+
+def _edited(text, old, new):
+    for o, n in zip(old.split(";"), new.split(";")):
+        text = text.replace(o, n)
+    return text
 
 
 @pytest.fixture
@@ -73,6 +91,22 @@ class TestIntegrandLanguage:
     def test_unknown_atom(self):
         with pytest.raises(ConfigError):
             parse_integrand("exp(q=4)", (1, 2))
+
+    @pytest.mark.parametrize("expr, col, match", [
+        ("power(mu=2,p=2)", 1, "mu must lie in"),
+        ("power(mu=0,p=2) + -1 * power(mu=0,p=2)", 19, "scaling coefficient"),
+        ("axis(i=1,q=1)", 1, "axis exponent"),
+        ("axis(i=1.5,q=4)", 6, "integer i"),
+        ("power(mu=0,p=2,mu=0)", 16, "each once"),
+        ("power(mu=0)", 7, "each once"),
+        ("power(mu=0,p=two)", 12, "each once"),
+        ("power(mu=0,p=2) +", 17, "unexpected"),
+        ("power(mu=0,p=2) axis(i=1,q=4)", 17, "unexpected"),
+    ])
+    def test_bad_term_names_line_and_column(self, expr, col, match):
+        with pytest.raises(ConfigError, match=match) as exc:
+            parse_integrand(expr, (1, 2), line_no=7)
+        assert (exc.value.line, exc.value.col) == (7, col)
 
     def test_poly_atom(self, tmp_path):
         poly = tmp_path / "marc.poly"
@@ -296,12 +330,49 @@ class TestSubcommands:
         ("diagnose", "n = 2", "n = 4"),
         # the default region's B/8 holds no simplex barycenter at 8 cells
         ("diagnose", "cells = 12", "cells = 8"),
-    ])
+    ] + PARSE_TIME_REJECTIONS)
     def test_bad_config_values_exit_2(self, tmp_path, capsys, command, old, new):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(MODEL_CFG.replace(old, new))
+        cfg.write_text(_edited(MODEL_CFG, old, new))
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().out.startswith("config error:")
+
+    @pytest.mark.parametrize("command, old, new", PARSE_TIME_REJECTIONS + [
+        ("solve", "axis(i=2,q=4)", "axis(i=2.5,q=4)"),
+        ("diagnose", "+ axis(i=2,q=4)", "+ -1 * axis(i=2,q=4)"),
+    ])
+    def test_config_errors_come_before_the_solve(self, tmp_path, capsys, monkeypatch,
+                                                 command, old, new):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("run_scheme was called")
+
+        monkeypatch.setattr(solver, "run_scheme", no_solve)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(_edited(MODEL_CFG, old, new))
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().out.startswith("config error:")
+
+    def test_sweep_sobolev_default_follows_q(self, tmp_path, capsys):
+        # q = 9 needs sobolev_exp > 2q/p = 9: the default 4q/p follows q, while an
+        # explicit 8 becomes that point's error and the sweep goes on
+        cfg = tmp_path / "q.cfg"
+        cfg.write_text(MODEL_CFG.replace("cells = 12", "cells = 10"))
+        assert main(["sweep", "--config", str(cfg), "--vary", "q", "--values", "4,9"]) == 0
+        rows = capsys.readouterr().out.strip().split("\n")[1:]
+        assert [r.split(",")[:5] for r in rows if ",hdes," in r] == [
+            ["q", "4", "1", "inf", "hdes"], ["q", "9", "1", "inf", "hdes"]]
+        cfg.write_text(MODEL_CFG.replace("cells = 12", "cells = 10") + "sobolev_exp = 8\n")
+        assert main(["sweep", "--config", str(cfg), "--vary", "q", "--values", "4,9"]) == 0
+        rows = capsys.readouterr().out.strip().split("\n")[1:]
+        assert any(r.startswith("q,4,1,inf,hdes,") for r in rows)
+        assert [r for r in rows if r.startswith("q,9,")] == [
+            "q,9,1,inf,,,,,sobolev_exp must exceed 2q/p = 9, got 8.0"]
+
+
+def test_docstring_lists_every_known_key():
+    listed = cli.__doc__.split("Recognized keys (defaults in parentheses):")[1]
+    listed = re.sub(r"\([^)]*\)", "", listed.split("\n\n")[0]).replace(" or ", ",")
+    assert {key.strip(" .\n") for key in listed.split(",")} == cli._KNOWN_KEYS
 
 
 NUMPY_ONLY_SCRIPT = textwrap.dedent("""\
