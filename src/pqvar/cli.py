@@ -19,8 +19,9 @@ into z (row-major over (N, n)); `1.0 1 1 2 2` is the monomial z_1^2 z_2^2.
 These config errors exit 2 before any solve: malformed lines, unknown keys, bad
 numbers, an integrand term out of range or syntax (by line and column), an
 empty amplitudes list, sobolev_exp <= 2q/p, rh with n != 2 or a t_grid entry
-outside (1, 2), and cacc with N != 1.  A q-sweep checks sobolev_exp at each q;
-a point it does not suit carries the error in its row.
+outside (1, 2), cacc with N != 1, and a measurement region that the grid does
+not resolve (no simplex barycenter or cell center inside).  A q-sweep checks
+sobolev_exp at each q; a point it does not suit carries the error in its row.
 
 Recognized keys (defaults in parentheses): n (2), N (1), p, q, mu (0), L,
 integrand, cells (32), epsilons (0.5,0.25,0.125,0.0625) or schedule_count,
@@ -146,9 +147,10 @@ def _term(m, shape, base_dir, line_no) -> Integrand:
         raise ConfigError(str(exc), line=line_no, col=col) from None
 
 
-def parse_integrand(text, shape, base_dir=".", line_no=None) -> Integrand:
-    """Parse `term ('+' term)*`, one whole term at a time; columns count from
-    the start of `text`."""
+def parse_integrand(text, shape, base_dir=".", line_no=None, col=1) -> Integrand:
+    """Parse `term ('+' term)*`, one whole term at a time.  `text` starts at
+    column `col` of its line, and errors give columns within that line."""
+    text = " " * (col - 1) + text  # match positions are now line columns
     terms, pos = [], 0
     while True:
         m = _TERM.match(text, pos)
@@ -211,12 +213,13 @@ def parse_config(text, base_dir=".") -> ExperimentConfig:
     """Deterministic parse of the key = value experiment format."""
     raw = {}
     lines = {}
+    value_col = {}
     for no, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
+        body = line.split("#", 1)[0]
+        if not body.strip():
             continue
         if "=" not in body:
-            raise ConfigError(f"expected key = value, got {body!r}", line=no)
+            raise ConfigError(f"expected key = value, got {body.strip()!r}", line=no)
         key, _, val = body.partition("=")
         key = key.strip()
         if key not in _KNOWN_KEYS:
@@ -225,6 +228,7 @@ def parse_config(text, base_dir=".") -> ExperimentConfig:
             raise ConfigError(f"duplicate key {key!r}", line=no)
         raw[key] = val.strip()
         lines[key] = no
+        value_col[key] = len(body) - len(val.lstrip()) + 1
 
     def need(key):
         if key not in raw:
@@ -256,7 +260,8 @@ def parse_config(text, base_dir=".") -> ExperimentConfig:
         raise ConfigError(str(exc))
 
     integrand = parse_integrand(need("integrand"), (N, n), base_dir=base_dir,
-                                line_no=lines.get("integrand"))
+                                line_no=lines.get("integrand"),
+                                col=value_col.get("integrand", 1))
 
     def floats(key, default):
         return _floats(key, raw.get(key, default), line=lines.get(key))
@@ -341,10 +346,42 @@ DIAG_HEADER = ["estimate_id", "lhs", "rhs", "ratio", "fitted_exponent",
 # ------------------------------------------------------------ measurement core
 
 
+DECAY_FRACTIONS = (0.45, 0.35, 0.25, 0.18)  # the decay profile radii over B's radius
+CACC_FRACTIONS = (0.4, 0.8)  # the Caccioppoli cutoff's inner and outer radii over B's
+
+
+def check_regions(cfg: ExperimentConfig, grid: Grid):
+    """Raise RegionError unless `grid` resolves every region the selected
+    estimates measure on, as their measurements read them: simplex barycenters
+    in B, in B/8 (sup) and in the outer cutoff region (cacc); cell centers in B/2
+    (hd), in B/8 (rh) and in the decay balls; and B/2 inside the unit box (hd)."""
+    B, est = cfg.region, set(cfg.estimates)
+    simplex_regions = [B] if est & {"hd", "sup", "rh", "stress"} else []
+    cell_regions = []
+    if "hd" in est:
+        diagnostics.check_higher_diff_region(B)
+        cell_regions.append(B.scaled(0.5))
+    if "sup" in est:
+        simplex_regions.append(B.scaled(1.0 / 8.0))
+    if "rh" in est:
+        cell_regions.append(B.scaled(1.0 / 8.0))
+    if "cacc" in est:
+        simplex_regions.append(B.scaled(CACC_FRACTIONS[1]))
+    if "decay" in est:
+        cell_regions += [Region(B.center, B.radius * f, "ball") for f in DECAY_FRACTIONS]
+    for region in simplex_regions:
+        diagnostics.region_mask(grid, region)
+    for region in cell_regions:
+        diagnostics.region_mask(grid, region, by_cell=True)
+
+
 def _solve_once(cfg: ExperimentConfig, amplitude: float):
+    """The scheme run at one amplitude, once the grid resolves the measurement
+    regions."""
     if cfg.regime.n not in (2, 3):
         raise ConfigError(f"solves need n = 2 or 3, got n = {cfg.regime.n}")
     grid = Grid(cfg.regime.n, cfg.cells)
+    check_regions(cfg, grid)
     g = solver.boundary_family(cfg.boundary, grid, amplitude, cfg.regime.N, seed=cfg.seed)
     return solver.run_scheme(cfg.integrand, cfg.regime, grid, g, cfg.schedule())
 
@@ -366,7 +403,7 @@ def measure_estimates(cfg: ExperimentConfig, amplitude: float, scheme_result) ->
         for t, lhs, _ in diagnostics.reverse_holder_scan(fld, F, r, cfg.t_grid, B, b=chain.b):
             entries.append(DiagnosticsEntry(f"rh_t={t:g}", lhs=lhs, rhs=base ** chain.b))
     if "cacc" in cfg.estimates:
-        cut = (B.scaled(0.4), B.scaled(0.8))
+        cut = tuple(B.scaled(f) for f in CACC_FRACTIONS)
         for alpha in (-1.0, 0.0, 2.0):
             cc = diagnostics.caccioppoli_check(fld, F, r, alpha, cut)
             entries.append(DiagnosticsEntry(f"cacc_a={alpha:g}", lhs=cc.lhs, rhs=cc.rhs))
@@ -374,7 +411,7 @@ def measure_estimates(cfg: ExperimentConfig, amplitude: float, scheme_result) ->
         ratio = diagnostics.stress_integrability(fld, F, r, B)
         entries.append(DiagnosticsEntry("stress", lhs=ratio, rhs=1.0))
     if "decay" in cfg.estimates:
-        radii = [B.radius * f for f in (0.45, 0.35, 0.25, 0.18)]
+        radii = [B.radius * f for f in DECAY_FRACTIONS]
         ld = diagnostics.log_decay_profile(fld, F, r, radii, B)
         for s, mass in zip(ld.radii, ld.masses):
             pred = ld.amplitude * math.log(B.radius / s) ** (-ld.decay_exponent)

@@ -119,7 +119,7 @@ def v_gradient_sq(field: DiscreteField, F: Integrand, r: Regime):
     return _cell_gradient_sq(field.grid, vp), _cell_gradient_sq(field.grid, vq)
 
 
-def _region_mask(grid, region: Region, by_cell=False):
+def region_mask(grid, region: Region, by_cell=False):
     """Mask of the cells (by center) or simplices (by barycenter) inside the
     region; raises RegionError when the grid puts none there."""
     mask = grid.cells_in(region) if by_cell else grid.simplices_in(region)
@@ -130,30 +130,36 @@ def _region_mask(grid, region: Region, by_cell=False):
 
 
 def _region_cell_mean(grid, cell_values, region: Region):
-    mask = _region_mask(grid, region, by_cell=True).reshape(cell_values.shape)
+    mask = region_mask(grid, region, by_cell=True).reshape(cell_values.shape)
     return float(cell_values[mask].mean())
 
 
 def _region_cell_integral(grid, cell_values, region: Region):
-    mask = _region_mask(grid, region, by_cell=True).reshape(cell_values.shape)
+    mask = region_mask(grid, region, by_cell=True).reshape(cell_values.shape)
     cellvol = grid.h ** grid.dim
     return float(cell_values[mask].sum() * cellvol)
 
 
 def region_energy_average(field: DiscreteField, F: Integrand, region: Region) -> float:
     """Volume-weighted average of F(grad u) over simplices with barycenter in the region."""
-    mask = _region_mask(field.grid, region)
+    mask = region_mask(field.grid, region)
     vals = F.value(field.gradients[mask])
     return float(vals.mean())
+
+
+def check_higher_diff_region(B: Region):
+    """Raise RegionError unless B/2, where the higher differentiability is
+    averaged, sits inside the solved unit box."""
+    if not B.scaled(0.5).inside_unit_box():
+        raise RegionError("B/2 must sit inside the solved unit box")
 
 
 def higher_diff_measure(field: DiscreteField, F: Integrand, r: Regime,
                         chain: ExponentChain, B: Region) -> DiagnosticsEntry:
     """lhs: average over B/2 of |grad_h V_{mu,p}|^2 + |grad_h V_{1,q'}(F')|^2;
     rhs: (average of F over B, plus 1) to the chain exponent b."""
+    check_higher_diff_region(B)
     half = B.scaled(0.5)
-    if not half.inside_unit_box():
-        raise RegionError("B/2 must sit inside the solved unit box")
     gp, gq = v_gradient_sq(field, F, r)
     lhs = _region_cell_mean(field.grid, gp + gq, half)
     rhs = (region_energy_average(field, F, B) + 1.0) ** chain.b
@@ -165,7 +171,7 @@ def sup_grad_measure(field: DiscreteField, F: Integrand, B: Region,
     """lhs: sup over simplices in B/8 of |grad u|; rhs: (avg_B F + 1)^b.
 
     The exponent b is supplied by the caller (a chain value or a sweep fit)."""
-    mask = _region_mask(field.grid, B.scaled(1.0 / 8.0))
+    mask = region_mask(field.grid, B.scaled(1.0 / 8.0))
     lhs = float(np.sqrt(frob2(field.gradients[mask])).max())
     rhs = (region_energy_average(field, F, B) + 1.0) ** b
     return DiagnosticsEntry("sup_grad", lhs=lhs, rhs=rhs, grid=field.grid.cells_per_side)
@@ -484,7 +490,7 @@ def gehring_selfimprove(values: np.ndarray, M: float, m: float, c_hat=None,
 def stress_integrability(field: DiscreteField, F: Integrand, r: Regime,
                          B: Region) -> float:
     """||F'(grad u)||_{q'}^{q'} over B divided by (energy over B + 1)."""
-    z = field.gradients[_region_mask(field.grid, B)]
+    z = field.gradients[region_mask(field.grid, B)]
     vol = field.grid.simplex_volume
     qc = r.q_conj
     num = float(vol * (np.sqrt(frob2(F.gradient(z))) ** qc).sum())

@@ -410,6 +410,7 @@ class SolveReport:
     epsilon: float = 0.0
     gamma_eps: float = 0.0
     gradient_fallbacks: int = 0
+    linear_iterations: int = 0  # CG iterations over the solve; 0 in 2d
 
 
 @dataclass

@@ -11,6 +11,7 @@ scipy is imported inside the functions that use it, never at module level, so
 functions are looked up on the module objects at call time.
 """
 
+import csv
 import math
 import os
 from dataclasses import dataclass, field
@@ -138,24 +139,56 @@ def assemble_hessian(F: Integrand, grid: Grid, values: np.ndarray) -> "scipy.spa
 
 class LinearSolveError(ArithmeticError):
     """A Newton system is not positive definite to the solver (banded Cholesky in
-    2d, Jacobi-preconditioned CG in 3d), or its solution is not finite."""
+    2d; in 3d a non-positive diagonal or a non-positive curvature p.Kp in CG), CG
+    does not reach its tolerance within its iteration cap, or the solution is not
+    finite."""
 
 
-CG_RTOL = 1e-12
+CG_RTOL = 1e-12  # the floor of the forcing term: the tolerance of a nearly converged step
 
 
-def _solve_spd(plan: AssemblyPlan, K: "scipy.sparse.csr_matrix", rhs: np.ndarray) -> np.ndarray:
+def _pcg(K: "scipy.sparse.csr_matrix", rhs: np.ndarray, rtol: float):
+    """Jacobi-preconditioned conjugate gradients from x = 0, stopping once
+    ||K x - rhs||_2 <= rtol ||rhs||_2 within 10 n iterations.  Returns x and the
+    iteration count."""
+    diag = K.diagonal()
+    if not np.all(diag > 0.0):
+        raise LinearSolveError("hessian diagonal is not positive")
+    inv_diag = 1.0 / diag
+    x = np.zeros_like(rhs)
+    r = rhs.copy()
+    tol = rtol * math.sqrt(float(rhs @ rhs))
+    p, rz = None, 0.0
+    for it in range(10 * len(rhs)):
+        if math.sqrt(float(r @ r)) <= tol:
+            return x, it
+        z = inv_diag * r
+        rz, rz_prev = float(r @ z), rz
+        p = z if p is None else z + (rz / rz_prev) * p
+        Kp = K @ p
+        curvature = float(p @ Kp)
+        if not curvature > 0.0:
+            raise LinearSolveError(f"non-positive curvature p.Kp = {curvature:.3e} in CG")
+        alpha = rz / curvature
+        x += alpha * p
+        r -= alpha * Kp
+    raise LinearSolveError(f"CG did not converge in {10 * len(rhs)} iterations")
+
+
+def _solve_spd(plan: AssemblyPlan, K: "scipy.sparse.csr_matrix", rhs: np.ndarray,
+               rtol: float = CG_RTOL):
     """Solve the Newton system K x = rhs for a symmetric positive definite K
-    assembled by `plan`.  The harmonic extension does not come here: it has its
-    own sine-basis solve.
+    assembled by `plan`, to ||K x - rhs||_2 <= rtol ||rhs||_2.  Returns x and the
+    number of CG iterations.  The harmonic extension does not come here: it has
+    its own sine-basis solve.
 
     The method is fixed by the grid dimension, as measured on the Newton systems
     of the benchmark ladders.  In 2d the node-major interior numbering makes K
-    banded, and LAPACK banded Cholesky beats Jacobi-preconditioned CG, which needs
-    hundreds of iterations per system.  In 3d the band is wide, and CG with a
-    Jacobi preconditioner to relative residual CG_RTOL wins.  Raises
-    LinearSolveError when the factorization finds K not positive definite, the
-    diagonal is not positive, CG does not converge, or x is not finite."""
+    banded, and LAPACK banded Cholesky, exact for any rtol, beats CG, which needs
+    hundreds of iterations per system.  In 3d the band is wide, and `_pcg` wins.
+    Raises LinearSolveError when the factorization finds K not positive definite,
+    when `_pcg` fails, or when x is not finite."""
+    iters = 0
     if plan.grid.dim == 2:
         import scipy.linalg as sla
 
@@ -166,18 +199,10 @@ def _solve_spd(plan: AssemblyPlan, K: "scipy.sparse.csr_matrix", rhs: np.ndarray
             raise LinearSolveError(f"banded Cholesky failed: {exc}") from exc
         x = sla.cho_solve_banded((factor, False), rhs, check_finite=False)
     else:
-        import scipy.sparse as sp
-        import scipy.sparse.linalg as spla
-
-        diag = K.diagonal()
-        if not np.all(diag > 0.0):
-            raise LinearSolveError("hessian diagonal is not positive")
-        x, info = spla.cg(K, rhs, rtol=CG_RTOL, M=sp.diags(1.0 / diag))
-        if info != 0:
-            raise LinearSolveError(f"CG did not converge (info {info})")
+        x, iters = _pcg(K, rhs, rtol)
     if not np.all(np.isfinite(x)):
         raise LinearSolveError("non-finite solution")
-    return x
+    return x, iters
 
 
 def el_residual(F: Integrand, fld: DiscreteField) -> float:
@@ -219,7 +244,10 @@ def minimize_dirichlet(F: Integrand, grid: Grid, boundary: np.ndarray,
     tol_residual, or, when the energy is flat to machine precision, once that
     residual is at most tol_residual.  The loop is `newton.minimize`; the Newton
     system is solved by `_solve_spd`, with a diagonally scaled gradient step
-    where that fails.
+    where that fails.  The solve is inexact (Dembo, Eisenstat and Steihaug): its
+    relative residual is the forcing term max(CG_RTOL, min(0.01, ||g||_2^2)) of
+    the interior gradient g, so far from the minimizer a step costs few CG
+    iterations and near it the step is as accurate as an exact one.
     """
     boundary = nodal_array(grid, boundary)
     u = nodal_array(grid, boundary if init is None else init).copy()
@@ -228,17 +256,19 @@ def minimize_dirichlet(F: Integrand, grid: Grid, boundary: np.ndarray,
     u[grid.boundary_mask] = boundary[grid.boundary_mask]
     plan = grid.assembly_plan(u.shape[1])
     int_dofs = plan.interior_dofs
-    fallbacks = 0
+    fallbacks = linear_iterations = 0
 
     def gradient(v):
         gi = assemble_gradient(F, grid, v).reshape(-1)[int_dofs]
         return gi, float(np.abs(gi).max())
 
     def newton_step(v, gi):
-        nonlocal fallbacks
+        nonlocal fallbacks, linear_iterations
         K = assemble_hessian(F, grid, v)
+        forcing = max(CG_RTOL, min(0.01, float(gi @ gi)))
         try:
-            step = _solve_spd(plan, K, -gi)
+            step, its = _solve_spd(plan, K, -gi, forcing)
+            linear_iterations += its
         except LinearSolveError:
             # degenerate system: fall back to a safeguarded gradient step
             fallbacks += 1
@@ -252,13 +282,14 @@ def minimize_dirichlet(F: Integrand, grid: Grid, boundary: np.ndarray,
 
     def partial(v, E, res, iters):
         return {"field": DiscreteField(grid, v),
-                "report": SolveReport(E, res, iters, gradient_fallbacks=fallbacks)}
+                "report": SolveReport(E, res, iters, gradient_fallbacks=fallbacks,
+                                      linear_iterations=linear_iterations)}
 
     u, E, residual, iters = newton.minimize(
         lambda v: energy(F, grid, v), gradient, newton_step, u, converged,
         stall_tol=tol_residual, max_iters=max_iters, partial=partial, values=energy_trace)
     report = SolveReport(energy=E, residual_sup=residual, iterations=iters,
-                         gradient_fallbacks=fallbacks)
+                         gradient_fallbacks=fallbacks, linear_iterations=linear_iterations)
     return DiscreteField(grid, u), report
 
 
@@ -420,14 +451,15 @@ def _fmt(x):
 
 
 def write_csv(dest, header, rows):
-    """A header line and one line per row, each cell through `_fmt`; `dest` is
-    a path or an open text stream."""
+    """A header line and one line per row, each cell through `_fmt`; a cell that
+    holds a comma, a quote or a line break is quoted.  `dest` is a path or an
+    open text stream."""
     if isinstance(dest, (str, os.PathLike)):
         with open(dest, "w") as fh:
             return write_csv(fh, header, rows)
-    dest.write(",".join(header) + "\n")
-    for row in rows:
-        dest.write(",".join(_fmt(v) for v in row) + "\n")
+    out = csv.writer(dest, lineterminator="\n")
+    out.writerow(header)
+    out.writerows([_fmt(v) for v in row] for row in rows)
 
 
 def export_field_csv(fld: DiscreteField, path):

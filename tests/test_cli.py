@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import os
 import re
@@ -104,9 +106,18 @@ class TestIntegrandLanguage:
         ("power(mu=0,p=2) axis(i=1,q=4)", 17, "unexpected"),
     ])
     def test_bad_term_names_line_and_column(self, expr, col, match):
+        # line 7 is `integrand = <expr>`; `col` counts within <expr>, and the
+        # error gives the column within the line
+        key = "integrand = "
+        text = "n = 2\nN = 1\np = 2\nq = 4\nmu = 0\nL = 8\n" + key + expr + "\n"
         with pytest.raises(ConfigError, match=match) as exc:
-            parse_integrand(expr, (1, 2), line_no=7)
-        assert (exc.value.line, exc.value.col) == (7, col)
+            parse_config(text)
+        assert (exc.value.line, exc.value.col) == (7, len(key) + col)
+
+    def test_column_follows_the_value_in_its_line(self):
+        with pytest.raises(ConfigError, match="integer i") as exc:
+            parse_integrand("axis(i=1.5,q=4)", (1, 2), line_no=3, col=5)
+        assert (exc.value.line, exc.value.col) == (3, 10)
 
     def test_poly_atom(self, tmp_path):
         poly = tmp_path / "marc.poly"
@@ -340,6 +351,9 @@ class TestSubcommands:
     @pytest.mark.parametrize("command, old, new", PARSE_TIME_REJECTIONS + [
         ("solve", "axis(i=2,q=4)", "axis(i=2.5,q=4)"),
         ("diagnose", "+ axis(i=2,q=4)", "+ -1 * axis(i=2,q=4)"),
+        # B/8 holds no simplex barycenter at 8 cells
+        ("diagnose", "cells = 12", "cells = 8"),
+        ("solve", "cells = 12", "cells = 8"),
     ])
     def test_config_errors_come_before_the_solve(self, tmp_path, capsys, monkeypatch,
                                                  command, old, new):
@@ -352,6 +366,17 @@ class TestSubcommands:
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().out.startswith("config error:")
 
+    def test_sweep_region_error_comes_before_the_solve(self, tmp_path, capsys, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("run_scheme was called")
+
+        monkeypatch.setattr(solver, "run_scheme", no_solve)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(MODEL_CFG.replace("cells = 12", "cells = 8"))
+        assert main(["sweep", "--config", str(cfg), "--vary", "amplitude",
+                     "--values", "1,2"]) == 2
+        assert capsys.readouterr().out.startswith("config error: no simplex barycenters")
+
     def test_sweep_sobolev_default_follows_q(self, tmp_path, capsys):
         # q = 9 needs sobolev_exp > 2q/p = 9: the default 4q/p follows q, while an
         # explicit 8 becomes that point's error and the sweep goes on
@@ -363,10 +388,12 @@ class TestSubcommands:
             ["q", "4", "1", "inf", "hdes"], ["q", "9", "1", "inf", "hdes"]]
         cfg.write_text(MODEL_CFG.replace("cells = 12", "cells = 10") + "sobolev_exp = 8\n")
         assert main(["sweep", "--config", str(cfg), "--vary", "q", "--values", "4,9"]) == 0
-        rows = capsys.readouterr().out.strip().split("\n")[1:]
-        assert any(r.startswith("q,4,1,inf,hdes,") for r in rows)
-        assert [r for r in rows if r.startswith("q,9,")] == [
-            "q,9,1,inf,,,,,sobolev_exp must exceed 2q/p = 9, got 8.0"]
+        header, *rows = csv.reader(io.StringIO(capsys.readouterr().out))
+        assert any(r[:5] == ["q", "4", "1", "inf", "hdes"] for r in rows)
+        # the error holds a comma: its cell is quoted, so the row keeps its width
+        assert [r for r in rows if r[:2] == ["q", "9"]] == [
+            ["q", "9", "1", "inf", "", "", "", "", "sobolev_exp must exceed 2q/p = 9, got 8.0"]]
+        assert all(len(r) == len(header) for r in rows)
 
 
 def test_docstring_lists_every_known_key():

@@ -387,7 +387,7 @@ class TestHarmonicExtension:
             raise AssertionError("harmonic extension called a sparse solver")
 
         monkeypatch.setattr(sla, "cholesky_banded", forbidden)
-        monkeypatch.setattr(spla, "cg", forbidden)
+        monkeypatch.setattr(solver, "_pcg", forbidden)
         monkeypatch.setattr(solver, "_solve_spd", forbidden)
         grid = Grid(dim, 6)
         harmonic_extension(grid, boundary_family("sinecos", grid, 1.0, 1))
@@ -419,6 +419,32 @@ class TestWarmStart:
         res = run_scheme(entry.integrand, entry.regime, grid, g, Schedule.dyadic(4))
         assert res.violations == []
         assert [r.iterations for r in res.reports] == [4, 4, 3, 1]
+
+    def test_no_cg_iterations_in_2d(self, vectorial_ladder):
+        _, _, _, res = vectorial_ladder
+        assert [r.linear_iterations for r in res.reports] == [0, 0, 0, 0]
+
+    @pytest.mark.parametrize("cells, bound", [(6, 190), (8, 250)])
+    def test_inexact_ladder_matches_exact_solves(self, monkeypatch, cells, bound):
+        # every Newton system solved to CG_RTOL takes 283 (6 cells) and 446
+        # (8 cells) CG iterations over the ladder; the forcing term 169 and 222
+        grid = Grid(3, cells)
+        entry = registry.get("aniso3d_q4")
+        g = boundary_family("sine", grid, 1.0, 1)
+
+        def ladder():
+            return run_scheme(entry.integrand, entry.regime, grid, g, Schedule.dyadic(4),
+                              keep_fields=True)
+
+        inexact = ladder()
+        monkeypatch.setattr(solver, "_solve_spd",
+                            lambda plan, K, rhs, rtol: (spla.spsolve(K.tocsc(), rhs), 0))
+        exact = ladder()
+        assert inexact.violations == exact.violations == []
+        assert [r.iterations for r in inexact.reports] == [r.iterations for r in exact.reports]
+        for a, b in zip(inexact.fields, exact.fields):
+            assert np.abs(a.values - b.values).max() <= 1e-10
+        assert sum(r.linear_iterations for r in inexact.reports) <= bound
 
     def test_rungs_match_cold_starts(self, vectorial_ladder):
         grid, entry, g, res = vectorial_ladder
@@ -459,7 +485,7 @@ class TestLinearSolve:
         plan, K = newton_hessian()
         rhs = np.random.default_rng(11).normal(size=K.shape[0])
         ref = spla.spsolve(K.tocsc(), rhs)
-        x = _solve_spd(plan, K, rhs)
+        x, _ = _solve_spd(plan, K, rhs)
         assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_indefinite_2d_system_raises(self):
@@ -473,20 +499,44 @@ class TestLinearSolve:
     @pytest.mark.parametrize("dim, cells, cg_calls", [(2, 8, 0), (3, 5, 1)])
     def test_cg_only_in_3d(self, monkeypatch, dim, cells, cg_calls):
         calls = []
-        cg = spla.cg
+        pcg = solver._pcg
 
         def counting(*args, **kw):
             calls.append(1)
-            return cg(*args, **kw)
+            return pcg(*args, **kw)
 
-        monkeypatch.setattr(spla, "cg", counting)
+        monkeypatch.setattr(solver, "_pcg", counting)
         grid = Grid(dim, cells)
         plan = grid.assembly_plan(1)
         K = laplacian(grid, 1)
         rhs = np.random.default_rng(12).normal(size=K.shape[0])
-        x = _solve_spd(plan, K, rhs)
+        x, _ = _solve_spd(plan, K, rhs)
         assert len(calls) == cg_calls
         assert np.abs(K @ x - rhs).max() <= 1e-10 * np.abs(rhs).max()
+
+    def test_cg_stops_at_the_forcing_term(self):
+        grid = Grid(3, 8)
+        plan = grid.assembly_plan(1)
+        K = laplacian(grid, 1)
+        rhs = np.random.default_rng(13).normal(size=K.shape[0])
+        x_exact, its_exact = _solve_spd(plan, K, rhs)
+        x, its = _solve_spd(plan, K, rhs, 1e-2)
+        assert np.linalg.norm(K @ x - rhs) <= 1e-2 * np.linalg.norm(rhs)
+        assert 0 < its < its_exact
+        assert np.linalg.norm(K @ x_exact - rhs) <= solver.CG_RTOL * np.linalg.norm(rhs)
+
+    def test_indefinite_3d_system_with_positive_diagonal_raises(self):
+        # K - s I keeps a positive diagonal for s below it, and for s above the
+        # lowest eigenvalue lam the lowest eigenvector v has v.(K - s I)v < 0
+        grid = Grid(3, 4)
+        plan = grid.assembly_plan(1)
+        K = laplacian(grid, 1)
+        lam, vecs = np.linalg.eigh(K.toarray())
+        s = 0.5 * (lam[0] + K.diagonal().min())
+        assert lam[0] < s < K.diagonal().min()
+        K_s = (K - s * sp.eye(K.shape[0])).tocsr()
+        with pytest.raises(LinearSolveError, match="curvature"):
+            _solve_spd(plan, K_s, vecs[:, 0])
 
 
 class TestElResidual:
