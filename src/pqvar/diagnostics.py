@@ -296,7 +296,8 @@ def caccioppoli_check(field: DiscreteField, F: Integrand, r: Regime, alpha: floa
     With eta the PL cutoff between the region pair, compares
     lhs = ||eta grad_h l_alpha(grad u)||_L2 against
     rhs = A_alpha M^(1/2) ||l_alpha(grad u) grad eta||_L2, where
-    M = max(1, sup_{supp eta} |F'(grad u)|^((q-p)/(q-1))).
+    M = max(1, sup_{supp eta} |F'(grad u)|^((q-p)/(q-1))).  Raises RegionError
+    when no simplex barycenter lies in the outer region, the support of eta.
     """
     check_caccioppoli(field.N)
     inner_r, outer_r = cutoff
@@ -327,8 +328,7 @@ def caccioppoli_check(field: DiscreteField, F: Integrand, r: Regime, alpha: floa
     lhs = math.sqrt(float((eta_c ** 2 * grad_l2).sum() * cellvol))
     rhs_norm = math.sqrt(float((cell_l ** 2 * grad_eta ** 2).sum() * cellvol))
 
-    eta_b, _ = eta_of(grid.barycenters)
-    supp = eta_b > 0.0
+    supp = region_mask(grid, outer_r)  # eta > 0 at the barycenter
     gnorm = np.sqrt(frob2(F.gradient(field.gradients[supp])))
     big_m = max(1.0, float(gnorm.max() ** ((r.q - r.p) / (r.q - 1.0))))
     a_alpha = moser_a_alpha(alpha)

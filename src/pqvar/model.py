@@ -410,7 +410,8 @@ class SolveReport:
     epsilon: float = 0.0
     gamma_eps: float = 0.0
     gradient_fallbacks: int = 0
-    linear_iterations: int = 0  # CG iterations over the solve; 0 in 2d
+    linear_iterations: int = 0  # PCG iterations over the solve, a failed PCG's not counted
+    factorizations: int = 0  # banded Cholesky factorizations over the solve; 0 in 3d
 
 
 @dataclass

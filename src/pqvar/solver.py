@@ -138,31 +138,32 @@ def assemble_hessian(F: Integrand, grid: Grid, values: np.ndarray) -> "scipy.spa
 
 
 class LinearSolveError(ArithmeticError):
-    """A Newton system is not positive definite to the solver (banded Cholesky in
-    2d; in 3d a non-positive diagonal or a non-positive curvature p.Kp in CG), CG
-    does not reach its tolerance within its iteration cap, or the solution is not
-    finite."""
+    """A Newton system is not positive definite to the solver (the banded Cholesky
+    factorization fails, or CG meets a non-positive diagonal or a non-positive
+    curvature p.Kp), CG does not reach its tolerance within its iteration cap, or
+    the solution is not finite."""
 
 
 CG_RTOL = 1e-12  # the floor of the forcing term: the tolerance of a nearly converged step
+REFACTOR_ITERS = 4  # a held 2d factor is replaced after a PCG that needed more iterations
 
 
-def _pcg(K: "scipy.sparse.csr_matrix", rhs: np.ndarray, rtol: float):
-    """Jacobi-preconditioned conjugate gradients from x = 0, stopping once
-    ||K x - rhs||_2 <= rtol ||rhs||_2 within 10 n iterations.  Returns x and the
-    iteration count."""
-    diag = K.diagonal()
-    if not np.all(diag > 0.0):
-        raise LinearSolveError("hessian diagonal is not positive")
-    inv_diag = 1.0 / diag
+def _pcg(K: "scipy.sparse.csr_matrix", rhs: np.ndarray, rtol: float, precondition):
+    """Preconditioned conjugate gradients from x = 0, stopping once
+    ||K x - rhs||_2 <= rtol ||rhs||_2 within 10 n iterations; `precondition(r)`
+    applies the inverse of an SPD approximation of K.  Every Newton system is
+    solved here.  Returns x and the iteration count; raises LinearSolveError on a
+    non-positive curvature p.Kp, at the cap, or when x is not finite."""
     x = np.zeros_like(rhs)
     r = rhs.copy()
     tol = rtol * math.sqrt(float(rhs @ rhs))
     p, rz = None, 0.0
     for it in range(10 * len(rhs)):
         if math.sqrt(float(r @ r)) <= tol:
+            if not np.all(np.isfinite(x)):
+                raise LinearSolveError("non-finite solution")
             return x, it
-        z = inv_diag * r
+        z = precondition(r)
         rz, rz_prev = float(r @ z), rz
         p = z if p is None else z + (rz / rz_prev) * p
         Kp = K @ p
@@ -175,20 +176,14 @@ def _pcg(K: "scipy.sparse.csr_matrix", rhs: np.ndarray, rtol: float):
     raise LinearSolveError(f"CG did not converge in {10 * len(rhs)} iterations")
 
 
-def _solve_spd(plan: AssemblyPlan, K: "scipy.sparse.csr_matrix", rhs: np.ndarray,
-               rtol: float = CG_RTOL):
-    """Solve the Newton system K x = rhs for a symmetric positive definite K
-    assembled by `plan`, to ||K x - rhs||_2 <= rtol ||rhs||_2.  Returns x and the
-    number of CG iterations.  The harmonic extension does not come here: it has
-    its own sine-basis solve.
-
-    The method is fixed by the grid dimension, as measured on the Newton systems
-    of the benchmark ladders.  In 2d the node-major interior numbering makes K
-    banded, and LAPACK banded Cholesky, exact for any rtol, beats CG, which needs
-    hundreds of iterations per system.  In 3d the band is wide, and `_pcg` wins.
-    Raises LinearSolveError when the factorization finds K not positive definite,
-    when `_pcg` fails, or when x is not finite."""
-    iters = 0
+def _preconditioner(plan: AssemblyPlan, K: "scipy.sparse.csr_matrix"):
+    """A fresh preconditioner for the Newton system K assembled by `plan`, fixed by
+    the grid dimension as measured on the benchmark ladders.  In 3d it is Jacobi,
+    r -> r / diag K.  In 2d the node-major interior numbering makes K banded, and
+    it is the LAPACK banded Cholesky factor of K: an exact solve for this K and,
+    held across Newton steps, a preconditioner that needs a few CG iterations
+    where Jacobi needs hundreds.  Raises LinearSolveError when the diagonal is not
+    positive or the factorization finds K not positive definite."""
     if plan.grid.dim == 2:
         import scipy.linalg as sla
 
@@ -197,12 +192,22 @@ def _solve_spd(plan: AssemblyPlan, K: "scipy.sparse.csr_matrix", rhs: np.ndarray
                                          check_finite=False)
         except sla.LinAlgError as exc:
             raise LinearSolveError(f"banded Cholesky failed: {exc}") from exc
-        x = sla.cho_solve_banded((factor, False), rhs, check_finite=False)
-    else:
-        x, iters = _pcg(K, rhs, rtol)
-    if not np.all(np.isfinite(x)):
-        raise LinearSolveError("non-finite solution")
-    return x, iters
+        return lambda r: sla.cho_solve_banded((factor, False), r, check_finite=False)
+    diag = K.diagonal()
+    if not np.all(diag > 0.0):
+        raise LinearSolveError("hessian diagonal is not positive")
+    inv_diag = 1.0 / diag
+    return lambda r: inv_diag * r
+
+
+def _solve_spd(plan: AssemblyPlan, K: "scipy.sparse.csr_matrix", rhs: np.ndarray,
+               rtol: float = CG_RTOL):
+    """Solve one symmetric positive definite system K x = rhs assembled by `plan`,
+    to ||K x - rhs||_2 <= rtol ||rhs||_2, by `_pcg` with a fresh
+    `_preconditioner`.  Returns x and the number of CG iterations; raises
+    LinearSolveError as those two do.  The harmonic extension does not come here:
+    it has its own sine-basis solve."""
+    return _pcg(K, rhs, rtol, _preconditioner(plan, K))
 
 
 def el_residual(F: Integrand, fld: DiscreteField) -> float:
@@ -242,12 +247,19 @@ def minimize_dirichlet(F: Integrand, grid: Grid, boundary: np.ndarray,
     decreases monotonically; iteration stops once the relative energy decrease
     drops below tol_energy while the Euler-Lagrange residual sup-norm is below
     tol_residual, or, when the energy is flat to machine precision, once that
-    residual is at most tol_residual.  The loop is `newton.minimize`; the Newton
-    system is solved by `_solve_spd`, with a diagonally scaled gradient step
-    where that fails.  The solve is inexact (Dembo, Eisenstat and Steihaug): its
-    relative residual is the forcing term max(CG_RTOL, min(0.01, ||g||_2^2)) of
-    the interior gradient g, so far from the minimizer a step costs few CG
-    iterations and near it the step is as accurate as an exact one.
+    residual is at most tol_residual.  The loop is `newton.minimize`.
+
+    Every Newton system is solved by `_pcg`, inexactly (Dembo, Eisenstat and
+    Steihaug): to the relative residual max(CG_RTOL, min(0.01, ||g||_2^2)) of the
+    interior gradient g, so far from the minimizer a step costs few CG iterations
+    and near it the step is as accurate as an exact one.  In 3d each system is
+    preconditioned by its own Jacobi diagonal.  In 2d the preconditioner is the
+    banded Cholesky factor of a recent hessian of this solve: it is factored at the
+    first step, at the step after a PCG that needed more than REFACTOR_ITERS
+    iterations, and at once when a PCG with the held factor fails.  The factor
+    lives in this call alone, so solves stay independent of each other.  A system
+    that a fresh preconditioner cannot solve is replaced by a diagonally scaled
+    gradient step, counted in `gradient_fallbacks`.
     """
     boundary = nodal_array(grid, boundary)
     u = nodal_array(grid, boundary if init is None else init).copy()
@@ -256,19 +268,37 @@ def minimize_dirichlet(F: Integrand, grid: Grid, boundary: np.ndarray,
     u[grid.boundary_mask] = boundary[grid.boundary_mask]
     plan = grid.assembly_plan(u.shape[1])
     int_dofs = plan.interior_dofs
-    fallbacks = linear_iterations = 0
+    hold = grid.dim == 2  # a banded factor is worth keeping across steps; a diagonal is not
+    held = None  # the held 2d preconditioner, None when the next step must refactor
+    fallbacks = linear_iterations = factorizations = 0
 
     def gradient(v):
         gi = assemble_gradient(F, grid, v).reshape(-1)[int_dofs]
         return gi, float(np.abs(gi).max())
 
+    def solve(K, rhs, forcing):
+        nonlocal held, factorizations, linear_iterations
+        x = None
+        if held is not None:
+            try:
+                x, its = _pcg(K, rhs, forcing, held)
+            except LinearSolveError:
+                held = None  # the held factor cannot precondition K: refactor now
+        if x is None:
+            factorizations += hold
+            precondition = _preconditioner(plan, K)
+            x, its = _pcg(K, rhs, forcing, precondition)
+            held = precondition if hold else None
+        linear_iterations += its
+        if its > REFACTOR_ITERS:
+            held = None
+        return x
+
     def newton_step(v, gi):
-        nonlocal fallbacks, linear_iterations
+        nonlocal fallbacks
         K = assemble_hessian(F, grid, v)
-        forcing = max(CG_RTOL, min(0.01, float(gi @ gi)))
         try:
-            step, its = _solve_spd(plan, K, -gi, forcing)
-            linear_iterations += its
+            step = solve(K, -gi, max(CG_RTOL, min(0.01, float(gi @ gi))))
         except LinearSolveError:
             # degenerate system: fall back to a safeguarded gradient step
             fallbacks += 1
@@ -283,13 +313,15 @@ def minimize_dirichlet(F: Integrand, grid: Grid, boundary: np.ndarray,
     def partial(v, E, res, iters):
         return {"field": DiscreteField(grid, v),
                 "report": SolveReport(E, res, iters, gradient_fallbacks=fallbacks,
-                                      linear_iterations=linear_iterations)}
+                                      linear_iterations=linear_iterations,
+                                      factorizations=factorizations)}
 
     u, E, residual, iters = newton.minimize(
         lambda v: energy(F, grid, v), gradient, newton_step, u, converged,
         stall_tol=tol_residual, max_iters=max_iters, partial=partial, values=energy_trace)
     report = SolveReport(energy=E, residual_sup=residual, iterations=iters,
-                         gradient_fallbacks=fallbacks, linear_iterations=linear_iterations)
+                         gradient_fallbacks=fallbacks, linear_iterations=linear_iterations,
+                         factorizations=factorizations)
     return DiscreteField(grid, u), report
 
 

@@ -295,6 +295,14 @@ class TestCaccioppoli:
         assert all(np.isfinite(r) for r in ratios)
         assert max(ratios) <= 1.0
 
+    def test_cutoff_without_barycenters_raises_region_error(self, scalar_entry):
+        grid = Grid(2, 6)
+        fld = DiscreteField(grid, grid.node_coords[:, 0:1] ** 2)
+        B0 = Region((0.5, 0.5), 0.05)
+        with pytest.raises(RegionError, match="no simplex barycenters"):
+            caccioppoli_check(fld, scalar_entry.integrand, scalar_entry.regime, 0.0,
+                              (B0.scaled(0.4), B0.scaled(0.8)))
+
     def test_scalar_only(self, vector_entry, solve_battery):
         fld = solve_battery[("vector", 32, 1.0)].field
         with pytest.raises(ScalarOnlyError):
