@@ -95,7 +95,9 @@ def conjugate(F: Integrand, xi, tol=DEFAULT_TOL, max_iters=MAX_ITERS) -> Conjuga
     curvature."""
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    xi = np.asarray(xi, dtype=float)
+    # a row of a batched gradient is strided (batches are entry-major): every
+    # Newton step reads xi, so read it from one C-contiguous copy
+    xi = np.ascontiguousarray(xi, dtype=float)
 
     def objective(z):
         return float(F.value(z) - inner(z, xi))

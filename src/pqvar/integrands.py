@@ -5,6 +5,14 @@ All evaluations are batched: a gradient variable argument `z` may have shape
 shape (..., N, n), and hessians as bilinear forms of shape (..., N, n, N, n).
 Every formula is the exact analytic derivative, so finite differences of
 `value` must reproduce `gradient` at rate O(h^2) (see `fd_check`).
+
+Batches are entry-major in memory: the logical shapes are as above, but the
+built-in terms store a batched gradient with its (N, n) entry axes first and
+the batch axes last in memory, and a batched hessian in the memory order
+(i, j, k, l, batch) of its entry H[..., i, k, j, l].  Each entry is then one
+contiguous vector over the batch, which is what the kernels and the matrix
+assembly read and write.  A single point, with no batch axes, is C-contiguous.
+Any layout is accepted as input.
 """
 
 import functools
@@ -73,7 +81,8 @@ def inner(a, b):
 
 
 def flatten_form(H):
-    """View a (..., N, n, N, n) bilinear form as (..., N*n, N*n) matrices."""
+    """A (..., N, n, N, n) bilinear form as (..., N*n, N*n) matrices: a view of a
+    single point, a copy of an entry-major batch."""
     H = np.asarray(H)
     N, n = H.shape[-4], H.shape[-3]
     return H.reshape(H.shape[:-4] + (N * n, N * n))
@@ -121,19 +130,34 @@ def _as_batch(z):
     return z
 
 
+def _entry_major_zeros(entries, batch, axes):
+    """Zeros of logical shape batch + entries[axes], stored with the entry axes
+    first in memory, in the order of `entries`, and the batch axes last."""
+    out = np.zeros(entries + batch)
+    return out.transpose(tuple(range(len(entries), out.ndim)) + axes)
+
+
 class _Accumulating(Integrand):
     """An integrand whose derivatives are its hooks: the public gradient and
-    hessian allocate one zeroed output and add into it with c = 1."""
+    hessian allocate one zeroed output, entry-major for a batch and C-ordered
+    for a single point, and add into it with c = 1."""
 
     def gradient(self, z):
         z = _as_batch(z)
-        out = np.zeros(z.shape)
+        if z.ndim == 2:
+            out = np.zeros(z.shape)
+        else:
+            out = _entry_major_zeros(z.shape[-2:], z.shape[:-2], (0, 1))
         self._add_gradient(z, out, 1.0)
         return out
 
     def hessian(self, z):
         z = _as_batch(z)
-        out = np.zeros(z.shape + z.shape[-2:])
+        N, n = z.shape[-2:]
+        if z.ndim == 2:
+            out = np.zeros((N, n, N, n))
+        else:  # memory order (i, j, k, l, batch) for the entry H[..., i, k, j, l]
+            out = _entry_major_zeros((N, N, n, n), z.shape[:-2], (0, 2, 1, 3))
         self._add_hessian(z, out, 1.0)
         return out
 

@@ -248,16 +248,28 @@ class Grid:
         return byc.mean(axis=0).reshape((m,) * self.dim + simplex_values.shape[1:])
 
 
+def _index_dtype(largest):
+    """The index dtype scipy.sparse picks for indices up to `largest`: int32 when
+    they fit."""
+    return np.int32 if largest <= np.iinfo(np.int32).max else np.int64
+
+
 class AssemblyPlan:
     """Fixed sparse operators of a Grid for N-component fields.
 
     Nodal arrays (n_nodes, N) are flattened node-major, component-minor.  The
     PL-gradient operator maps them to per-simplex gradients (n_simplices, N, dim):
     the gradient of the interpolant is sum_a u_a (x) hatgrad_a on every simplex.
-    Its transpose assembles weak forms.  The interior CSR pattern and the map
-    scattering element blocks into it are built at the first matrix assembly, so
-    fields that are only differentiated never pay for them; the map from that
-    pattern to banded storage is built at the first banded solve.
+    Its transpose assembles weak forms.  The interior CSR pattern and the
+    operator summing element blocks into it are built at the first matrix
+    assembly, so fields that are only differentiated never pay for them; the map
+    from that pattern to banded storage is built at the first banded solve.
+
+    Logical shapes are as stated, but the batches are entry-major in memory, as
+    in `integrands`: the gradients come out with the simplex axis last in memory,
+    so each entry (i, k) is one contiguous vector over the simplices.  The
+    assemblies read a flux or a hessian through views in that order, and accept
+    any other layout at the cost of one copy.
     """
 
     def __init__(self, grid: Grid, N: int):
@@ -269,75 +281,97 @@ class AssemblyPlan:
         verts = grid.simplex_vertices
         comp = np.arange(N)
         G = np.repeat(grid.hat_grads, grid.n_cells, axis=0)  # (S, dim+1, dim)
-        # entry (s, i, a, k): d(grad u)[s, i, k] / du[verts[s, a], i] = G[s, a, k]
-        rows = (np.arange(S)[:, None, None, None] * N + comp[None, :, None, None]) * d \
-            + np.arange(d)[None, None, None, :]
+        # entry (s, i, a, k): d(grad u)[s, i, k] / du[verts[s, a], i] = G[s, a, k],
+        # on row (i, k, s) of the operator: the entry-major order of the gradients
+        rows = (comp[None, :, None, None] * d + np.arange(d)[None, None, None, :]) * S \
+            + np.arange(S)[:, None, None, None]
         cols = verts[:, None, :, None] * N + comp[None, :, None, None]
         rows, cols = np.broadcast_arrays(rows, cols)
         vals = np.broadcast_to(G[:, None, :, :], rows.shape)
         shape = (S * N * d, grid.n_nodes * N)
         self.grad_op = sp.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=shape)
         self.grad_op.eliminate_zeros()  # the hat gradients of a Kuhn simplex are sparse
-        self.grad_op_t = self.grad_op.T.tocsr()
         int_nodes = np.flatnonzero(grid.interior_mask)
         self.interior_dofs = (int_nodes[:, None] * N + comp[None, :]).reshape(-1)
 
     def gradients(self, values) -> np.ndarray:
-        """Exact per-simplex gradients (n_simplices, N, dim) of the PL interpolant."""
+        """Exact per-simplex gradients (n_simplices, N, dim) of the PL interpolant,
+        entry-major: a view of the operator's (N, dim, n_simplices) output."""
         g = self.grid
         flat = np.asarray(values, dtype=float).reshape(-1)
-        return (self.grad_op @ flat).reshape(g.n_simplices, self.N, g.dim)
+        return (self.grad_op @ flat).reshape(self.N, g.dim, g.n_simplices).transpose(2, 0, 1)
 
     def assemble_vector(self, flux) -> np.ndarray:
-        """Nodal weak form (n_nodes, N): row (v, i) is sum_T vol(T) <flux_T[i], hatgrad_v>."""
+        """Nodal weak form (n_nodes, N): row (v, i) is sum_T vol(T) <flux_T[i], hatgrad_v>.
+        The flux is read in the operator's row order, entry-major; the transpose
+        is a CSC view of the operator, not a stored copy."""
         g = self.grid
-        flat = np.asarray(flux, dtype=float).reshape(-1)
-        return (self.grad_op_t @ (g.simplex_volume * flat)).reshape(g.n_nodes, self.N)
+        flat = np.asarray(flux, dtype=float).transpose(1, 2, 0).reshape(-1)
+        return (self.grad_op.T @ (g.simplex_volume * flat)).reshape(g.n_nodes, self.N)
 
     @cached_property
     def _interior_pattern(self):
-        """(scatter, indices, indptr, GG): CSR pattern of the interior-interior
-        matrix, the CSR slot of every element-block entry (nnz for entries that
-        touch a boundary dof), and the per-type tensors vol * hatgrad_a,k hatgrad_b,l
-        as (types, dim*dim, (dim+1)^2) matrices."""
+        """(gather, indices, indptr, GG): the 0/1 sparse operator that sums the
+        element-block entries of assemble_matrix into the slots of the interior
+        CSR pattern, each slot's entries in block order, and drops the entries
+        that touch a boundary dof; the pattern's indices and indptr, int32 when
+        they fit, as scipy would store them; and the per-type tensors
+        vol * hatgrad_a,k hatgrad_b,l as (types, (dim+1)^2, dim*dim) matrices."""
+        import scipy.sparse as sp
+
         g, N = self.grid, self.N
         d1 = g.dim + 1
-        verts = g.simplex_vertices
+        # (types, dim+1, cells): the vertices of simplex t * n_cells + c
+        verts = g.simplex_vertices.reshape(g.n_types, g.n_cells, d1).transpose(0, 2, 1)
         comp = np.arange(N)
         n_int = len(self.interior_dofs)
         pos = np.full(g.n_nodes * N, -1, dtype=np.int64)
         pos[self.interior_dofs] = np.arange(n_int)
-        # element-block entries in the order (simplex, i, j, a, b) of assemble_matrix
-        rows = pos[verts[:, None, None, :, None] * N + comp[None, :, None, None, None]]
-        cols = pos[verts[:, None, None, None, :] * N + comp[None, None, :, None, None]]
+        # element-block entries in the order (i, j, type, a, b, cell) of assemble_matrix
+        rows = pos[verts[None, None, :, :, None, :] * N + comp[:, None, None, None, None, None]]
+        cols = pos[verts[None, None, :, None, :, :] * N + comp[None, :, None, None, None, None]]
         keep = ((rows >= 0) & (cols >= 0)).ravel()
         kept = (rows * n_int + cols).ravel()[keep]
         # sort and bisect: np.unique's return_inverse holds four more arrays the
         # size of `kept` at once, which set the peak memory of a 3d solve
         keys = np.sort(kept)
         keys = keys[np.r_[True, keys[1:] != keys[:-1]]]
-        scatter = np.full(keep.size, len(keys), dtype=np.int64)
-        scatter[keep] = np.searchsorted(keys, kept)
-        indptr = np.zeros(n_int + 1, dtype=np.int64)
+        nnz = len(keys)
+        entry_index = _index_dtype(keep.size)
+        # the slot of every entry, nnz for a dropped one; a stable sort by slot
+        # lists the kept entries of each slot in block order
+        slots = np.full(keep.size, nnz, dtype=entry_index)
+        slots[keep] = np.searchsorted(keys, kept)
+        del kept
+        gather_ptr = np.zeros(nnz + 1, dtype=entry_index)
+        np.cumsum(np.bincount(slots, minlength=nnz + 1)[:nnz], out=gather_ptr[1:])
+        entries = np.argsort(slots, kind="stable")[:gather_ptr[-1]].astype(entry_index)
+        del slots
+        gather = sp.csr_matrix((np.ones(len(entries)), entries, gather_ptr),
+                               shape=(nnz, keep.size))
+        index = _index_dtype(max(nnz, n_int))
+        indptr = np.zeros(n_int + 1, dtype=index)
         np.cumsum(np.bincount(keys // n_int, minlength=n_int), out=indptr[1:])
-        GG = g.simplex_volume * np.einsum("tak,tbl->tklab", g.hat_grads, g.hat_grads)
-        GG = GG.reshape(g.n_types, g.dim * g.dim, d1 * d1)
-        return scatter, keys % n_int, indptr, GG
+        GG = g.simplex_volume * np.einsum("tak,tbl->tabkl", g.hat_grads, g.hat_grads)
+        GG = GG.reshape(g.n_types, d1 * d1, g.dim * g.dim)
+        return gather, (keys % n_int).astype(index), indptr, GG
 
     def assemble_matrix(self, H) -> "scipy.sparse.csr_matrix":
         """Interior-interior matrix sum_T vol(T) H_T[i,k,j,l] hatgrad_a,k hatgrad_b,l
         from per-simplex forms H (n_simplices, N, dim, N, dim); rows and columns
-        follow `interior_dofs`."""
+        follow `interior_dofs`.  Each type's block matrix GG[t] multiplies, from the
+        left, the (dim*dim, n_cells) entry vectors of H for every component pair
+        (i, j): for an entry-major H these are strided views, with no copy, and
+        the blocks come out C-ordered."""
         import scipy.sparse as sp
 
-        g, N = self.grid, self.N
-        scatter, indices, indptr, GG = self._interior_pattern
-        Hij = np.asarray(H, dtype=float).transpose(0, 1, 3, 2, 4)
-        blocks = Hij.reshape(g.n_types, g.n_cells * N * N, g.dim * g.dim) @ GG
-        nnz = len(indices)
-        data = np.bincount(scatter, weights=blocks.reshape(-1), minlength=nnz + 1)[:nnz]
+        g, N, d = self.grid, self.N, self.grid.dim
+        gather, indices, indptr, GG = self._interior_pattern
+        Hij = np.asarray(H, dtype=float).transpose(1, 3, 2, 4, 0)  # (i, j, k, l, simplex)
+        Hij = Hij.reshape(N, N, d * d, g.n_types, g.n_cells).transpose(0, 1, 3, 2, 4)
+        blocks = np.matmul(GG, Hij)  # (i, j, type, a * b, cell)
         n = len(self.interior_dofs)
-        return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+        return sp.csr_matrix((gather @ blocks.reshape(-1), indices, indptr), shape=(n, n))
 
     @cached_property
     def _band_map(self):
@@ -349,7 +383,7 @@ class AssemblyPlan:
         n = len(self.interior_dofs)
         rows = np.repeat(np.arange(n), np.diff(indptr))
         slots = np.flatnonzero(indices >= rows)
-        r, c = rows[slots], indices[slots]
+        r, c = rows[slots], indices[slots].astype(np.int64)
         u = int((c - r).max())
         return slots, (u + r - c) + (u + 1) * c, u
 

@@ -192,7 +192,15 @@ def _preconditioner(plan: AssemblyPlan, K: "scipy.sparse.csr_matrix"):
                                          check_finite=False)
         except sla.LinAlgError as exc:
             raise LinearSolveError(f"banded Cholesky failed: {exc}") from exc
-        return lambda r: sla.cho_solve_banded((factor, False), r, check_finite=False)
+        pbtrs, = sla.get_lapack_funcs(("pbtrs",), (factor,))
+
+        def solve_banded(r):
+            x, info = pbtrs(factor, r)
+            if info != 0:
+                raise LinearSolveError(f"banded triangular solves failed: pbtrs info = {info}")
+            return x
+
+        return solve_banded
     diag = K.diagonal()
     if not np.all(diag > 0.0):
         raise LinearSolveError("hessian diagonal is not positive")
@@ -336,16 +344,21 @@ def harmonic_extension(grid: Grid, boundary: np.ndarray) -> np.ndarray:
     sine basis S[j, k] = sin(pi j k / m), j, k = 1..m-1, diagonalizes with
     S S = (m/2) I.  The solve applies S along every lattice axis, divides by the
     eigenvalues 2 h^(d-2) sum_axes (2 - 2 cos(pi j / m)), and applies S again:
-    no factorization and no iteration.  Raises NonConvergenceError unless the
-    sup norm of the assembled interior residual ends at most HARMONIC_TOL."""
+    no factorization and no iteration.  The right-hand side applies the stencil
+    to the nodal lattice by slicing.  Raises NonConvergenceError unless the sup
+    norm of the assembled interior residual ends at most HARMONIC_TOL."""
     u = nodal_array(grid, boundary).copy()
-    plan = grid.assembly_plan(u.shape[1])
-    dofs = plan.interior_dofs
+    N = u.shape[1]
+    plan = grid.assembly_plan(N)
     m, d = grid.cells_per_side, grid.dim
 
-    def residual(v):
-        # gradient of sum_T vol(T) |grad v|^2 at the interior dofs
-        return plan.assemble_vector(2.0 * plan.gradients(v)).reshape(-1)[dofs]
+    lattice = u.reshape((m + 1,) * d + (N,))
+    inner = (slice(1, -1),) * d
+    stencil = 2 * d * lattice[inner]
+    for a in range(d):
+        for side in (slice(None, -2), slice(2, None)):
+            stencil -= lattice[inner[:a] + (side,) + inner[a + 1:]]
+    rhs = -2.0 * grid.h ** (d - 2) * stencil
 
     j = np.arange(1, m)
     S = np.sin(np.pi * np.outer(j, j) / m)
@@ -357,10 +370,11 @@ def harmonic_extension(grid: Grid, boundary: np.ndarray) -> np.ndarray:
             x = np.moveaxis(np.tensordot(S, x, axes=(1, a)), 0, a)
         return x
 
-    rhs = -residual(u).reshape((m - 1,) * d + (u.shape[1],))
     step = sine_transform(sine_transform(rhs) / eig[..., None]) * (2.0 / m) ** d
-    u[grid.interior_mask] += step.reshape(-1, u.shape[1])
-    res = float(np.abs(residual(u)).max())
+    u[grid.interior_mask] += step.reshape(-1, N)
+    # gradient of sum_T vol(T) |grad u|^2 at the interior dofs
+    residual = plan.assemble_vector(2.0 * plan.gradients(u)).reshape(-1)[plan.interior_dofs]
+    res = float(np.abs(residual).max())
     if not res <= HARMONIC_TOL:
         raise NonConvergenceError(f"harmonic extension residual {res:.3e} > {HARMONIC_TOL:g}",
                                   field=DiscreteField(grid, u))

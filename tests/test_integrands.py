@@ -294,6 +294,44 @@ class TestKernels:
         assert peak <= 2 * H.nbytes
 
 
+def _entries(a, entry_ndim):
+    """Every entry of a batched array, as an array over the batch axes."""
+    return [a[(Ellipsis,) + idx] for idx in np.ndindex(a.shape[-entry_ndim:])]
+
+
+class TestLayout:
+    # the built-in terms and their sums return batches entry-major: each entry is
+    # one contiguous array over the batch; a single point is C-contiguous
+    TERMS = [PowerNorm(0.0, 2.0), PowerNorm(0.5, 4.0), AxisPower(2, 3.0),
+             Sum([PowerNorm(0.0, 2.0), AxisPower(1, 4.0), Scaled(0.3, PowerNorm(1.0, 4.0))])]
+
+    @pytest.mark.parametrize("shape", [(9, 1, 3), (9, 2, 2), (4, 5, 2, 3)])
+    @pytest.mark.parametrize("F", TERMS, ids=repr)
+    def test_batched_entries_are_contiguous(self, F, shape):
+        z = np.random.default_rng(17).normal(size=shape)
+        g, H = F.gradient(z), F.hessian(z)
+        assert all(e.flags.c_contiguous for e in _entries(g, 2))
+        assert all(e.flags.c_contiguous for e in _entries(H, 4))
+
+    @pytest.mark.parametrize("shape", [(9, 1, 3), (9, 2, 2)])
+    @pytest.mark.parametrize("F", TERMS, ids=repr)
+    def test_single_point_is_c_contiguous_and_matches_its_batch_row(self, F, shape):
+        z = np.random.default_rng(18).normal(size=shape)
+        g, H = F.gradient(z), F.hessian(z)
+        for s in range(shape[0]):
+            gs, Hs = F.gradient(z[s]), F.hessian(z[s])
+            assert gs.flags.c_contiguous and Hs.flags.c_contiguous
+            assert np.array_equal(gs, g[s]) and np.array_equal(Hs, H[s])
+
+    def test_any_input_layout(self):
+        # a C-ordered and an entry-major z give the same derivatives
+        F = self.TERMS[-1]
+        z = np.random.default_rng(19).normal(size=(7, 2, 3))
+        zt = np.ascontiguousarray(z.transpose(1, 2, 0)).transpose(2, 0, 1)
+        assert np.array_equal(F.gradient(zt), F.gradient(z))
+        assert np.array_equal(F.hessian(zt), F.hessian(z))
+
+
 class TestGrowthSandwich:
     @pytest.mark.parametrize("name", registry.names())
     def test_sandwich_with_registered_constant(self, name):

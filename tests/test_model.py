@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pqvar import registry
+from pqvar.integrands import EvenPolynomial, HomogeneousForm
 from pqvar.model import (DiscreteField, Grid, InvalidRegimeError, Region, RegionError,
                          Regime, classical_gates, validate_regime)
+from pqvar.solver import RegularizedIntegrand
 
 
 class TestRegimeGates:
@@ -100,6 +103,58 @@ class TestGrid:
         assert np.all(np.diff(g.assembly_plan(1).grad_op.indptr) == 2)
         const = np.full((g.n_nodes, 2), 0.3)
         assert np.all(g.assembly_plan(2).gradients(const) == 0.0)
+
+
+class TestAssemblyLayout:
+    # per-simplex gradients and the kernels' outputs are entry-major; the
+    # assemblies read that layout through views and accept any other by a copy
+    CASES = [(2, 6, 2, "aniso2d_q4_vec"), (3, 4, 1, "aniso3d_q4")]
+
+    @staticmethod
+    def case(dim, cells, N, name):
+        grid = Grid(dim, cells)
+        plan = grid.assembly_plan(N)
+        F = RegularizedIntegrand(registry.get(name).integrand, 0.01, 4.0)
+        u = np.random.default_rng(20).normal(size=(grid.n_nodes, N))
+        return grid, plan, F, plan.gradients(u)
+
+    @pytest.mark.parametrize("dim, cells, N, name", CASES)
+    def test_gradient_entries_are_contiguous(self, dim, cells, N, name):
+        grid, _, _, z = self.case(dim, cells, N, name)
+        assert z.shape == (grid.n_simplices, N, dim)
+        assert all(z[:, i, k].flags.c_contiguous for i in range(N) for k in range(dim))
+
+    @pytest.mark.parametrize("dim, cells, N, name", CASES)
+    def test_matrix_from_any_hessian_layout(self, dim, cells, N, name):
+        _, plan, F, z = self.case(dim, cells, N, name)
+        H = F.hessian(z)
+        K = plan.assemble_matrix(H)
+        K_c = plan.assemble_matrix(np.ascontiguousarray(H))
+        assert np.array_equal(K.indices, K_c.indices) and np.array_equal(K.indptr, K_c.indptr)
+        assert np.abs(K_c.data - K.data).max() <= 1e-13 * np.abs(K.data).max()
+        # a form that is not an _Accumulating term: an EvenPolynomial |z|^2
+        terms = [(1.0, (k, k)) for k in range(1, N * dim + 1)]
+        P = EvenPolynomial([HomogeneousForm.from_terms(N, dim, 2, terms)])
+        K_p = plan.assemble_matrix(P.hessian(z))
+        K_2 = plan.assemble_matrix(np.broadcast_to(2.0 * np.eye(N * dim).reshape(N, dim, N, dim),
+                                                   H.shape))
+        assert np.abs((K_p - K_2).toarray()).max() <= 1e-13 * np.abs(K_2.data).max()
+
+    @pytest.mark.parametrize("dim, cells, N, name", CASES)
+    def test_vector_from_any_flux_layout(self, dim, cells, N, name):
+        _, plan, F, z = self.case(dim, cells, N, name)
+        g = F.gradient(z)
+        assert np.array_equal(plan.assemble_vector(np.ascontiguousarray(g)),
+                              plan.assemble_vector(g))
+
+    def test_matrices_share_the_pattern_indices(self):
+        # the pattern is stored in the index dtype scipy picks, so no assembly
+        # converts and copies it
+        _, plan, F, z = self.case(*self.CASES[0])
+        K1, K2 = plan.assemble_matrix(F.hessian(z)), plan.assemble_matrix(F.hessian(2.0 * z))
+        assert K1.indices.dtype == np.int32
+        assert np.shares_memory(K1.indices, K2.indices)
+        assert np.shares_memory(K1.indptr, K2.indptr)
 
 
 class TestDiscreteField:

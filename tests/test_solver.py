@@ -392,6 +392,22 @@ class TestHarmonicExtension:
         grid = Grid(dim, 6)
         harmonic_extension(grid, boundary_family("sinecos", grid, 1.0, 1))
 
+    @pytest.mark.parametrize("dim, N", [(2, 2), (3, 1)])
+    def test_one_assembled_residual(self, monkeypatch, dim, N):
+        # the right-hand side comes from the lattice stencil; only the guard
+        # assembles the residual
+        grid = Grid(dim, 6)
+        plan = grid.assembly_plan(N)
+        assemble, calls = plan.assemble_vector, []
+
+        def counting(flux):
+            calls.append(1)
+            return assemble(flux)
+
+        monkeypatch.setattr(plan, "assemble_vector", counting)
+        harmonic_extension(grid, boundary_family("sinecos", grid, 1.0, N))
+        assert len(calls) == 1
+
 
 @pytest.fixture(scope="module")
 def vectorial_ladder():
@@ -509,6 +525,17 @@ class TestLinearSolve:
         ref = spla.spsolve(K.tocsc(), rhs)
         x, _ = _solve_spd(plan, K, rhs)
         assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_banded_preconditioner_calls_lapack_directly(self, monkeypatch):
+        def forbidden(*args, **kw):
+            raise AssertionError("the preconditioner went through cho_solve_banded")
+
+        monkeypatch.setattr(sla, "cho_solve_banded", forbidden)
+        plan, K = newton_hessian()
+        rhs = np.random.default_rng(12).normal(size=K.shape[0])
+        x, its = _solve_spd(plan, K, rhs)
+        assert its >= 1
+        assert np.linalg.norm(K @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
     def test_indefinite_2d_system_raises(self):
         grid = Grid(2, 8)
