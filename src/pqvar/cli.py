@@ -375,13 +375,17 @@ def check_regions(cfg: ExperimentConfig, grid: Grid):
         diagnostics.region_mask(grid, region, by_cell=True)
 
 
-def _solve_once(cfg: ExperimentConfig, amplitude: float):
-    """The scheme run at one amplitude, once the grid resolves the measurement
-    regions."""
+def _solve_grid(cfg: ExperimentConfig) -> Grid:
+    """The grid of the config's solves, once it resolves the measurement regions."""
     if cfg.regime.n not in (2, 3):
         raise ConfigError(f"solves need n = 2 or 3, got n = {cfg.regime.n}")
     grid = Grid(cfg.regime.n, cfg.cells)
     check_regions(cfg, grid)
+    return grid
+
+
+def _solve_once(cfg: ExperimentConfig, amplitude: float, grid: Grid):
+    """The scheme run at one amplitude on `grid`, a `_solve_grid` of the config."""
     g = solver.boundary_family(cfg.boundary, grid, amplitude, cfg.regime.N, seed=cfg.seed)
     return solver.run_scheme(cfg.integrand, cfg.regime, grid, g, cfg.schedule())
 
@@ -430,8 +434,9 @@ def run_diagnose(cfg: ExperimentConfig) -> DiagnosticsReport:
     Fitted exponents regress log lhs on log(avg_B F + 1) for the estimates whose
     right-hand side is a power of that base; other estimates keep None."""
     report = DiagnosticsReport()
+    grid = _solve_grid(cfg)  # one grid, with its assembly plan, for every amplitude
     for amp in cfg.amplitudes:
-        res = _solve_once(cfg, amp)
+        res = _solve_once(cfg, amp, grid)
         report.extend(measure_estimates(cfg, amp, res))
     chain = diagnostics.hd_exponents(cfg.regime, cfg.sobolev_exp)
     for est in {e.estimate_id for e in report.entries}:
@@ -501,7 +506,7 @@ def cmd_conjugate(args):
 def cmd_solve(args):
     cfg = load_config(args.config)
     try:
-        res = _solve_once(cfg, cfg.amplitudes[0])
+        res = _solve_once(cfg, cfg.amplitudes[0], _solve_grid(cfg))
     except solver.NonConvergenceError as exc:
         print(f"solver failed to converge: {exc}")
         return 3
@@ -561,7 +566,7 @@ def _sweep_point(cfg_text, base_dir, vary, value):
     try:
         # before the solve: an explicit sobolev_exp may not suit this q
         diagnostics.hd_exponents(cfg.regime, cfg.sobolev_exp)
-        res = _solve_once(cfg, amp)
+        res = _solve_once(cfg, amp, _solve_grid(cfg))
         rep = measure_estimates(cfg, amp, res)
         row["entries"] = [(e.estimate_id, e.lhs, e.rhs, e.ratio) for e in rep.entries]
     except diagnostics.InadmissibleSobolevExponent as exc:

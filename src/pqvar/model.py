@@ -260,10 +260,12 @@ class AssemblyPlan:
     Nodal arrays (n_nodes, N) are flattened node-major, component-minor.  The
     PL-gradient operator maps them to per-simplex gradients (n_simplices, N, dim):
     the gradient of the interpolant is sum_a u_a (x) hatgrad_a on every simplex.
-    Its transpose assembles weak forms.  The interior CSR pattern and the
-    operator summing element blocks into it are built at the first matrix
-    assembly, so fields that are only differentiated never pay for them; the map
-    from that pattern to banded storage is built at the first banded solve.
+    Its transpose assembles weak forms.  The interior matrices are stored by
+    their diagonals (scipy's DIA format): with node-major interior dofs on the
+    fixed Kuhn lattice they all have the same few diagonals, the plan's stencil.
+    The stencil and the operator summing element blocks into it are built at
+    the first matrix assembly, so fields that are only differentiated never pay
+    for them.
 
     Logical shapes are as stated, but the batches are entry-major in memory, as
     in `integrands`: the gradients come out with the simplex axis last in memory,
@@ -311,91 +313,97 @@ class AssemblyPlan:
 
     @cached_property
     def _interior_pattern(self):
-        """(gather, indices, indptr, GG): the 0/1 sparse operator that sums the
-        element-block entries of assemble_matrix into the slots of the interior
-        CSR pattern, each slot's entries in block order, and drops the entries
-        that touch a boundary dof; the pattern's indices and indptr, int32 when
-        they fit, as scipy would store them; and the per-type tensors
-        vol * hatgrad_a,k hatgrad_b,l as (types, (dim+1)^2, dim*dim) matrices."""
+        """(gather, offsets, GG): the fixed stencil of the interior matrices, the
+        0/1 sparse operator that sums the element-block entries of assemble_matrix
+        into their DIA data, and the per-type tensors vol * hatgrad_a,k hatgrad_b,l
+        as (types, (dim+1)^2, dim*dim) matrices.
+
+        With node-major interior dofs the offset col - row of an element-block
+        entry depends on its block (i, j, type, a, b) alone: the interior-lattice
+        offset of Kuhn vertex b from vertex a, times N, plus j - i.  `offsets`
+        holds, sorted and int32 when they fit, the offsets of the blocks that keep
+        an entry once the entries touching a boundary dof are dropped.  An entry
+        (row, col) on offsets[k] goes to slot k * n + col of the flat (n_offsets, n)
+        data array, scipy's data[k, col] = K[col - offsets[k], col].  The gather
+        lists each slot's entries in block order, so its product adds them in
+        that order, from zero; a dropped entry is in no slot."""
         import scipy.sparse as sp
 
         g, N = self.grid, self.N
-        d1 = g.dim + 1
-        # (types, dim+1, cells): the vertices of simplex t * n_cells + c
-        verts = g.simplex_vertices.reshape(g.n_types, g.n_cells, d1).transpose(0, 2, 1)
+        d1, m = g.dim + 1, g.cells_per_side
+        n = len(self.interior_dofs)
+        # (types, dim+1, cells): the interior node of the vertices of simplex
+        # t * n_cells + c, -1 on the boundary
+        node = np.full(g.n_nodes, -1)
+        node[g.interior_mask] = np.arange(n // N)
+        node = node[g.simplex_vertices.reshape(g.n_types, g.n_cells, d1).transpose(0, 2, 1)]
+        inner = node >= 0
+        keep = inner[:, :, None, :] & inner[:, None, :, :]  # (type, a, b, cell)
+        # (types, dim+1): the index offset of each Kuhn vertex in the interior
+        # lattice, and the offset col - row of every block (i, j, type, a, b)
+        vertex = _kuhn_offsets(g.dim).astype(int) @ (m - 1) ** np.arange(g.dim - 1, -1, -1)
         comp = np.arange(N)
-        n_int = len(self.interior_dofs)
-        pos = np.full(g.n_nodes * N, -1, dtype=np.int64)
-        pos[self.interior_dofs] = np.arange(n_int)
-        # element-block entries in the order (i, j, type, a, b, cell) of assemble_matrix
-        rows = pos[verts[None, None, :, :, None, :] * N + comp[:, None, None, None, None, None]]
-        cols = pos[verts[None, None, :, None, :, :] * N + comp[None, :, None, None, None, None]]
-        keep = ((rows >= 0) & (cols >= 0)).ravel()
-        kept = (rows * n_int + cols).ravel()[keep]
-        # sort and bisect: np.unique's return_inverse holds four more arrays the
-        # size of `kept` at once, which set the peak memory of a 3d solve
-        keys = np.sort(kept)
-        keys = keys[np.r_[True, keys[1:] != keys[:-1]]]
-        nnz = len(keys)
-        entry_index = _index_dtype(keep.size)
-        # the slot of every entry, nnz for a dropped one; a stable sort by slot
-        # lists the kept entries of each slot in block order
-        slots = np.full(keep.size, nnz, dtype=entry_index)
-        slots[keep] = np.searchsorted(keys, kept)
-        del kept
-        gather_ptr = np.zeros(nnz + 1, dtype=entry_index)
-        np.cumsum(np.bincount(slots, minlength=nnz + 1)[:nnz], out=gather_ptr[1:])
-        entries = np.argsort(slots, kind="stable")[:gather_ptr[-1]].astype(entry_index)
-        del slots
+        block_offsets = N * (vertex[:, None, :] - vertex[:, :, None]) \
+            + (comp[None, :] - comp[:, None])[:, :, None, None, None]
+        offsets = np.unique(block_offsets[:, :, keep.any(axis=-1)]).astype(_index_dtype(n))
+        diagonal = np.searchsorted(offsets, block_offsets)
+        n_slots, n_entries = len(offsets) * n, N * N * keep.size
+        entry_index = _index_dtype(max(n_slots, n_entries))
+
+        def block_entries():
+            """(entries, slots) of every block, in the entry order (i, j, type, a,
+            b, cell) of assemble_matrix; a block's slots are distinct."""
+            for block, (i, j, t, a, b) in enumerate(np.ndindex(N, N, g.n_types, d1, d1)):
+                cells = np.flatnonzero(keep[t, a, b])
+                yield (block * g.n_cells + cells,
+                       diagonal[i, j, t, a, b] * n + node[t, b, cells] * N + j)
+
+        # a counting sort, block after block, lists every slot's entries in block order
+        gather_ptr = np.zeros(n_slots + 1, dtype=entry_index)
+        for _, slots in block_entries():
+            gather_ptr[1:][slots] += 1
+        np.cumsum(gather_ptr, out=gather_ptr)
+        entries = np.empty(gather_ptr[-1], dtype=entry_index)
+        cursor = gather_ptr[:-1].copy()
+        for ids, slots in block_entries():
+            entries[cursor[slots]] = ids
+            cursor[slots] += 1
         gather = sp.csr_matrix((np.ones(len(entries)), entries, gather_ptr),
-                               shape=(nnz, keep.size))
-        index = _index_dtype(max(nnz, n_int))
-        indptr = np.zeros(n_int + 1, dtype=index)
-        np.cumsum(np.bincount(keys // n_int, minlength=n_int), out=indptr[1:])
+                               shape=(n_slots, n_entries))
         GG = g.simplex_volume * np.einsum("tak,tbl->tabkl", g.hat_grads, g.hat_grads)
         GG = GG.reshape(g.n_types, d1 * d1, g.dim * g.dim)
-        return gather, (keys % n_int).astype(index), indptr, GG
+        return gather, offsets, GG
 
-    def assemble_matrix(self, H) -> "scipy.sparse.csr_matrix":
+    def assemble_matrix(self, H) -> "scipy.sparse.dia_matrix":
         """Interior-interior matrix sum_T vol(T) H_T[i,k,j,l] hatgrad_a,k hatgrad_b,l
         from per-simplex forms H (n_simplices, N, dim, N, dim); rows and columns
-        follow `interior_dofs`.  Each type's block matrix GG[t] multiplies, from the
-        left, the (dim*dim, n_cells) entry vectors of H for every component pair
-        (i, j): for an entry-major H these are strided views, with no copy, and
-        the blocks come out C-ordered."""
+        follow `interior_dofs`.  It is stored by its diagonals, on the plan's fixed
+        stencil: every matrix shares the plan's offsets array.  Each type's block
+        matrix GG[t] multiplies, from the left, the (dim*dim, n_cells) entry
+        vectors of H for every component pair (i, j): for an entry-major H these
+        are strided views, with no copy, and the blocks come out C-ordered."""
         import scipy.sparse as sp
 
         g, N, d = self.grid, self.N, self.grid.dim
-        gather, indices, indptr, GG = self._interior_pattern
+        gather, offsets, GG = self._interior_pattern
         Hij = np.asarray(H, dtype=float).transpose(1, 3, 2, 4, 0)  # (i, j, k, l, simplex)
         Hij = Hij.reshape(N, N, d * d, g.n_types, g.n_cells).transpose(0, 1, 3, 2, 4)
         blocks = np.matmul(GG, Hij)  # (i, j, type, a * b, cell)
         n = len(self.interior_dofs)
-        return sp.csr_matrix((gather @ blocks.reshape(-1), indices, indptr), shape=(n, n))
+        data = (gather @ blocks.reshape(-1)).reshape(len(offsets), n)
+        return sp.dia_matrix((data, offsets), shape=(n, n))
 
-    @cached_property
-    def _band_map(self):
-        """(slots, dest, u): the slots of the interior CSR pattern's upper triangle,
-        their flat positions in Fortran-ordered LAPACK upper-band storage of shape
-        (u + 1, n), and the half-bandwidth u.  Entry (r, c), r <= c, sits at row
-        u + r - c of column c."""
-        _, indices, indptr, _ = self._interior_pattern
-        n = len(self.interior_dofs)
-        rows = np.repeat(np.arange(n), np.diff(indptr))
-        slots = np.flatnonzero(indices >= rows)
-        r, c = rows[slots], indices[slots].astype(np.int64)
-        u = int((c - r).max())
-        return slots, (u + r - c) + (u + 1) * c, u
-
-    def upper_band(self, K: "scipy.sparse.csr_matrix") -> np.ndarray:
+    def upper_band(self, K: "scipy.sparse.dia_matrix") -> np.ndarray:
         """The upper triangle of a symmetric interior matrix assembled by this plan,
-        in Fortran-ordered LAPACK upper-band storage (u + 1, n).  With node-major
-        interior dofs the half-bandwidth u is small in 2d: m*N + N - 1 on m cells."""
-        slots, dest, u = self._band_map
-        n = K.shape[0]
-        band = np.zeros((u + 1) * n)
-        band[dest] = K.data[slots]
-        return band.reshape(u + 1, n, order="F")
+        in Fortran-ordered LAPACK upper-band storage (u + 1, n), u the largest
+        offset: the diagonal on offset k >= 0 is band row u - k, column for column.
+        With node-major interior dofs u is small in 2d: m*N + N - 1 on m cells."""
+        offsets = K.offsets
+        upper = np.flatnonzero(offsets >= 0)
+        u = int(offsets[-1])
+        band = np.zeros((u + 1, K.shape[0]), order="F")
+        band[u - offsets[upper]] = K.data[upper]
+        return band
 
 
 def nodal_array(grid: Grid, values) -> np.ndarray:

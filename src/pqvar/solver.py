@@ -110,7 +110,8 @@ def mollify_boundary(grid: Grid, values: np.ndarray, eps: float) -> np.ndarray:
 # ----------------------------------------------------------------- assembly
 #
 # Every assembly goes through the grid's AssemblyPlan: one sparse PL-gradient
-# operator, its transpose for weak forms, and a fixed interior CSR pattern.
+# operator, which also assembles the weak forms, and one fixed stencil of
+# diagonals on which every interior matrix is stored.
 
 
 def simplex_gradients(grid: Grid, values: np.ndarray) -> np.ndarray:
@@ -130,30 +131,32 @@ def assemble_gradient(F: Integrand, grid: Grid, values: np.ndarray) -> np.ndarra
     return plan.assemble_vector(F.gradient(plan.gradients(values)))
 
 
-def assemble_hessian(F: Integrand, grid: Grid, values: np.ndarray) -> "scipy.sparse.csr_matrix":
+def assemble_hessian(F: Integrand, grid: Grid, values: np.ndarray) -> "scipy.sparse.dia_matrix":
     """Sparse energy hessian over the interior dofs (node-major, component-minor),
-    in the order of the plan's `interior_dofs`."""
+    in the order of the plan's `interior_dofs`, stored by its diagonals on the
+    plan's fixed stencil."""
     plan = grid.assembly_plan(values.shape[1])
     return plan.assemble_matrix(F.hessian(plan.gradients(values)))
 
 
 class LinearSolveError(ArithmeticError):
     """A Newton system is not positive definite to the solver (the banded Cholesky
-    factorization fails, or CG meets a non-positive diagonal or a non-positive
-    curvature p.Kp), CG does not reach its tolerance within its iteration cap, or
-    the solution is not finite."""
+    factorization of its upper diagonals fails, or CG meets a non-positive main
+    diagonal or a non-positive curvature p.Kp), CG does not reach its tolerance
+    within its iteration cap, or the solution is not finite."""
 
 
 CG_RTOL = 1e-12  # the floor of the forcing term: the tolerance of a nearly converged step
 REFACTOR_ITERS = 4  # a held 2d factor is replaced after a PCG that needed more iterations
 
 
-def _pcg(K: "scipy.sparse.csr_matrix", rhs: np.ndarray, rtol: float, precondition):
+def _pcg(K: "scipy.sparse.dia_matrix", rhs: np.ndarray, rtol: float, precondition):
     """Preconditioned conjugate gradients from x = 0, stopping once
     ||K x - rhs||_2 <= rtol ||rhs||_2 within 10 n iterations; `precondition(r)`
     applies the inverse of an SPD approximation of K.  Every Newton system is
-    solved here.  Returns x and the iteration count; raises LinearSolveError on a
-    non-positive curvature p.Kp, at the cap, or when x is not finite."""
+    solved here, and each iteration's K @ p runs over K's diagonals.  Returns x
+    and the iteration count; raises LinearSolveError on a non-positive curvature
+    p.Kp, at the cap, or when x is not finite."""
     x = np.zeros_like(rhs)
     r = rhs.copy()
     tol = rtol * math.sqrt(float(rhs @ rhs))
@@ -176,14 +179,16 @@ def _pcg(K: "scipy.sparse.csr_matrix", rhs: np.ndarray, rtol: float, preconditio
     raise LinearSolveError(f"CG did not converge in {10 * len(rhs)} iterations")
 
 
-def _preconditioner(plan: AssemblyPlan, K: "scipy.sparse.csr_matrix"):
+def _preconditioner(plan: AssemblyPlan, K: "scipy.sparse.dia_matrix"):
     """A fresh preconditioner for the Newton system K assembled by `plan`, fixed by
     the grid dimension as measured on the benchmark ladders.  In 3d it is Jacobi,
-    r -> r / diag K.  In 2d the node-major interior numbering makes K banded, and
-    it is the LAPACK banded Cholesky factor of K: an exact solve for this K and,
-    held across Newton steps, a preconditioner that needs a few CG iterations
-    where Jacobi needs hundreds.  Raises LinearSolveError when the diagonal is not
-    positive or the factorization finds K not positive definite."""
+    r -> r / diag K, with diag K read from K's stored main diagonal.  In 2d the
+    node-major interior numbering makes K banded, and it is the LAPACK banded
+    Cholesky factor of K, its band copied from K's upper diagonals: an exact
+    solve for this K and, held across Newton steps, a preconditioner that needs
+    a few CG iterations where Jacobi needs hundreds.  Raises LinearSolveError
+    when the diagonal is not positive or the factorization finds K not positive
+    definite."""
     if plan.grid.dim == 2:
         import scipy.linalg as sla
 
@@ -208,7 +213,7 @@ def _preconditioner(plan: AssemblyPlan, K: "scipy.sparse.csr_matrix"):
     return lambda r: inv_diag * r
 
 
-def _solve_spd(plan: AssemblyPlan, K: "scipy.sparse.csr_matrix", rhs: np.ndarray,
+def _solve_spd(plan: AssemblyPlan, K: "scipy.sparse.dia_matrix", rhs: np.ndarray,
                rtol: float = CG_RTOL):
     """Solve one symmetric positive definite system K x = rhs assembled by `plan`,
     to ||K x - rhs||_2 <= rtol ||rhs||_2, by `_pcg` with a fresh

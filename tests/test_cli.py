@@ -293,6 +293,20 @@ class TestSubcommands:
         fitted = {r[4] for r in hdes}
         assert len(fitted) == 1 and fitted != {""}
 
+    def test_diagnose_builds_one_grid(self, monkeypatch):
+        built = []
+        init = cli.Grid.__init__
+
+        def counting(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(cli.Grid, "__init__", counting)
+        cfg = parse_config(MODEL_CFG.replace("amplitudes = 1.0", "amplitudes = 0.5,1.0,2.0,4.0"))
+        report = cli.run_diagnose(cfg)
+        assert {e.amplitude for e in report.entries} == {0.5, 1.0, 2.0, 4.0}
+        assert built == [(2, 12)]
+
     def test_sweep_marks_inadmissible(self, tmp_path, capsys):
         cfg = tmp_path / "n4.cfg"
         cfg.write_text(

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -130,7 +131,7 @@ class TestAssemblyLayout:
         H = F.hessian(z)
         K = plan.assemble_matrix(H)
         K_c = plan.assemble_matrix(np.ascontiguousarray(H))
-        assert np.array_equal(K.indices, K_c.indices) and np.array_equal(K.indptr, K_c.indptr)
+        assert np.array_equal(K.offsets, K_c.offsets)
         assert np.abs(K_c.data - K.data).max() <= 1e-13 * np.abs(K.data).max()
         # a form that is not an _Accumulating term: an EvenPolynomial |z|^2
         terms = [(1.0, (k, k)) for k in range(1, N * dim + 1)]
@@ -148,13 +149,61 @@ class TestAssemblyLayout:
                               plan.assemble_vector(g))
 
     def test_matrices_share_the_pattern_indices(self):
-        # the pattern is stored in the index dtype scipy picks, so no assembly
+        # the stencil is stored in the index dtype scipy picks, so no assembly
         # converts and copies it
         _, plan, F, z = self.case(*self.CASES[0])
         K1, K2 = plan.assemble_matrix(F.hessian(z)), plan.assemble_matrix(F.hessian(2.0 * z))
-        assert K1.indices.dtype == np.int32
-        assert np.shares_memory(K1.indices, K2.indices)
-        assert np.shares_memory(K1.indptr, K2.indptr)
+        assert K1.offsets.dtype == np.int32
+        assert np.shares_memory(K1.offsets, K2.offsets)
+        assert np.shares_memory(K1.offsets, plan._interior_pattern[1])
+
+    @staticmethod
+    def dense_assembly(grid, N, H):
+        """The interior matrix summed element by element into a dense array, and
+        the offsets col - row of the entries it received."""
+        dofs = grid.assembly_plan(N).interior_dofs
+        pos = np.full(grid.n_nodes * N, -1)
+        pos[dofs] = np.arange(len(dofs))
+        K = np.zeros((len(dofs), len(dofs)))
+        offsets = set()
+        for s, verts in enumerate(grid.simplex_vertices):
+            G = grid.hat_grads[s // grid.n_cells]
+            block = grid.simplex_volume * np.einsum("ikjl,ak,bl->aibj", H[s], G, G)
+            for (a, va), (b, vb) in itertools.product(enumerate(verts), repeat=2):
+                for i, j in itertools.product(range(N), repeat=2):
+                    r, c = pos[va * N + i], pos[vb * N + j]
+                    if r >= 0 and c >= 0:
+                        K[r, c] += block[a, i, b, j]
+                        offsets.add(int(c - r))
+        return K, sorted(offsets)
+
+    # a 2-cell grid has one interior node: only the offsets j - i receive entries
+    DIA_CASES = CASES + [(2, 2, 2, "aniso2d_q4_vec")]
+
+    @pytest.mark.parametrize("dim, cells, N, name", DIA_CASES)
+    def test_diagonals_match_a_dense_assembly(self, dim, cells, N, name):
+        grid, plan, F, z = self.case(dim, cells, N, name)
+        H = F.hessian(z)
+        K = plan.assemble_matrix(H)
+        dense, _ = self.dense_assembly(grid, N, H)
+        assert K.format == "dia"
+        assert np.abs(K.toarray() - dense).max() <= 1e-13 * np.abs(dense).max()
+
+    @pytest.mark.parametrize("dim, cells, N, name", DIA_CASES)
+    def test_every_offset_receives_an_entry(self, dim, cells, N, name):
+        grid, plan, F, z = self.case(dim, cells, N, name)
+        H = F.hessian(z)
+        _, received = self.dense_assembly(grid, N, H)
+        assert plan.assemble_matrix(H).offsets.tolist() == received
+
+    @pytest.mark.parametrize("dim, cells, N, name", DIA_CASES)
+    def test_matvec_matches_the_dense_product(self, dim, cells, N, name):
+        _, plan, F, z = self.case(dim, cells, N, name)
+        K = plan.assemble_matrix(F.hessian(z))
+        assert K.format == "dia"
+        p = np.random.default_rng(21).normal(size=K.shape[0])
+        ref = K.toarray() @ p
+        assert np.abs(K @ p - ref).max() <= 1e-13 * np.abs(K.toarray()).sum(axis=1).max()
 
 
 class TestDiscreteField:
