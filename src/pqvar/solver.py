@@ -73,37 +73,38 @@ def gamma_eps(eps: float, grad_q_norm: float, q: float) -> float:
 def mollify_boundary(grid: Grid, values: np.ndarray, eps: float) -> np.ndarray:
     """Smooth the boundary rows of a nodal array by a normalized bump kernel of
     width eps over the boundary node set; data is returned exactly when eps is
-    below one grid cell.  The kernel is sparse: only pairs of boundary nodes
-    closer than eps are ever formed, and each pair is applied in both directions
-    by np.bincount, with no kernel matrix built."""
+    below one grid cell.  The result has the input's shape; ShapeMismatchError
+    unless there is one row per grid node.
+
+    Both sums of the kernel run on the node lattice: the boundary indicator and
+    the boundary rows (zero elsewhere) are convolved with the bump sampled at the
+    lattice offsets closer than eps, by one batched real FFT padded by the kernel
+    radius so that nothing wraps around, and divided at the boundary nodes."""
     if eps <= 0.0:
         raise ValueError(f"mollifier width must be positive, got {eps}")
-    values = np.asarray(values, dtype=float)
-    out = values.copy()
+    out = np.array(values, dtype=float)
+    v = nodal_array(grid, out).reshape(grid.n_nodes, -1)  # a view of out
     if eps <= grid.h:
         return out
-    from scipy.spatial import cKDTree
+    import scipy.fft
 
-    bidx = np.flatnonzero(grid.boundary_mask)
-    nb = len(bidx)
-    pts = grid.node_coords[bidx]
-    # the slack keeps every pair with t2 < 1; t2 itself is computed from the
-    # coordinates, so the weights do not depend on the tree's distances
-    a, b = cKDTree(pts).query_pairs(eps * (1.0 + 1e-9), output_type="ndarray").T
-    t2 = sum((x[a] - x[b]) ** 2 for x in pts.T) / (eps * eps)
+    m, d = grid.cells_per_side, grid.dim
+    r = min(math.ceil(eps * m) - 1, m)  # no offset beyond r is closer than eps
+    k2 = (np.arange(-r, r + 1) * grid.h) ** 2
+    t2 = sum(np.meshgrid(*[k2] * d, indexing="ij", sparse=True)) / (eps * eps)
+    kernel = np.zeros(t2.shape)
     inside = t2 < 1.0
-    a, b = a[inside], b[inside]
-    w = np.exp(-1.0 / (1.0 - t2[inside]))
-    w_self = math.exp(-1.0)  # the kernel at t2 = 0
-    norm = w_self + np.bincount(a, weights=w, minlength=nb)
-    norm += np.bincount(b, weights=w, minlength=nb)
-    vb = values[bidx]
-    v = vb.reshape(nb, -1)
-    acc = w_self * v
-    for k in range(v.shape[1]):
-        acc[:, k] += np.bincount(a, weights=w * v[b, k], minlength=nb)
-        acc[:, k] += np.bincount(b, weights=w * v[a, k], minlength=nb)
-    out[bidx] = (acc / norm[:, None]).reshape(vb.shape)
+    kernel[inside] = np.exp(-1.0 / (1.0 - t2[inside]))
+    bm = grid.boundary_mask
+    # channel 0 is the boundary indicator, the others are the boundary rows
+    channels = np.concatenate([bm[:, None], v * bm[:, None]], axis=1).T
+    size = [scipy.fft.next_fast_len(m + 1 + 2 * r, real=True)] * d
+    axes = tuple(range(1, d + 1))
+    spectrum = scipy.fft.rfftn(channels.reshape((-1,) + (m + 1,) * d), size, axes=axes)
+    spectrum *= scipy.fft.rfftn(kernel, size)
+    conv = scipy.fft.irfftn(spectrum, size, axes=axes)[(slice(None),) + (slice(r, r + m + 1),) * d]
+    sums = conv.reshape(len(channels), -1)[:, bm]
+    v[bm] = (sums[1:] / sums[0]).T
     return out
 
 
@@ -211,16 +212,6 @@ def _preconditioner(plan: AssemblyPlan, K: "scipy.sparse.dia_matrix"):
         raise LinearSolveError("hessian diagonal is not positive")
     inv_diag = 1.0 / diag
     return lambda r: inv_diag * r
-
-
-def _solve_spd(plan: AssemblyPlan, K: "scipy.sparse.dia_matrix", rhs: np.ndarray,
-               rtol: float = CG_RTOL):
-    """Solve one symmetric positive definite system K x = rhs assembled by `plan`,
-    to ||K x - rhs||_2 <= rtol ||rhs||_2, by `_pcg` with a fresh
-    `_preconditioner`.  Returns x and the number of CG iterations; raises
-    LinearSolveError as those two do.  The harmonic extension does not come here:
-    it has its own sine-basis solve."""
-    return _pcg(K, rhs, rtol, _preconditioner(plan, K))
 
 
 def el_residual(F: Integrand, fld: DiscreteField) -> float:
@@ -346,12 +337,14 @@ def harmonic_extension(grid: Grid, boundary: np.ndarray) -> np.ndarray:
 
     On the Kuhn grid the diagonal couplings of the P1 Laplacian assemble to 0, so
     its interior hessian is 2 h^(d-2) times the (2d+1)-point stencil, which the
-    sine basis S[j, k] = sin(pi j k / m), j, k = 1..m-1, diagonalizes with
-    S S = (m/2) I.  The solve applies S along every lattice axis, divides by the
-    eigenvalues 2 h^(d-2) sum_axes (2 - 2 cos(pi j / m)), and applies S again:
-    no factorization and no iteration.  The right-hand side applies the stencil
-    to the nodal lattice by slicing.  Raises NonConvergenceError unless the sup
-    norm of the assembled interior residual ends at most HARMONIC_TOL."""
+    type-I discrete sine transform along every lattice axis diagonalizes.  The
+    solve applies scipy's DST-I, divides by the eigenvalues
+    2 h^(d-2) sum_axes (2 - 2 cos(pi j / m)), j = 1..m-1, and applies its
+    inverse: no factorization and no iteration.  The right-hand side applies the
+    stencil to the nodal lattice by slicing.  Raises NonConvergenceError unless
+    the sup norm of the assembled interior residual ends at most HARMONIC_TOL."""
+    import scipy.fft
+
     u = nodal_array(grid, boundary).copy()
     N = u.shape[1]
     plan = grid.assembly_plan(N)
@@ -365,17 +358,11 @@ def harmonic_extension(grid: Grid, boundary: np.ndarray) -> np.ndarray:
             stencil -= lattice[inner[:a] + (side,) + inner[a + 1:]]
     rhs = -2.0 * grid.h ** (d - 2) * stencil
 
-    j = np.arange(1, m)
-    S = np.sin(np.pi * np.outer(j, j) / m)
-    lam = 2.0 - 2.0 * np.cos(np.pi * j / m)
+    lam = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, m) / m)
     eig = 2.0 * grid.h ** (d - 2) * sum(np.meshgrid(*[lam] * d, indexing="ij", sparse=True))
-
-    def sine_transform(x):
-        for a in range(d):
-            x = np.moveaxis(np.tensordot(S, x, axes=(1, a)), 0, a)
-        return x
-
-    step = sine_transform(sine_transform(rhs) / eig[..., None]) * (2.0 / m) ** d
+    axes = tuple(range(d))
+    step = scipy.fft.idstn(scipy.fft.dstn(rhs, type=1, axes=axes) / eig[..., None],
+                           type=1, axes=axes)
     u[grid.interior_mask] += step.reshape(-1, N)
     # gradient of sum_T vol(T) |grad u|^2 at the interior dofs
     residual = plan.assemble_vector(2.0 * plan.gradients(u)).reshape(-1)[plan.interior_dofs]

@@ -432,14 +432,18 @@ NUMPY_ONLY_SCRIPT = textwrap.dedent("""\
     assert cli.main(["conjugate", "--config", sys.argv[1], "--count", "2"]) == 0
     print("before", scipy_modules())
     grid = Grid(2, 6)
-    solver.minimize_dirichlet(entry.integrand, grid, solver.boundary_family("sine", grid, 1.0, 1))
+    data = solver.boundary_family("sine", grid, 1.0, 1)
+    solver.minimize_dirichlet(entry.integrand, grid, data)
+    solver.harmonic_extension(grid, solver.mollify_boundary(grid, data, 0.5))
+    assert "scipy.spatial" not in sys.modules
     print("after", "scipy.linalg" in sys.modules)
 """)
 
 
 def test_duality_and_certification_load_no_scipy(model_cfg):
     """`import pqvar`, a conjugation, a certificate and the `check` and `conjugate`
-    commands run on numpy alone; a 2d solve then loads scipy.linalg."""
+    commands run on numpy alone; a 2d solve then loads scipy.linalg, and a
+    mollification and a harmonic extension load no scipy.spatial."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(pqvar.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", NUMPY_ONLY_SCRIPT, model_cfg], env=env,

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,9 +9,9 @@ import scipy.sparse.linalg as spla
 
 from pqvar import registry, solver
 from pqvar.integrands import AxisPower, PowerNorm, Sum, frob2
-from pqvar.model import DiscreteField, Grid
+from pqvar.model import DiscreteField, Grid, ShapeMismatchError
 from pqvar.solver import (LinearSolveError, NonConvergenceError, RegularizedIntegrand,
-                          Schedule, _solve_spd, assemble_hessian,
+                          Schedule, _pcg, _preconditioner, assemble_hessian,
                           boundary_family, el_residual, energy, export_field_csv,
                           export_gradients_csv, gamma_eps, grad_lp_norm, harmonic_extension,
                           minimize_dirichlet, mollify_boundary, run_scheme, simplex_gradients)
@@ -40,7 +41,8 @@ def five_point_laplace(grid, boundary):
 
 
 def dense_mollify(grid, values, eps):
-    """The dense O(nb^2) bump-kernel mollifier, kept as the oracle of the sparse one."""
+    """The dense O(nb^2) bump-kernel mollifier, kept as the oracle of the lattice
+    convolution."""
     out = values.copy()
     bidx = np.flatnonzero(grid.boundary_mask)
     pts = grid.node_coords[bidx]
@@ -141,6 +143,7 @@ class TestMollify:
 
     @pytest.mark.parametrize("dim, cells, width", [
         (2, 16, 0.5), (2, 16, 0.13), (2, 10, 0.3), (3, 6, 0.5), (3, 8, 0.25), (3, 5, 0.45),
+        (2, 8, 1.0), (3, 4, 1.0),
     ])
     def test_matches_dense_kernel(self, dim, cells, width):
         grid = Grid(dim, cells)
@@ -148,6 +151,34 @@ class TestMollify:
         g = rng.uniform(-1.0, 1.0, size=(grid.n_nodes, 2))
         assert np.abs(mollify_boundary(grid, g, width) - dense_mollify(grid, g, width)).max() \
             <= 1e-15
+
+    @pytest.mark.parametrize("rows", [86, 76, 162])
+    @pytest.mark.parametrize("width", [0.05, 0.5])
+    def test_rows_must_match_the_nodes(self, rows, width):
+        grid = Grid(2, 8)  # 81 nodes
+        with pytest.raises(ShapeMismatchError):
+            mollify_boundary(grid, np.ones((rows, 1)), width)
+
+    @pytest.mark.parametrize("width", [0.05, 0.5])
+    def test_keeps_the_input_shape(self, width):
+        grid = Grid(2, 8)
+        g = np.random.default_rng(5).normal(size=grid.n_nodes)
+        out = mollify_boundary(grid, g, width)
+        assert out.shape == g.shape
+        assert np.array_equal(out, mollify_boundary(grid, g[:, None], width)[:, 0])
+
+    def test_memory_follows_the_lattice(self):
+        # every boundary pair closer than eps, formed at once, would take 111 MB here
+        grid = Grid(3, 32)
+        g = np.random.default_rng(6).uniform(-1.0, 1.0, size=(grid.n_nodes, 1))
+        mollify_boundary(grid, g, 0.5)  # loads scipy.fft outside the trace
+        tracemalloc.start()
+        try:
+            mollify_boundary(grid, g, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32e6
 
 
 class TestEnergyExactness:
@@ -388,7 +419,6 @@ class TestHarmonicExtension:
 
         monkeypatch.setattr(sla, "cholesky_banded", forbidden)
         monkeypatch.setattr(solver, "_pcg", forbidden)
-        monkeypatch.setattr(solver, "_solve_spd", forbidden)
         grid = Grid(dim, 6)
         harmonic_extension(grid, boundary_family("sinecos", grid, 1.0, 1))
 
@@ -523,7 +553,7 @@ class TestLinearSolve:
         plan, K = newton_hessian()
         rhs = np.random.default_rng(11).normal(size=K.shape[0])
         ref = spla.spsolve(K.tocsc(), rhs)
-        x, _ = _solve_spd(plan, K, rhs)
+        x, _ = _pcg(K, rhs, solver.CG_RTOL, _preconditioner(plan, K))
         assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_banded_preconditioner_calls_lapack_directly(self, monkeypatch):
@@ -533,7 +563,7 @@ class TestLinearSolve:
         monkeypatch.setattr(sla, "cho_solve_banded", forbidden)
         plan, K = newton_hessian()
         rhs = np.random.default_rng(12).normal(size=K.shape[0])
-        x, its = _solve_spd(plan, K, rhs)
+        x, its = _pcg(K, rhs, solver.CG_RTOL, _preconditioner(plan, K))
         assert its >= 1
         assert np.linalg.norm(K @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
@@ -544,7 +574,7 @@ class TestLinearSolve:
         main = np.flatnonzero(K.offsets == 0)[0]
         K.data[main, 0] = -K.data[main, 0]
         with pytest.raises(LinearSolveError):
-            _solve_spd(plan, K, np.ones(K.shape[0]))
+            _pcg(K, np.ones(K.shape[0]), solver.CG_RTOL, _preconditioner(plan, K))
 
     @pytest.mark.parametrize("dim, cells", [(2, 8), (3, 5)])
     def test_pcg_in_both_dimensions(self, monkeypatch, dim, cells):
@@ -560,17 +590,21 @@ class TestLinearSolve:
         plan = grid.assembly_plan(1)
         K = laplacian(grid, 1)
         rhs = np.random.default_rng(12).normal(size=K.shape[0])
-        x, _ = _solve_spd(plan, K, rhs)
-        assert len(calls) == 1
+        x, _ = pcg(K, rhs, solver.CG_RTOL, _preconditioner(plan, K))
         assert np.abs(K @ x - rhs).max() <= 1e-10 * np.abs(rhs).max()
+        # every Newton system of a solve goes through the one PCG
+        _, rep = minimize_dirichlet(PowerNorm(0.0, 2.0), grid,
+                                    boundary_family("sine", grid, 1.0, 1))
+        assert rep.iterations >= 1
+        assert len(calls) == rep.iterations
 
     def test_cg_stops_at_the_forcing_term(self):
         grid = Grid(3, 8)
         plan = grid.assembly_plan(1)
         K = laplacian(grid, 1)
         rhs = np.random.default_rng(13).normal(size=K.shape[0])
-        x_exact, its_exact = _solve_spd(plan, K, rhs)
-        x, its = _solve_spd(plan, K, rhs, 1e-2)
+        x_exact, its_exact = _pcg(K, rhs, solver.CG_RTOL, _preconditioner(plan, K))
+        x, its = _pcg(K, rhs, 1e-2, _preconditioner(plan, K))
         assert np.linalg.norm(K @ x - rhs) <= 1e-2 * np.linalg.norm(rhs)
         assert 0 < its < its_exact
         assert np.linalg.norm(K @ x_exact - rhs) <= solver.CG_RTOL * np.linalg.norm(rhs)
@@ -586,7 +620,7 @@ class TestLinearSolve:
         assert lam[0] < s < K.diagonal().min()
         K_s = (K - s * sp.eye(K.shape[0])).tocsr()
         with pytest.raises(LinearSolveError, match="curvature"):
-            _solve_spd(plan, K_s, vecs[:, 0])
+            _pcg(K_s, vecs[:, 0], solver.CG_RTOL, _preconditioner(plan, K_s))
 
 
 def vectorial_solve():
