@@ -12,7 +12,6 @@ functions are looked up on the module objects at call time.
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -146,13 +145,8 @@ def _kuhn_offsets(dim):
 
     Each permutation pi orders the coordinate increments: v0 = 0, v_k = v_{k-1} + e_{pi(k)}.
     """
-    blocks = []
-    for perm in itertools.permutations(range(dim)):
-        verts = [np.zeros(dim)]
-        for axis in perm:
-            verts.append(verts[-1] + np.eye(dim)[axis])
-        blocks.append(np.array(verts))
-    return np.array(blocks)  # (dim!, dim+1, dim)
+    steps = np.eye(dim, dtype=int)[list(itertools.permutations(range(dim)))]  # rows e_pi(k)
+    return np.concatenate([np.zeros_like(steps[:, :1]), np.cumsum(steps, axis=1)], axis=1)
 
 
 def _kuhn_hat_gradients(offsets, cells_per_side):
@@ -162,8 +156,8 @@ def _kuhn_hat_gradients(offsets, cells_per_side):
     With v_k = v_{k-1} + h e_pi(k), the barycentric coordinates in y = x/h are
     lambda_k = y_pi(k) - y_pi(k+1), where y_pi(0) = 1 and y_pi(d+1) = 0, so
     grad lambda_k = (e_pi(k) - e_pi(k+1)) / h with e_pi(0) = e_pi(d+1) = 0.  Every
-    entry is 0 or +-cells_per_side exactly: the PL-gradient operator keeps two
-    entries per row and a constant field has gradient exactly 0.
+    entry is 0 or +-cells_per_side exactly: a PL gradient entry is m times a
+    difference of two nodal values, and a constant field has gradient exactly 0.
     """
     steps = np.diff(offsets, axis=1)  # rows e_pi(1..d)
     pad = np.zeros_like(steps[:, :1])
@@ -206,7 +200,7 @@ class Grid:
         self.interior_mask = ~self.boundary_mask
 
         offsets = _kuhn_offsets(dim)  # (types, dim+1, dim)
-        self.hat_grads = _kuhn_hat_gradients(offsets, m)  # (types, dim+1, dim)
+        self.hat_grads = _kuhn_hat_gradients(offsets, float(m))  # (types, dim+1, dim)
         self.simplex_volume = self.h ** dim / math.factorial(dim)
 
         caxes = [np.arange(m) for _ in range(dim)]
@@ -215,7 +209,7 @@ class Grid:
         shape = (m + 1,) * dim
         vert_ids = []
         for t in range(self.n_types):
-            ids = [np.ravel_multi_index((cell_idx + offsets[t][a]).astype(int).T, shape)
+            ids = [np.ravel_multi_index((cell_idx + offsets[t][a]).T, shape)
                    for a in range(dim + 1)]
             vert_ids.append(np.stack(ids, axis=-1))  # (n_cells, dim+1)
         self.simplex_vertices = np.concatenate(vert_ids, axis=0)  # (n_simplices, dim+1)
@@ -248,24 +242,25 @@ class Grid:
         return byc.mean(axis=0).reshape((m,) * self.dim + simplex_values.shape[1:])
 
 
-def _index_dtype(largest):
-    """The index dtype scipy.sparse picks for indices up to `largest`: int32 when
-    they fit."""
-    return np.int32 if largest <= np.iinfo(np.int32).max else np.int64
+def _signed_sum(array, terms, out):
+    """Write the sum of sign * array[entry] over the (sign, entry) terms, two or
+    more, into `out`, divided by the sign s of the first term; return s."""
+    (s, first), (sign, second), *rest = terms
+    (np.add if sign == s else np.subtract)(array[first], array[second], out=out)
+    for sign, entry in rest:
+        (np.add if sign == s else np.subtract)(out, array[entry], out=out)
+    return s
 
 
 class AssemblyPlan:
-    """Fixed sparse operators of a Grid for N-component fields.
+    """The assembly operators of a Grid for N-component fields, on its node lattice.
 
-    Nodal arrays (n_nodes, N) are flattened node-major, component-minor.  The
-    PL-gradient operator maps them to per-simplex gradients (n_simplices, N, dim):
-    the gradient of the interpolant is sum_a u_a (x) hatgrad_a on every simplex.
-    Its transpose assembles weak forms.  The interior matrices are stored by
-    their diagonals (scipy's DIA format): with node-major interior dofs on the
-    fixed Kuhn lattice they all have the same few diagonals, the plan's stencil.
-    The stencil and the operator summing element blocks into it are built at
-    the first matrix assembly, so fields that are only differentiated never pay
-    for them.
+    Every Kuhn hat gradient is 0 or +-m times a unit vector, so each operator is
+    a few signed sums and shifts of lattice arrays, tabled from `_kuhn_offsets`:
+    the sums run on whole flat arrays, and a shift is an offset into a flat array
+    or a copy between lattice views.  Nodal arrays (n_nodes, N) and the interior
+    dofs are node-major, so every interior matrix has the same few diagonals,
+    the plan's `offsets`, and is stored by them (scipy's DIA format).
 
     Logical shapes are as stated, but the batches are entry-major in memory, as
     in `integrands`: the gradients come out with the simplex axis last in memory,
@@ -275,123 +270,125 @@ class AssemblyPlan:
     """
 
     def __init__(self, grid: Grid, N: int):
-        import scipy.sparse as sp
-
-        self.grid = grid
-        self.N = N
-        S, d = grid.n_simplices, grid.dim
-        verts = grid.simplex_vertices
-        comp = np.arange(N)
-        G = np.repeat(grid.hat_grads, grid.n_cells, axis=0)  # (S, dim+1, dim)
-        # entry (s, i, a, k): d(grad u)[s, i, k] / du[verts[s, a], i] = G[s, a, k],
-        # on row (i, k, s) of the operator: the entry-major order of the gradients
-        rows = (comp[None, :, None, None] * d + np.arange(d)[None, None, None, :]) * S \
-            + np.arange(S)[:, None, None, None]
-        cols = verts[:, None, :, None] * N + comp[None, :, None, None]
-        rows, cols = np.broadcast_arrays(rows, cols)
-        vals = np.broadcast_to(G[:, None, :, :], rows.shape)
-        shape = (S * N * d, grid.n_nodes * N)
-        self.grad_op = sp.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=shape)
-        self.grad_op.eliminate_zeros()  # the hat gradients of a Kuhn simplex are sparse
+        self.grid, self.N = grid, N
+        d, m = grid.dim, grid.cells_per_side
         int_nodes = np.flatnonzero(grid.interior_mask)
-        self.interior_dofs = (int_nodes[:, None] * N + comp[None, :]).reshape(-1)
+        self.interior_dofs = (int_nodes[:, None] * N + np.arange(N)).reshape(-1)
+        kuhn = _kuhn_offsets(d)  # a type-t simplex of cell c has vertex a at c + kuhn[t, a]
+        hat = _kuhn_hat_gradients(kuhn, 1)  # 0 or +-1
+        nz = [[np.flatnonzero(row) for row in rows] for rows in hat]  # axes where hat[t, a] != 0
+        every = (slice(None),)
+        self._strides = (m + 1) ** np.arange(d - 1, -1, -1)  # of the flat node lattice
+        # gradients: step j of type t runs along axis k from its vertex j-1
+        self._steps = [(every + (int(np.argmax(v[j] - v[j - 1])), t),
+                        every + tuple(slice(c, c + m) for c in v[j - 1]))
+                       for t, v in enumerate(kuhn) for j in range(1, d + 1)]
+        # weak forms: the flux entries [:, k, t] that reach each corner, by offset
+        self._corners = {}
+        for t, a in np.ndindex(hat.shape[:2]):
+            self._corners.setdefault(int(self._strides @ kuhn[t, a]), []).extend(
+                (hat[t, a, k], every + (k, t)) for k in nz[t][a])
+        # matrices: the hessian entries [:, k, :, l, t] of each vertex pair a <= b
+        # of a Kuhn chain.  Its entry (i, j) couples the interior nodes c + oa and
+        # c + ob of the cells c where both are interior, on the upper diagonal
+        # N * dv + j - i, dv the interior-lattice offset of ob from oa, at the
+        # column of c + ob; those columns leave out the first layer along each
+        # axis the pair steps along.  The lower diagonals mirror the upper ones.
+        pairs = {}
+        for t, a, b in np.ndindex(hat.shape[0], d + 1, d + 1):
+            if a <= b:
+                pairs.setdefault((tuple(kuhn[t, a]), tuple(kuhn[t, b])), []).extend(
+                    (hat[t, a, k] * hat[t, b, l], every + (k,) + every + (l, t))
+                    for k in nz[t][a] for l in nz[t][b])
+        kept = []  # terms, cells, their columns, the layers outside those, targets
+        for (oa, ob), terms in pairs.items():
+            step = np.subtract(ob, oa)
+            if np.any(step >= m - 1):
+                continue  # on a 2-cell grid only a == b has interior cells
+            dv = int(step @ (m - 1) ** np.arange(d - 1, -1, -1))
+            cells = every * 2 + tuple(slice(1 - x, m - y) for x, y in zip(oa, ob))
+            kept.append((terms, cells, every * 2 + tuple(slice(s, m - 1) for s in step),
+                         [every * (2 + ax) + (0,) for ax in np.flatnonzero(step)],
+                         [(N * dv + j - i, i, j) for i, j in np.ndindex(N, N) if dv > 0 or j >= i]))
+        upper = sorted({o for *_, targets in kept for o, _, _ in targets})
+        self.offsets = np.array([-o for o in upper[:0:-1]] + upper, dtype=np.int32)
+        self._pairs = [(*pair, [((upper.index(o), slice(None), j), (i, j)) for o, i, j in targets])
+                       for *pair, targets in kept]
 
     def gradients(self, values) -> np.ndarray:
         """Exact per-simplex gradients (n_simplices, N, dim) of the PL interpolant,
-        entry-major: a view of the operator's (N, dim, n_simplices) output."""
-        g = self.grid
-        flat = np.asarray(values, dtype=float).reshape(-1)
-        return (self.grad_op @ flat).reshape(self.N, g.dim, g.n_simplices).transpose(2, 0, 1)
+        entry-major.  The nodal lattice, scaled by m once, is differenced along
+        each axis by a flat shift; the gradient along the axis of step j of a
+        Kuhn chain is that difference at vertex j-1, copied from its window."""
+        g, N, m = self.grid, self.N, self.grid.cells_per_side
+        u = np.empty((N, g.n_nodes))
+        u = np.multiply(np.asarray(values, dtype=float).reshape(g.n_nodes, N).T, m, out=u).ravel()
+        diff = np.empty((g.dim, N) + (m + 1,) * g.dim)  # the last stride entries unused
+        with np.errstate(invalid="ignore"):  # infinite values have NaN gradients, quietly
+            for k, stride in enumerate(self._strides):
+                np.subtract(u[stride:], u[:-stride], out=diff[k].reshape(-1)[:-stride])
+        out = np.empty((N, g.dim, g.n_types) + (m,) * g.dim)
+        for entry, tail in self._steps:
+            out[entry] = diff[entry[1]][tail]
+        return out.reshape(N, g.dim, g.n_simplices).transpose(2, 0, 1)
 
     def assemble_vector(self, flux) -> np.ndarray:
         """Nodal weak form (n_nodes, N): row (v, i) is sum_T vol(T) <flux_T[i], hatgrad_v>.
-        The flux is read in the operator's row order, entry-major; the transpose
-        is a CSC view of the operator, not a stored copy."""
-        g = self.grid
-        flat = np.asarray(flux, dtype=float).transpose(1, 2, 0).reshape(-1)
-        return (self.grad_op.T @ (g.simplex_volume * flat)).reshape(g.n_nodes, self.N)
-
-    @cached_property
-    def _interior_pattern(self):
-        """(gather, offsets, GG): the fixed stencil of the interior matrices, the
-        0/1 sparse operator that sums the element-block entries of assemble_matrix
-        into their DIA data, and the per-type tensors vol * hatgrad_a,k hatgrad_b,l
-        as (types, (dim+1)^2, dim*dim) matrices.
-
-        With node-major interior dofs the offset col - row of an element-block
-        entry depends on its block (i, j, type, a, b) alone: the interior-lattice
-        offset of Kuhn vertex b from vertex a, times N, plus j - i.  `offsets`
-        holds, sorted and int32 when they fit, the offsets of the blocks that keep
-        an entry once the entries touching a boundary dof are dropped.  An entry
-        (row, col) on offsets[k] goes to slot k * n + col of the flat (n_offsets, n)
-        data array, scipy's data[k, col] = K[col - offsets[k], col].  The gather
-        lists each slot's entries in block order, so its product adds them in
-        that order, from zero; a dropped entry is in no slot."""
-        import scipy.sparse as sp
-
-        g, N = self.grid, self.N
-        d1, m = g.dim + 1, g.cells_per_side
-        n = len(self.interior_dofs)
-        # (types, dim+1, cells): the interior node of the vertices of simplex
-        # t * n_cells + c, -1 on the boundary
-        node = np.full(g.n_nodes, -1)
-        node[g.interior_mask] = np.arange(n // N)
-        node = node[g.simplex_vertices.reshape(g.n_types, g.n_cells, d1).transpose(0, 2, 1)]
-        inner = node >= 0
-        keep = inner[:, :, None, :] & inner[:, None, :, :]  # (type, a, b, cell)
-        # (types, dim+1): the index offset of each Kuhn vertex in the interior
-        # lattice, and the offset col - row of every block (i, j, type, a, b)
-        vertex = _kuhn_offsets(g.dim).astype(int) @ (m - 1) ** np.arange(g.dim - 1, -1, -1)
-        comp = np.arange(N)
-        block_offsets = N * (vertex[:, None, :] - vertex[:, :, None]) \
-            + (comp[None, :] - comp[:, None])[:, :, None, None, None]
-        offsets = np.unique(block_offsets[:, :, keep.any(axis=-1)]).astype(_index_dtype(n))
-        diagonal = np.searchsorted(offsets, block_offsets)
-        n_slots, n_entries = len(offsets) * n, N * N * keep.size
-        entry_index = _index_dtype(max(n_slots, n_entries))
-
-        def block_entries():
-            """(entries, slots) of every block, in the entry order (i, j, type, a,
-            b, cell) of assemble_matrix; a block's slots are distinct."""
-            for block, (i, j, t, a, b) in enumerate(np.ndindex(N, N, g.n_types, d1, d1)):
-                cells = np.flatnonzero(keep[t, a, b])
-                yield (block * g.n_cells + cells,
-                       diagonal[i, j, t, a, b] * n + node[t, b, cells] * N + j)
-
-        # a counting sort, block after block, lists every slot's entries in block order
-        gather_ptr = np.zeros(n_slots + 1, dtype=entry_index)
-        for _, slots in block_entries():
-            gather_ptr[1:][slots] += 1
-        np.cumsum(gather_ptr, out=gather_ptr)
-        entries = np.empty(gather_ptr[-1], dtype=entry_index)
-        cursor = gather_ptr[:-1].copy()
-        for ids, slots in block_entries():
-            entries[cursor[slots]] = ids
-            cursor[slots] += 1
-        gather = sp.csr_matrix((np.ones(len(entries)), entries, gather_ptr),
-                               shape=(n_slots, n_entries))
-        GG = g.simplex_volume * np.einsum("tak,tbl->tabkl", g.hat_grads, g.hat_grads)
-        GG = GG.reshape(g.n_types, d1 * d1, g.dim * g.dim)
-        return gather, offsets, GG
+        For each corner of the unit cell the signed sum of the flux entry vectors
+        that reach it is placed on the cells of the lattice and added at the
+        corner's flat offset; the sum is scaled once by vol * m."""
+        g, N, m = self.grid, self.N, self.grid.cells_per_side
+        f = np.asarray(flux, dtype=float).transpose(1, 2, 0)
+        f = f.reshape((N, g.dim, g.n_types) + (m,) * g.dim)
+        acc = np.zeros((N, g.n_nodes))
+        buf = np.empty((N,) + (m,) * g.dim)
+        placed = np.zeros((N,) + (m + 1,) * g.dim)  # buf on the cells, zero elsewhere
+        cells = placed[(slice(None),) + (slice(m),) * g.dim]
+        flat, moved = acc.reshape(-1), placed.reshape(-1)
+        for shift, terms in self._corners.items():
+            s = _signed_sum(f, terms, buf)
+            cells[...] = buf
+            target = flat[shift:]
+            (np.add if s > 0 else np.subtract)(target, moved[:len(moved) - shift], out=target)
+        out = np.empty((g.n_nodes, N))
+        np.multiply(acc.T, g.simplex_volume * m, out=out)
+        return out
 
     def assemble_matrix(self, H) -> "scipy.sparse.dia_matrix":
         """Interior-interior matrix sum_T vol(T) H_T[i,k,j,l] hatgrad_a,k hatgrad_b,l
-        from per-simplex forms H (n_simplices, N, dim, N, dim); rows and columns
-        follow `interior_dofs`.  It is stored by its diagonals, on the plan's fixed
-        stencil: every matrix shares the plan's offsets array.  Each type's block
-        matrix GG[t] multiplies, from the left, the (dim*dim, n_cells) entry
-        vectors of H for every component pair (i, j): for an entry-major H these
-        are strided views, with no copy, and the blocks come out C-ordered."""
+        from symmetric per-simplex forms H (n_simplices, N, dim, N, dim); rows and
+        columns follow `interior_dofs`.  It is stored by its diagonals, on the
+        plan's fixed stencil: every matrix shares the plan's offsets array.  For
+        each Kuhn vertex pair the signed sum of the entry vectors of H that it
+        couples is moved to the columns of its second vertex and added, per
+        component pair, onto an upper diagonal.  These are scaled once by vol *
+        m^2, and each lower diagonal is copied from its mirror: K is symmetric."""
         import scipy.sparse as sp
 
-        g, N, d = self.grid, self.N, self.grid.dim
-        gather, offsets, GG = self._interior_pattern
-        Hij = np.asarray(H, dtype=float).transpose(1, 3, 2, 4, 0)  # (i, j, k, l, simplex)
-        Hij = Hij.reshape(N, N, d * d, g.n_types, g.n_cells).transpose(0, 1, 3, 2, 4)
-        blocks = np.matmul(GG, Hij)  # (i, j, type, a * b, cell)
-        n = len(self.interior_dofs)
-        data = (gather @ blocks.reshape(-1)).reshape(len(offsets), n)
-        return sp.dia_matrix((data, offsets), shape=(n, n))
+        g, N, m, d = self.grid, self.N, self.grid.cells_per_side, self.grid.dim
+        h = np.asarray(H, dtype=float).transpose(1, 2, 3, 4, 0)
+        h = h.reshape((N, d, N, d, g.n_types) + (m,) * d)
+        n, n_upper = len(self.interior_dofs), (len(self.offsets) + 1) // 2
+        data = np.empty((len(self.offsets), n))
+        data[n_upper - 1:] = 0.0
+        lanes = data[n_upper - 1:].reshape(n_upper, -1, N)  # component j of every interior node
+        buf = np.empty((N, N) + (m,) * d)
+        moved = np.zeros((N, N) + (m - 1,) * d)  # buf on the columns, zero elsewhere
+        blocks = moved.reshape(N, N, -1)
+        for terms, cells, cols, layers, targets in self._pairs:
+            add = np.add if _signed_sum(h, terms, buf) > 0 else np.subtract
+            for layer in layers:
+                moved[layer] = 0.0
+            moved[cols] = buf[cells]
+            for diagonal, block in targets:
+                add(lanes[diagonal], blocks[block], out=lanes[diagonal])
+        data[n_upper - 1:] *= g.simplex_volume * m * m
+        # the lower diagonal -o is the upper diagonal o moved left by o columns,
+        # and zero in its last o columns, which lie past the matrix
+        data[:n_upper - 1, n - self.offsets[-1]:] = 0.0
+        for q, o in enumerate(self.offsets[n_upper:].tolist(), start=1):
+            data[n_upper - 1 - q, :n - o] = data[n_upper - 1 + q, o:]
+        return sp.dia_matrix((data, self.offsets), shape=(n, n))
 
     def upper_band(self, K: "scipy.sparse.dia_matrix") -> np.ndarray:
         """The upper triangle of a symmetric interior matrix assembled by this plan,

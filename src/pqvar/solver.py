@@ -110,8 +110,8 @@ def mollify_boundary(grid: Grid, values: np.ndarray, eps: float) -> np.ndarray:
 
 # ----------------------------------------------------------------- assembly
 #
-# Every assembly goes through the grid's AssemblyPlan: one sparse PL-gradient
-# operator, which also assembles the weak forms, and one fixed stencil of
+# Every assembly goes through the grid's AssemblyPlan: signed sums and shifts of
+# node-lattice arrays, with no sparse operator, and one fixed stencil of
 # diagonals on which every interior matrix is stored.
 
 
@@ -158,10 +158,9 @@ def _pcg(K: "scipy.sparse.dia_matrix", rhs: np.ndarray, rtol: float, preconditio
     solved here, and each iteration's K @ p runs over K's diagonals.  Returns x
     and the iteration count; raises LinearSolveError on a non-positive curvature
     p.Kp, at the cap, or when x is not finite."""
-    x = np.zeros_like(rhs)
-    r = rhs.copy()
-    tol = rtol * math.sqrt(float(rhs @ rhs))
-    p, rz = None, 0.0
+    x, r = np.zeros_like(rhs), rhs.copy()
+    p, scaled = np.empty_like(rhs), np.empty_like(rhs)  # the direction; alpha p or alpha Kp
+    tol, rz = rtol * math.sqrt(float(rhs @ rhs)), 0.0
     for it in range(10 * len(rhs)):
         if math.sqrt(float(r @ r)) <= tol:
             if not np.all(np.isfinite(x)):
@@ -169,14 +168,18 @@ def _pcg(K: "scipy.sparse.dia_matrix", rhs: np.ndarray, rtol: float, preconditio
             return x, it
         z = precondition(r)
         rz, rz_prev = float(r @ z), rz
-        p = z if p is None else z + (rz / rz_prev) * p
+        if it:  # p = z + beta p, in place
+            p *= rz / rz_prev
+            p += z
+        else:
+            p[:] = z
         Kp = K @ p
         curvature = float(p @ Kp)
         if not curvature > 0.0:
             raise LinearSolveError(f"non-positive curvature p.Kp = {curvature:.3e} in CG")
         alpha = rz / curvature
-        x += alpha * p
-        r -= alpha * Kp
+        x += np.multiply(p, alpha, out=scaled)
+        r -= np.multiply(Kp, alpha, out=scaled)
     raise LinearSolveError(f"CG did not converge in {10 * len(rhs)} iterations")
 
 

@@ -420,7 +420,7 @@ NUMPY_ONLY_SCRIPT = textwrap.dedent("""\
     import sys
     import numpy as np
     from pqvar import cli, duality, growth, registry, solver
-    from pqvar.model import Grid
+    from pqvar.model import DiscreteField, Grid
 
     def scipy_modules():
         return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
@@ -431,6 +431,13 @@ NUMPY_ONLY_SCRIPT = textwrap.dedent("""\
     assert cli.main(["check", "--config", sys.argv[1], "--samples", "200"]) == 0
     assert cli.main(["conjugate", "--config", sys.argv[1], "--count", "2"]) == 0
     print("before", scipy_modules())
+    for name, dim in (("aniso2d_q4", 2), ("aniso3d_q4", 3)):
+        lattice = Grid(dim, 4)
+        u = solver.boundary_family("sine", lattice, 1.0, 1)
+        solver.energy(registry.get(name).integrand, lattice, u)
+        solver.assemble_gradient(registry.get(name).integrand, lattice, u)
+        DiscreteField(lattice, u)
+    print("lattice", scipy_modules())
     grid = Grid(2, 6)
     data = solver.boundary_family("sine", grid, 1.0, 1)
     solver.minimize_dirichlet(entry.integrand, grid, data)
@@ -442,11 +449,13 @@ NUMPY_ONLY_SCRIPT = textwrap.dedent("""\
 
 def test_duality_and_certification_load_no_scipy(model_cfg):
     """`import pqvar`, a conjugation, a certificate and the `check` and `conjugate`
-    commands run on numpy alone; a 2d solve then loads scipy.linalg, and a
-    mollification and a harmonic extension load no scipy.spatial."""
+    commands run on numpy alone, and so do energies, weak forms and fields on a
+    2d and a 3d grid; a 2d solve then loads scipy.linalg, and a mollification
+    and a harmonic extension load no scipy.spatial."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(pqvar.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", NUMPY_ONLY_SCRIPT, model_cfg], env=env,
                          capture_output=True, text=True, check=True).stdout.splitlines()
     assert "before []" in out
+    assert "lattice []" in out
     assert out[-1] == "after True"

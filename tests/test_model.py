@@ -1,5 +1,7 @@
+import gc
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,10 +100,18 @@ class TestGrid:
 
     def test_kuhn_hat_gradients_are_exact(self):
         # every hat gradient is a difference of two axis vectors over h, so no
-        # round-off may stand where a zero or +-1/h belongs
+        # round-off may stand where a zero or +-1/h belongs, and the gradient
+        # along the axis of each Kuhn step is m u[v_b] - m u[v_a] to the bit
         g = Grid(3, 20)
+        m = g.cells_per_side
         assert set(np.unique(np.abs(g.hat_grads)).tolist()) == {0.0, 20.0}
-        assert np.all(np.diff(g.assembly_plan(1).grad_op.indptr) == 2)
+        u = np.random.default_rng(3).normal(size=(g.n_nodes, 2))
+        z = g.assembly_plan(2).gradients(u)
+        simplices = np.arange(g.n_simplices)
+        for step in range(1, g.dim + 1):
+            va, vb = g.simplex_vertices[:, step - 1], g.simplex_vertices[:, step]
+            axis = np.argmax(g.node_coords[vb] - g.node_coords[va], axis=1)
+            assert np.array_equal(z[simplices, :, axis], m * u[vb] - m * u[va])
         const = np.full((g.n_nodes, 2), 0.3)
         assert np.all(g.assembly_plan(2).gradients(const) == 0.0)
 
@@ -153,9 +163,29 @@ class TestAssemblyLayout:
         # converts and copies it
         _, plan, F, z = self.case(*self.CASES[0])
         K1, K2 = plan.assemble_matrix(F.hessian(z)), plan.assemble_matrix(F.hessian(2.0 * z))
-        assert K1.offsets.dtype == np.int32
-        assert np.shares_memory(K1.offsets, K2.offsets)
-        assert np.shares_memory(K1.offsets, plan._interior_pattern[1])
+        assert plan.offsets.dtype == np.int32
+        assert np.shares_memory(K1.offsets, plan.offsets)
+        assert np.shares_memory(K2.offsets, plan.offsets)
+
+    def test_plan_holds_small_tables(self):
+        # the plan keeps lattice tables and the interior dofs, no operator over
+        # the simplices: on 32^3 cells it holds under 1 MB after a matrix assembly
+        import scipy.sparse  # noqa: F401  (imported before tracing: the plan is measured)
+        grid = Grid(3, 32)
+        H = np.broadcast_to(2.0 * np.eye(3).reshape(1, 3, 1, 3), (grid.n_simplices, 1, 3, 1, 3))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            plan = grid.assembly_plan(1)
+            K = plan.assemble_matrix(H)
+            assert K.shape == (31 ** 3, 31 ** 3)
+            del K
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held <= 1 << 20
 
     @staticmethod
     def dense_assembly(grid, N, H):
@@ -195,6 +225,12 @@ class TestAssemblyLayout:
         H = F.hessian(z)
         _, received = self.dense_assembly(grid, N, H)
         assert plan.assemble_matrix(H).offsets.tolist() == received
+
+    @pytest.mark.parametrize("dim, cells, N, name", DIA_CASES + [(2, 16, 2, "aniso2d_q4_vec")])
+    def test_matrices_are_exactly_symmetric(self, dim, cells, N, name):
+        _, plan, F, z = self.case(dim, cells, N, name)
+        K = plan.assemble_matrix(F.hessian(z)).toarray()
+        assert np.array_equal(K, K.T)
 
     @pytest.mark.parametrize("dim, cells, N, name", DIA_CASES)
     def test_matvec_matches_the_dense_product(self, dim, cells, N, name):
