@@ -319,6 +319,8 @@ def parse_config(text, base_dir=".") -> ExperimentConfig:
     if seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {seed}", line=lines["seed"])
     workers = number("workers", 1, int)
+    if workers < 1:
+        raise ConfigError(f"workers must be at least 1, got {workers}", line=lines["workers"])
     return ExperimentConfig(regime=regime, integrand=integrand, cells=cells,
                             epsilons=schedule.epsilons, boundary=boundary,
                             amplitudes=amplitudes, estimates=estimates, region=region,

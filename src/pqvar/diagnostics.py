@@ -58,6 +58,8 @@ def hd_exponents(r: Regime, sobolev_exp: float) -> ExponentChain:
     """
     s = float(sobolev_exp)
     p, q, n = r.p, r.q, r.n
+    if not math.isfinite(s):
+        raise InadmissibleSobolevExponent(f"sobolev_exp must be finite, got {s}")
     if s <= 2.0 * q / p:
         raise InadmissibleSobolevExponent(
             f"sobolev_exp must exceed 2q/p = {2*q/p:.6g}, got {s}")
@@ -122,7 +124,7 @@ def v_gradient_sq(field: DiscreteField, F: Integrand, r: Regime):
 def region_mask(grid, region: Region, by_cell=False):
     """Mask of the cells (by center) or simplices (by barycenter) inside the
     region; raises RegionError when the grid puts none there."""
-    mask = grid.cells_in(region) if by_cell else grid.simplices_in(region)
+    mask = region.contains(grid.cell_centers if by_cell else grid.barycenters)
     if not mask.any():
         what = "cell centers" if by_cell else "simplex barycenters"
         raise RegionError(f"no {what} inside {region}; refine the grid or enlarge the region")

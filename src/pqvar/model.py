@@ -190,33 +190,37 @@ class Grid:
         self.n_types = math.factorial(dim)
         self.n_simplices = self.n_cells * self.n_types
 
-        axes = [np.arange(m + 1) for _ in range(dim)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        self.node_coords = np.stack([g.ravel() for g in mesh], axis=-1) * self.h  # (n_nodes, dim)
-
-        # boundary nodes: any lattice index at 0 or m
-        lattice = np.stack([g.ravel() for g in mesh], axis=-1)
-        self.boundary_mask = np.any((lattice == 0) | (lattice == m), axis=1)
+        # the node and cell lattices, as (points, dim) arrays in C order
+        nodes = np.indices((m + 1,) * dim).reshape(dim, -1).T.copy()
+        cells = np.indices((m,) * dim).reshape(dim, -1).T.copy()
+        self.node_coords = nodes * self.h  # (n_nodes, dim)
+        self.boundary_mask = np.any((nodes == 0) | (nodes == m), axis=1)
         self.interior_mask = ~self.boundary_mask
 
-        offsets = _kuhn_offsets(dim)  # (types, dim+1, dim)
-        self.hat_grads = _kuhn_hat_gradients(offsets, float(m))  # (types, dim+1, dim)
+        kuhn = _kuhn_offsets(dim)  # a type-t simplex of cell c has vertex a at c + kuhn[t, a]
+        self.hat_grads = _kuhn_hat_gradients(kuhn, float(m))  # (types, dim+1, dim)
         self.simplex_volume = self.h ** dim / math.factorial(dim)
 
-        caxes = [np.arange(m) for _ in range(dim)]
-        cmesh = np.meshgrid(*caxes, indexing="ij")
-        cell_idx = np.stack([g.ravel() for g in cmesh], axis=-1)  # (n_cells, dim)
-        shape = (m + 1,) * dim
-        vert_ids = []
-        for t in range(self.n_types):
-            ids = [np.ravel_multi_index((cell_idx + offsets[t][a]).T, shape)
-                   for a in range(dim + 1)]
-            vert_ids.append(np.stack(ids, axis=-1))  # (n_cells, dim+1)
-        self.simplex_vertices = np.concatenate(vert_ids, axis=0)  # (n_simplices, dim+1)
-        self.barycenters = self.node_coords[self.simplex_vertices].mean(axis=1)
-        self.cell_centers = (cell_idx + 0.5) * self.h  # (n_cells, dim)
+        # the flat index of each cell's corner plus the flat offset of each Kuhn
+        # vertex, type-major as the simplices are numbered
+        strides = (m + 1) ** np.arange(dim - 1, -1, -1)  # of the flat node lattice
+        self.simplex_vertices = ((cells @ strides)[None, :, None] + (kuhn @ strides)[:, None, :]
+                                 ).reshape(self.n_simplices, dim + 1)
+        # barycenter coordinate i of type t: the vertex coordinates (c_i + kuhn[t, a, i]) * h
+        # summed in vertex order a, over d+1; a line in c_i broadcast over the cell lattice
+        coord = np.arange(m + 1) * self.h  # node coordinates along an axis
+        bary = np.empty((self.n_types,) + (m,) * dim + (dim,))
+        for t, i in np.ndindex(self.n_types, dim):
+            line = sum(coord[o:o + m] for o in kuhn[t, :, i]) / (dim + 1)
+            bary[t, ..., i] = line.reshape((-1,) + (1,) * (dim - 1 - i))
+        self.barycenters = bary.reshape(self.n_simplices, dim)
+        self.cell_centers = (cells + 0.5) * self.h  # (n_cells, dim)
+        # vertex-lumped nodal mass: each simplex puts a (dim+1)-th of its volume on each vertex
+        self.lumped_mass = np.zeros(self.n_nodes)
+        np.add.at(self.lumped_mass, self.simplex_vertices.ravel(), self.simplex_volume / (dim + 1))
 
-        for arr in (self.node_coords, self.simplex_vertices, self.barycenters, self.cell_centers):
+        for arr in (self.node_coords, self.simplex_vertices, self.barycenters, self.cell_centers,
+                    self.lumped_mass):
             arr.setflags(write=False)
         self._plans = {}
 
@@ -226,13 +230,6 @@ class Grid:
         if plan is None:
             plan = self._plans[N] = AssemblyPlan(self, N)
         return plan
-
-    def simplices_in(self, region: Region) -> np.ndarray:
-        """Mask of simplices whose barycenter lies in the region."""
-        return region.contains(self.barycenters)
-
-    def cells_in(self, region: Region) -> np.ndarray:
-        return region.contains(self.cell_centers)
 
     def per_cell(self, simplex_values: np.ndarray) -> np.ndarray:
         """Average a per-simplex quantity over the simplices of each cell; leading axis reshaped

@@ -33,9 +33,9 @@ class Schedule:
 
     def __post_init__(self):
         eps = list(self.epsilons)
-        if not eps or any(e <= 0.0 or e > 1.0 for e in eps):
+        if not eps or any(not (0.0 < e <= 1.0) for e in eps):
             raise ValueError("epsilons must be a non-empty list inside (0, 1]")
-        if any(b >= a for a, b in zip(eps, eps[1:])):
+        if any(not (b < a) for a, b in zip(eps, eps[1:])):
             raise ValueError("epsilons must be strictly decreasing")
         self.epsilons = eps
 
@@ -80,7 +80,7 @@ def mollify_boundary(grid: Grid, values: np.ndarray, eps: float) -> np.ndarray:
     the boundary rows (zero elsewhere) are convolved with the bump sampled at the
     lattice offsets closer than eps, by one batched real FFT padded by the kernel
     radius so that nothing wraps around, and divided at the boundary nodes."""
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise ValueError(f"mollifier width must be positive, got {eps}")
     out = np.array(values, dtype=float)
     v = nodal_array(grid, out).reshape(grid.n_nodes, -1)  # a view of out
@@ -233,10 +233,7 @@ def w1p_norm(grid: Grid, values: np.ndarray, p: float) -> float:
     """Discrete W^{1,p} norm with a vertex-lumped zero-order part."""
     z = simplex_gradients(grid, values)
     grad_part = (grid.simplex_volume * frob2(z) ** (p / 2.0)).sum()
-    lump = np.zeros(grid.n_nodes)
-    np.add.at(lump, grid.simplex_vertices.ravel(),
-              np.full(grid.simplex_vertices.size, grid.simplex_volume / (grid.dim + 1)))
-    val_part = (lump * (values ** 2).sum(axis=1) ** (p / 2.0)).sum()
+    val_part = (grid.lumped_mass * (values ** 2).sum(axis=1) ** (p / 2.0)).sum()
     return float((grad_part + val_part) ** (1.0 / p))
 
 

@@ -43,6 +43,10 @@ PARSE_TIME_REJECTIONS = [
     ("diagnose", "amplitudes = 1.0", "amplitudes = ,"),
     ("diagnose", "n = 2;estimates = hd,sup", "n = 3;estimates = hd,rh"),
     ("diagnose", "N = 1;estimates = hd,sup", "N = 2;estimates = hd,cacc"),
+    ("solve", "epsilons = 0.5,0.25", "epsilons = 0.5,nan"),
+    ("diagnose", "seed = 42", "seed = 42\nsobolev_exp = nan"),
+    ("diagnose", "seed = 42", "seed = 42\nsobolev_exp = inf"),
+    ("solve", "seed = 42", "seed = 42\nworkers = 0"),
 ]
 
 

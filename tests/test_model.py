@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from pqvar import registry
 from pqvar.integrands import EvenPolynomial, HomogeneousForm
 from pqvar.model import (DiscreteField, Grid, InvalidRegimeError, Region, RegionError,
-                         Regime, classical_gates, validate_regime)
+                         Regime, _kuhn_offsets, classical_gates, validate_regime)
 from pqvar.solver import RegularizedIntegrand
 
 
@@ -97,6 +97,33 @@ class TestGrid:
             verts = g.node_coords[g.simplex_vertices[s]]
             edges = verts[1:] - verts[0]
             assert abs(abs(np.linalg.det(edges)) / math.factorial(3) - g.simplex_volume) < 1e-15
+
+    @pytest.mark.parametrize("dim,cells", [(2, 2), (2, 7), (3, 2), (3, 5)])
+    def test_tables_match_an_unstructured_construction(self, dim, cells):
+        # the simplex vertices ravelled type by type from the cell lattice, and the
+        # barycenters as means of gathered vertex coordinates, to the bit
+        g = Grid(dim, cells)
+        shape = (cells + 1,) * dim
+        cell_idx = np.stack([c.ravel() for c in np.meshgrid(*[np.arange(cells)] * dim,
+                                                            indexing="ij")], axis=-1)
+        kuhn = _kuhn_offsets(dim)
+        verts = np.concatenate([np.stack([np.ravel_multi_index((cell_idx + o).T, shape)
+                                          for o in offsets], axis=-1) for offsets in kuhn])
+        assert np.array_equal(g.simplex_vertices, verts)
+        assert np.array_equal(g.barycenters, g.node_coords[g.simplex_vertices].mean(axis=1))
+        assert np.array_equal(g.cell_centers, (cell_idx + 0.5) * g.h)
+
+    def test_build_peak_stays_near_the_tables(self):
+        # 32^3 cells keep 13 MB of tables; the build makes no (simplices, dim+1, dim)
+        # gather or per-type index arrays on the way
+        gc.collect()
+        tracemalloc.start()
+        try:
+            Grid(3, 32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 << 20
 
     def test_kuhn_hat_gradients_are_exact(self):
         # every hat gradient is a difference of two axis vectors over h, so no

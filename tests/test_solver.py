@@ -759,6 +759,10 @@ class TestSchedule:
         with pytest.raises(ValueError):
             Schedule(epsilons=[0.5, 0.5])
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError):
+            Schedule(epsilons=[0.5, math.nan])
+
     def test_regularized_integrand_domain(self):
         with pytest.raises(ValueError):
             RegularizedIntegrand(PowerNorm(0.0, 2.0), 1.0, 4.0)
