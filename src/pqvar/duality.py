@@ -33,6 +33,7 @@ class ConjugateResult:
     argmax: np.ndarray
     newton_iters: int
     residual: float
+    gradient_fallbacks: int = 0  # steps where a degenerate hessian gave way to a gradient step
 
 
 def _newton_seed(F: Integrand, xi):
@@ -92,7 +93,7 @@ def conjugate(F: Integrand, xi, tol=DEFAULT_TOL, max_iters=MAX_ITERS) -> Conjuga
     residual up to 100 tol where the objective is flat.  A hessian that is
     singular, or too ill-conditioned by the Cholesky-diagonal proxy for its
     condition number, gives way to a gradient step scaled by the largest
-    curvature."""
+    curvature, counted in `gradient_fallbacks`."""
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     # a row of a batched gradient is strided (batches are entry-major): every
@@ -106,7 +107,10 @@ def conjugate(F: Integrand, xi, tol=DEFAULT_TOL, max_iters=MAX_ITERS) -> Conjuga
         g = F.gradient(z) - xi
         return g, math.sqrt(float(frob2(g)))
 
+    fallbacks = 0
+
     def newton_step(z, g):
+        nonlocal fallbacks
         H = flatten_form(F.hessian(z))
         rhs = -g.reshape(-1)
         step = None
@@ -118,6 +122,7 @@ def conjugate(F: Integrand, xi, tol=DEFAULT_TOL, max_iters=MAX_ITERS) -> Conjuga
             pass
         if step is None or not np.all(np.isfinite(step)):
             # degenerate hessian: plain descent scaled by the largest curvature
+            fallbacks += 1
             step = rhs / max(float(np.abs(H).sum(axis=1).max()), 1.0)
         return step.reshape(z.shape), -float(rhs @ step)
 
@@ -127,7 +132,8 @@ def conjugate(F: Integrand, xi, tol=DEFAULT_TOL, max_iters=MAX_ITERS) -> Conjuga
         objective, gradient, newton_step, _newton_seed(F, xi),
         converged=lambda res, f, f_prev: res <= scaled_tol, stall_tol=100 * scaled_tol,
         max_iters=max_iters, partial=lambda z, f, res, iters: {"z": z, "residual": res})
-    return ConjugateResult(value=-f, argmax=z, newton_iters=iters, residual=res)
+    return ConjugateResult(value=-f, argmax=z, newton_iters=iters, residual=res,
+                           gradient_fallbacks=fallbacks)
 
 
 def inverse_gradient(F: Integrand, xi, tol=DEFAULT_TOL, max_iters=MAX_ITERS):

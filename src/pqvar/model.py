@@ -387,16 +387,16 @@ class AssemblyPlan:
             data[n_upper - 1 - q, :n - o] = data[n_upper - 1 + q, o:]
         return sp.dia_matrix((data, self.offsets), shape=(n, n))
 
-    def upper_band(self, K: "scipy.sparse.dia_matrix") -> np.ndarray:
-        """The upper triangle of a symmetric interior matrix assembled by this plan,
-        in Fortran-ordered LAPACK upper-band storage (u + 1, n), u the largest
-        offset: the diagonal on offset k >= 0 is band row u - k, column for column.
-        With node-major interior dofs u is small in 2d: m*N + N - 1 on m cells."""
+    def lower_band(self, K: "scipy.sparse.dia_matrix") -> np.ndarray:
+        """The lower triangle of a symmetric interior matrix assembled by this plan,
+        in Fortran-ordered LAPACK lower-band storage (l + 1, n), l the largest
+        offset: the diagonal on offset -k <= 0 is band row k, column for column,
+        and the rows of the offsets missing from the stencil are zero.  With
+        node-major interior dofs l is small in 2d: m*N + N - 1 on m cells."""
         offsets = K.offsets
-        upper = np.flatnonzero(offsets >= 0)
-        u = int(offsets[-1])
-        band = np.zeros((u + 1, K.shape[0]), order="F")
-        band[u - offsets[upper]] = K.data[upper]
+        lower = np.flatnonzero(offsets <= 0)
+        band = np.zeros((1 - int(offsets[0]), K.shape[0]), order="F")
+        band[-offsets[lower]] = K.data[lower]
         return band
 
 

@@ -11,7 +11,10 @@ scipy is imported inside the functions that use it, never at module level, so
 functions are looked up on the module objects at call time.
 """
 
+import contextlib
 import csv
+import functools
+import logging
 import math
 import os
 from dataclasses import dataclass, field
@@ -142,7 +145,7 @@ def assemble_hessian(F: Integrand, grid: Grid, values: np.ndarray) -> "scipy.spa
 
 class LinearSolveError(ArithmeticError):
     """A Newton system is not positive definite to the solver (the banded Cholesky
-    factorization of its upper diagonals fails, or CG meets a non-positive main
+    factorization of its lower band fails, or CG meets a non-positive main
     diagonal or a non-positive curvature p.Kp), CG does not reach its tolerance
     within its iteration cap, or the solution is not finite."""
 
@@ -183,28 +186,71 @@ def _pcg(K: "scipy.sparse.dia_matrix", rhs: np.ndarray, rtol: float, preconditio
     raise LinearSolveError(f"CG did not converge in {10 * len(rhs)} iterations")
 
 
+@functools.cache
+def _scipy_blas_threads():
+    """The getter and setter of the thread count of scipy's OpenBLAS pool, found
+    among the symbols that scipy's LAPACK extension reaches, at the first call;
+    None, after one warning on the `pqvar` logger, when either is missing."""
+    import ctypes
+
+    import scipy.linalg._flapack as flapack
+
+    try:
+        lib = ctypes.CDLL(flapack.__file__)
+        get, set_threads = lib.scipy_openblas_get_num_threads, lib.scipy_openblas_set_num_threads
+    except (AttributeError, OSError) as exc:
+        logging.getLogger("pqvar").warning(
+            "scipy's OpenBLAS thread count cannot be set (%s): the 2d banded Cholesky "
+            "factorizations run on its default threads", exc)
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    return get, set_threads
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with scipy's OpenBLAS pool at one thread and give the caller's
+    count back on the way out, also when the block raises; with no setter found
+    the block runs on the pool as it is."""
+    threads = _scipy_blas_threads()
+    if threads is None:
+        yield
+        return
+    get, set_threads = threads
+    caller = get()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(caller)
+
+
 def _preconditioner(plan: AssemblyPlan, K: "scipy.sparse.dia_matrix"):
     """A fresh preconditioner for the Newton system K assembled by `plan`, fixed by
     the grid dimension as measured on the benchmark ladders.  In 3d it is Jacobi,
     r -> r / diag K, with diag K read from K's stored main diagonal.  In 2d the
     node-major interior numbering makes K banded, and it is the LAPACK banded
-    Cholesky factor of K, its band copied from K's upper diagonals: an exact
-    solve for this K and, held across Newton steps, a preconditioner that needs
-    a few CG iterations where Jacobi needs hundreds.  Raises LinearSolveError
-    when the diagonal is not positive or the factorization finds K not positive
-    definite."""
+    Cholesky factor of K, from its lower band (`AssemblyPlan.lower_band`): an
+    exact solve for this K and, held across Newton steps, a preconditioner that
+    needs a few CG iterations where Jacobi needs hundreds.  The factorization
+    runs with scipy's OpenBLAS pool at one thread, which on these narrow bands is
+    faster than two; the triangular solves run on the pool as the caller left it.
+    Raises LinearSolveError when the diagonal is not positive or the
+    factorization finds K not positive definite."""
     if plan.grid.dim == 2:
         import scipy.linalg as sla
 
         try:
-            factor = sla.cholesky_banded(plan.upper_band(K), overwrite_ab=True,
-                                         check_finite=False)
+            with _one_blas_thread():
+                factor = sla.cholesky_banded(plan.lower_band(K), lower=True,
+                                             overwrite_ab=True, check_finite=False)
         except sla.LinAlgError as exc:
             raise LinearSolveError(f"banded Cholesky failed: {exc}") from exc
         pbtrs, = sla.get_lapack_funcs(("pbtrs",), (factor,))
 
         def solve_banded(r):
-            x, info = pbtrs(factor, r)
+            x, info = pbtrs(factor, r, lower=1)
             if info != 0:
                 raise LinearSolveError(f"banded triangular solves failed: pbtrs info = {info}")
             return x
@@ -258,8 +304,9 @@ def minimize_dirichlet(F: Integrand, grid: Grid, boundary: np.ndarray,
     interior gradient g, so far from the minimizer a step costs few CG iterations
     and near it the step is as accurate as an exact one.  In 3d each system is
     preconditioned by its own Jacobi diagonal.  In 2d the preconditioner is the
-    banded Cholesky factor of a recent hessian of this solve: it is factored at the
-    first step, at the step after a PCG that needed more than REFACTOR_ITERS
+    banded Cholesky factor of a recent hessian of this solve, factored from its
+    lower band on one thread of scipy's BLAS pool.  It is factored at the first
+    step, at the step after a PCG that needed more than REFACTOR_ITERS
     iterations, and at once when a PCG with the held factor fails.  The factor
     lives in this call alone, so solves stay independent of each other.  A system
     that a fresh preconditioner cannot solve is replaced by a diagonally scaled

@@ -255,6 +255,27 @@ class TestNewtonCore:
         assert exc.value.z.shape == (2, 2)
         assert exc.value.residual > DEFAULT_TOL * np.sqrt(float(frob2(xi)))
 
+    def test_failed_cholesky_is_a_counted_gradient_step(self, monkeypatch):
+        # one Cholesky failure turns one Newton step into a gradient step, which
+        # the result counts; a regular conjugation counts none
+        F = registry.get("aniso2d_q4_vec").integrand
+        xi = F.gradient(np.array([[2.0, -1.0], [0.5, 3.0]]))
+        regular = conjugate(F, xi)
+        assert regular.gradient_fallbacks == 0 and regular.newton_iters >= 1
+        cholesky, calls = np.linalg.cholesky, []
+
+        def failing_once(*args, **kw):
+            calls.append(1)
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("Matrix is not positive definite")
+            return cholesky(*args, **kw)
+
+        monkeypatch.setattr(np.linalg, "cholesky", failing_once)
+        res = conjugate(F, xi)
+        assert res.gradient_fallbacks == 1
+        assert np.abs(F.gradient(res.argmax) - xi).max() <= DEFAULT_TOL * np.sqrt(float(frob2(xi)))
+        assert res.value == pytest.approx(regular.value, rel=1e-12)
+
     @pytest.mark.parametrize("norm", [1e-3, 0.5, 7.0])
     def test_seed_is_the_ray_maximizer(self, norm):
         # for a radial integrand the maximizer lies on the ray of xi, where the

@@ -1,3 +1,5 @@
+import ctypes
+import logging
 import math
 import tracemalloc
 
@@ -536,18 +538,18 @@ def newton_hessian(cells=16):
 class TestLinearSolve:
     def test_band_expands_to_the_hessian(self):
         plan, K = newton_hessian()
-        band = plan.upper_band(K)
-        u, n = band.shape[0] - 1, K.shape[0]
-        assert u == 16 * 2 + 2 - 1
-        upper = np.zeros((n, n))
-        for k in range(u + 1):
-            # row u - k of the band holds the k-th superdiagonal, from column k on
-            upper += np.diag(band[u - k, k:], k)
-        # the assembly sums mirrored entries in different orders, so K is symmetric
-        # only to round-off; the band holds its upper triangle exactly
+        band = plan.lower_band(K)
+        l, n = band.shape[0] - 1, K.shape[0]
+        assert l == 16 * 2 + 2 - 1
+        lower = np.zeros((n, n))
+        for k in range(l + 1):
+            # row k of the band holds the k-th subdiagonal in its first n - k columns
+            lower += np.diag(band[k, :n - k], -k)
+        # each lower diagonal is a copy of its mirror, so K is exactly symmetric,
+        # and the band, zero on the offsets outside the stencil, is its lower triangle
         dense = K.toarray()
-        assert np.array_equal(upper, np.triu(dense))
-        assert np.abs(dense - dense.T).max() <= 1e-14 * np.abs(dense).max()
+        assert np.array_equal(lower, np.tril(dense))
+        assert np.array_equal(dense, dense.T)
 
     def test_banded_solution_matches_spsolve(self):
         plan, K = newton_hessian()
@@ -680,6 +682,84 @@ class TestHeldFactor:
         fld, rep = minimize_dirichlet(Feps, grid, g)
         assert failed == [2] and rep.gradient_fallbacks == 1
         assert rep.residual_sup <= 1e-9
+
+
+@pytest.fixture
+def scipy_pool():
+    """The getter and setter of scipy's OpenBLAS thread count; the count is put
+    back after the test."""
+    get, set_threads = solver._scipy_blas_threads()
+    before = get()
+    yield get, set_threads
+    set_threads(before)
+
+
+class TestOneBlasThread:
+    @pytest.mark.parametrize("threads", [2, 1])
+    def test_factorization_runs_on_one_thread(self, monkeypatch, scipy_pool, threads):
+        get, set_threads = scipy_pool
+        factor, seen = sla.cholesky_banded, []
+
+        def recording(*args, **kw):
+            seen.append(get())
+            return factor(*args, **kw)
+
+        monkeypatch.setattr(sla, "cholesky_banded", recording)
+        set_threads(threads)
+        plan, K = newton_hessian()
+        _preconditioner(plan, K)
+        assert seen == [1]
+        assert get() == threads
+
+    @pytest.mark.parametrize("threads", [2, 1])
+    def test_caller_count_is_back_after_a_failed_factorization(self, scipy_pool, threads):
+        get, set_threads = scipy_pool
+        set_threads(threads)
+        grid = Grid(2, 8)
+        K = laplacian(grid, 2)
+        K.data[np.flatnonzero(K.offsets == 0)[0], 0] *= -1.0
+        with pytest.raises(LinearSolveError, match="banded Cholesky"):
+            _preconditioner(grid.assembly_plan(2), K)
+        assert get() == threads
+
+    def test_missing_setter_factors_on_the_default_pool_and_warns_once(self, monkeypatch,
+                                                                       caplog):
+        Feps, grid, g = vectorial_solve()
+        ref, ref_rep = minimize_dirichlet(Feps, grid, g)
+
+        class NoSymbols:
+            pass
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda path: NoSymbols())
+        solver._scipy_blas_threads.cache_clear()
+        try:
+            with caplog.at_level(logging.WARNING, logger="pqvar"):
+                fld, rep = minimize_dirichlet(Feps, grid, g)
+        finally:
+            solver._scipy_blas_threads.cache_clear()
+        assert rep.factorizations == ref_rep.factorizations >= 2
+        assert [r.levelno for r in caplog.records if r.name == "pqvar"] == [logging.WARNING]
+        assert np.array_equal(fld.values, ref.values)
+
+    def test_ladder_is_the_same_on_one_and_two_caller_threads(self, scipy_pool):
+        # only the factorization is pinned to one thread: the triangular solves
+        # run on the caller's pool, and must not change a bit with its size
+        _, set_threads = scipy_pool
+        grid = Grid(2, 16)
+        entry = registry.get("aniso2d_q4_vec")
+        g = boundary_family("sine", grid, 2.0, 2)
+        runs = []
+        for threads in (1, 2):
+            set_threads(threads)
+            runs.append(run_scheme(entry.integrand, entry.regime, grid, g, Schedule.dyadic(4),
+                                   keep_fields=True))
+        one, two = runs
+        assert one.violations == two.violations == []
+        for a, b in zip(one.reports, two.reports):
+            assert (a.iterations, a.linear_iterations, a.factorizations) \
+                == (b.iterations, b.linear_iterations, b.factorizations)
+        for a, b in zip(one.fields, two.fields):
+            assert np.array_equal(a.values, b.values)
 
 
 class TestElResidual:
