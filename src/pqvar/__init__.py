@@ -11,7 +11,7 @@ from .integrands import (AxisPower, EvenPolynomial, HomogeneousForm, Integrand,
                          MoserWeight, PowerNorm, Scaled, Sum, ell_mu, fd_check, v_map)
 from .duality import (ConjugateResult, conjugate, conjugate_difference_probe,
                       conjugate_hessian, fenchel_young_gap, inverse_gradient,
-                      monotonicity_ratio, second_order_bound)
+                      monotonicity_ratios)
 from .growth import (LegendreCertificate, check_legendre, delta_of_homogeneous,
                      ellipticity_eigs, ellipticity_ratio, gehring_exponent,
                      homogeneous_decomposition, polynomial_growth_exponents, sum_growth)

@@ -18,9 +18,11 @@ into z (row-major over (N, n)); `1.0 1 1 2 2` is the monomial z_1^2 z_2^2.
 
 These config errors exit 2 before any solve: malformed lines, unknown keys, bad
 numbers, an integrand term out of range or syntax (by line and column), an
-empty amplitudes list, sobolev_exp <= 2q/p, rh with n != 2 or a t_grid entry
-outside (1, 2), cacc with N != 1, and a measurement region that the grid does
-not resolve (no simplex barycenter or cell center inside).  A q-sweep checks
+empty amplitudes list or a non-finite amplitude, a region with a non-finite
+center or radius, sobolev_exp <= 2q/p, rh with n != 2 or a t_grid entry outside
+(1, 2), cacc with N != 1, and a measurement region that the grid does not
+resolve (no simplex barycenter or cell center inside).  So does a non-finite
+amplitude among the values of `sweep --vary amplitude`.  A q-sweep checks
 sobolev_exp at each q; a point it does not suit carries the error in its row.
 
 Recognized keys (defaults in parentheses): n (2), N (1), p, q, mu (0), L,
@@ -32,6 +34,7 @@ q in a sweep), seed (0), workers (1).
 
 import argparse
 import concurrent.futures
+import logging
 import math
 import os
 import re
@@ -209,6 +212,13 @@ def _floats(key, text, line=None):
         raise ConfigError(f"bad number list for {key!r}: {text!r}", line=line) from None
 
 
+def _check_amplitudes(key, values, line=None):
+    """Raise ConfigError unless every amplitude is finite."""
+    for a in values:
+        if not math.isfinite(a):
+            raise ConfigError(f"{key} must be finite, got {a}", line=line)
+
+
 def parse_config(text, base_dir=".") -> ExperimentConfig:
     """Deterministic parse of the key = value experiment format."""
     raw = {}
@@ -282,6 +292,7 @@ def parse_config(text, base_dir=".") -> ExperimentConfig:
     amplitudes = floats("amplitudes", "1.0")
     if not amplitudes:
         raise ConfigError("amplitudes needs at least one value", line=lines["amplitudes"])
+    _check_amplitudes("amplitudes", amplitudes, line=lines.get("amplitudes"))
     estimates = [tok.strip() for tok in raw.get("estimates", "hd,sup").split(",") if tok.strip()]
     known_estimates = {"hd", "sup", "rh", "cacc", "stress", "decay"}
     for est in estimates:
@@ -434,14 +445,16 @@ def run_diagnose(cfg: ExperimentConfig) -> DiagnosticsReport:
     """Solve per amplitude, measure, and fit exponents across the sweep.
 
     Fitted exponents regress log lhs on log(avg_B F + 1) for the estimates whose
-    right-hand side is a power of that base; other estimates keep None."""
+    right-hand side is a power of that base; other estimates keep None, and so
+    does one that `fit_exponent` cannot fit, after a warning on the `pqvar`
+    logger that gives its id and the reason."""
     report = DiagnosticsReport()
     grid = _solve_grid(cfg)  # one grid, with its assembly plan, for every amplitude
     for amp in cfg.amplitudes:
         res = _solve_once(cfg, amp, grid)
         report.extend(measure_estimates(cfg, amp, res))
     chain = diagnostics.hd_exponents(cfg.regime, cfg.sobolev_exp)
-    for est in {e.estimate_id for e in report.entries}:
+    for est in dict.fromkeys(e.estimate_id for e in report.entries):
         if not (est in ("hdes", "sup_grad") or est.startswith("rh_t=")):
             continue
         entries = report.by_id(est)
@@ -450,7 +463,9 @@ def run_diagnose(cfg: ExperimentConfig) -> DiagnosticsReport:
             lhss = [e.lhs for e in entries]
             try:
                 b, _ = diagnostics.fit_exponent(bases, lhss)
-            except ValueError:
+            except ValueError as exc:
+                logging.getLogger("pqvar").warning("estimate %s: no exponent fitted (%s)",
+                                                   est, exc)
                 continue
             for e in entries:
                 e.fitted_exponent = b
@@ -587,6 +602,8 @@ def cmd_sweep(args):
     if args.vary not in ("q", "amplitude"):
         print(f"cannot vary {args.vary!r}; choose q or amplitude")
         return 2
+    if args.vary == "amplitude":
+        _check_amplitudes("--values", values)
     jobs = [(cfg_text, base_dir, args.vary, v) for v in values]
     if cfg.workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.workers) as pool:
@@ -625,13 +642,13 @@ def cmd_moser(args):
         params = diagnostics.MoserParams(alpha0=args.alpha0, gamma=args.gamma,
                                          c0=args.c0, M=args.M, tau1=args.tau1,
                                          tau2=args.tau2)
+        bound = diagnostics.moser_bound(params, args.V0)
     except ValueError as exc:
         print(f"error: {exc}")
         return 2
     print("i,alpha_i")
     for i in range(args.count + 1):
         print(f"{i},{_fmt(diagnostics.moser_alpha_sequence(params, i))}")
-    bound = diagnostics.moser_bound(params, args.V0)
     print(f"bound,{_fmt(bound)}")
     return 0
 
@@ -641,6 +658,14 @@ def _count(text):
     k = int(text)
     if k < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {k}")
+    return k
+
+
+def _index(text):
+    """argparse type: an integer of at least 0."""
+    k = int(text)
+    if k < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {k}")
     return k
 
 
@@ -704,7 +729,7 @@ def build_parser():
     pm.add_argument("--tau1", type=float, default=0.25)
     pm.add_argument("--tau2", type=float, default=0.125)
     pm.add_argument("--V0", type=float, default=1.0)
-    pm.add_argument("--count", type=int, default=8)
+    pm.add_argument("--count", type=_index, default=8)
     pm.set_defaults(fn=cmd_moser)
     return ap
 

@@ -192,8 +192,8 @@ def reverse_holder_scan(field: DiscreteField, F: Integrand, r: Regime, t_grid,
     """Integrability scan on a 2d solve: for each t in (1, 2) the averaged
     L^{2t} norm of the V-field gradients over B/8 against (avg_B F + 1)^b.
 
-    Returns a list of (t, lhs, ratio); aggregation across an amplitude sweep is
-    done by `best_reverse_holder_t`.
+    Returns a list of (t, lhs, ratio); across an amplitude sweep `run_diagnose`
+    fits the exponent of each t's lhs against the base.
     """
     check_reverse_holder(field.grid.dim, t_grid)
     eighth = B.scaled(1.0 / 8.0)
@@ -205,19 +205,6 @@ def reverse_holder_scan(field: DiscreteField, F: Integrand, r: Regime, t_grid,
         lhs = mean_pow ** (1.0 / (2.0 * t))
         out.append((float(t), lhs, lhs / base ** b))
     return out
-
-
-def best_reverse_holder_t(scans, cap: float):
-    """Largest t whose ratio stays below `cap` in every scan of the sweep; None
-    if no t qualifies."""
-    if not scans:
-        return None
-    ts = [t for (t, _, _) in scans[0]]
-    best = None
-    for k, t in enumerate(ts):
-        if all(scan[k][2] <= cap for scan in scans):
-            best = t if best is None or t > best else best
-    return best
 
 
 @dataclass
@@ -353,20 +340,14 @@ class MoserParams:
     tau2: float
 
     def __post_init__(self):
-        if self.alpha0 < -1.0:
-            raise ValueError(f"alpha0 must be >= -1, got {self.alpha0}")
+        if not (-1.0 <= self.alpha0 < math.inf):
+            raise ValueError(f"alpha0 must be finite and >= -1, got {self.alpha0}")
         if not (0.0 < self.gamma < 1.0):
             raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
-        if self.c0 < 1.0 or self.M < 1.0:
-            raise ValueError("c0 and M must be >= 1")
-        if not (0.125 <= self.tau2 < self.tau1):
-            raise ValueError("radii must satisfy 1/8 <= tau2 < tau1")
-
-    @classmethod
-    def from_regime(cls, r: Regime, alpha0=-1.0, c0=1.0, M=1.0, tau1=0.25, tau2=0.125):
-        """gamma = (n-3)/(n-1) for n >= 4; the instantiation p/(2q) in low dimension."""
-        gamma = (r.n - 3.0) / (r.n - 1.0) if r.n >= 4 else r.p / (2.0 * r.q)
-        return cls(alpha0=alpha0, gamma=gamma, c0=c0, M=M, tau1=tau1, tau2=tau2)
+        if not (1.0 <= self.c0 < math.inf and 1.0 <= self.M < math.inf):
+            raise ValueError(f"c0 and M must be finite and >= 1, got {self.c0} and {self.M}")
+        if not (0.125 <= self.tau2 < self.tau1 < math.inf):
+            raise ValueError("radii must satisfy 1/8 <= tau2 < tau1 < inf")
 
 
 def moser_alpha_sequence(params: MoserParams, i: int) -> float:
@@ -386,8 +367,8 @@ def moser_bound(params: MoserParams, V0: float, tail_tol=1e-15) -> float:
     e_m = gamma^m / ((2+alpha0)(1-gamma)); the series is truncated once a term
     drops below tail_tol.
     """
-    if V0 < 0.0:
-        raise ValueError("V0 must be nonnegative")
+    if not (0.0 <= V0 < math.inf):
+        raise ValueError(f"V0 must be finite and nonnegative, got {V0}")
     g = params.gamma
     a0_weight = (g + 1.0) / g
     denom = (2.0 + params.alpha0) * (1.0 - g)
@@ -498,19 +479,6 @@ def stress_integrability(field: DiscreteField, F: Integrand, r: Regime,
     num = float(vol * (np.sqrt(frob2(F.gradient(z))) ** qc).sum())
     den = float(vol * F.value(z).sum()) + 1.0
     return num / den
-
-
-def second_order_samples(field: DiscreteField, max_samples=256, seed=0):
-    """(w, dw) pairs from a solved field for the pointwise second-order bound:
-    w is the cell-averaged gradient, dw its dual-grid derivative in every
-    direction."""
-    grid = field.grid
-    W, parts = _dual_grid(grid, field.gradients)
-    flatW = W.reshape((-1,) + W.shape[grid.dim:])
-    flatD = [g.reshape((-1,) + W.shape[grid.dim:]) for g in parts]
-    rng = np.random.default_rng(seed)
-    picks = rng.choice(len(flatW), size=min(max_samples, len(flatW)), replace=False)
-    return [(flatW[k], np.stack([d[k] for d in flatD])) for k in picks]
 
 
 def fit_exponent(bases, lhs_values):

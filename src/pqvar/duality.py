@@ -177,46 +177,6 @@ def monotonicity_ratios(F: Integrand, r: Regime, z1, z2):
     return out
 
 
-def monotonicity_ratio(F: Integrand, r: Regime, z1, z2):
-    """Single-pair monotonicity ratio; None for the degenerate pair z1 == z2."""
-    z1 = np.asarray(z1, dtype=float)
-    z2 = np.asarray(z2, dtype=float)
-    if np.array_equal(z1, z2):
-        return None
-    out = float(monotonicity_ratios(F, r, z1, z2))
-    return None if math.isnan(out) else out
-
-
-def second_order_bound(F: Integrand, r: Regime, samples, h=1e-6):
-    """Minimum over samples of sum_s <F''(w) d_s w, d_s w> over the squared V-field gradients.
-
-    Each sample is a pair (w, dw) with w of shape (N, n) and dw of shape
-    (n_dirs, N, n) holding the spatial derivative of w in every direction.  The
-    V-field gradients are formed by chain-rule finite differences through w, so
-    the check never differentiates V analytically.  Samples where both sides
-    vanish (constant fields) are skipped; returns None if all are skipped.
-    """
-    qc = r.q_conj
-    best = None
-    for w, dw in samples:
-        w = np.asarray(w, dtype=float)
-        dw = np.asarray(dw, dtype=float)
-        H = F.hessian(w)
-        lhs = float(sum(inner(np.einsum("ijkl,kl->ij", H, d), d) for d in dw))
-        rhs = 0.0
-        for d in dw:
-            dvp = (v_map(r.mu, r.p, w + h * d) - v_map(r.mu, r.p, w - h * d)) / (2 * h)
-            gp = F.gradient(w + h * d)
-            gm = F.gradient(w - h * d)
-            dvq = (v_map(1.0, qc, gp) - v_map(1.0, qc, gm)) / (2 * h)
-            rhs += float(frob2(dvp) + frob2(dvq))
-        if rhs <= 0.0:
-            continue
-        ratio = lhs / rhs
-        best = ratio if best is None else min(best, ratio)
-    return best
-
-
 def conjugate_difference_probe(F: Integrand, G: Integrand, samples, shape=(1, 2), seed=0,
                                radius=3.0, tol=1e-8):
     """Check convexity of F* - G* through the equivalent primal inequality.

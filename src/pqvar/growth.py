@@ -42,7 +42,6 @@ class LegendreCertificate:
     constant_assf1: float
     samples: int
     worst_points: list = field(default_factory=list)
-    delta: float | None = None
 
 
 def ellipticity_eigs(F: Integrand, z):
@@ -269,10 +268,10 @@ def gehring_exponent(c0: float, M: float, m: float) -> float:
 
     Evaluated as 1 + (1 - m)/(2 c0 M - 1), which keeps t strictly above 1 in
     floating point far longer than the raw quotient."""
-    if c0 < 1.0:
-        raise ValueError(f"c0 must be >= 1, got {c0}")
-    if M < 1.0:
-        raise ValueError(f"M must be >= 1, got {M}")
+    if not (1.0 <= c0 < math.inf):
+        raise ValueError(f"c0 must be finite and >= 1, got {c0}")
+    if not (1.0 <= M < math.inf):
+        raise ValueError(f"M must be finite and >= 1, got {M}")
     if not (0.0 < m < 1.0):
         raise ValueError(f"m must lie in (0, 1), got {m}")
     return 1.0 + (1.0 - m) / (2.0 * c0 * M - 1.0)

@@ -501,16 +501,8 @@ class MoserWeight:
             raise ValueError(f"alpha must be >= -1, got {self.alpha}")
 
     def eval(self, z) -> dict:
-        """Returns L, l_alpha, and the chain-rule scalar g with (l_alpha)'(z) = g * z."""
+        """Returns L and l_alpha at z."""
         r = self.regime
         z = np.asarray(z, dtype=float)
-        ell2 = r.mu ** 2 + frob2(z)
-        L = ell2 ** (r.p / 2.0)
-        l_alpha = L ** ((self.alpha + 2.0) / 2.0) + 1.0
-        pos = ell2 > 0.0
-        safe = np.where(pos, ell2, 1.0)
-        # d l_alpha / dz = ((alpha+2)/2) L^{alpha/2} * p ell^{p-2} * z
-        g = ((self.alpha + 2.0) / 2.0) * np.where(pos, L, 0.0) ** (self.alpha / 2.0) \
-            * r.p * safe ** ((r.p - 2.0) / 2.0)
-        g = np.where(pos, g, 0.0)
-        return {"L": L, "l_alpha": l_alpha, "grad_factor": g}
+        L = (r.mu ** 2 + frob2(z)) ** (r.p / 2.0)
+        return {"L": L, "l_alpha": L ** ((self.alpha + 2.0) / 2.0) + 1.0}

@@ -59,10 +59,6 @@ class Regime:
         """Conjugate exponent q' = q/(q-1)."""
         return self.q / (self.q - 1.0)
 
-    @property
-    def p_conj(self):
-        return self.p / (self.p - 1.0)
-
     def with_exponents(self, p=None, q=None):
         return Regime(self.n, self.N, self.p if p is None else p,
                       self.q if q is None else q, self.mu, self.L)
@@ -116,11 +112,13 @@ class Region:
     kind: str = "ball"
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise RegionError(f"region radius must be positive, got {self.radius}")
+        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
+        if not all(math.isfinite(c) for c in self.center):
+            raise RegionError(f"region center must be finite, got {self.center}")
+        if not (0.0 < self.radius < math.inf):
+            raise RegionError(f"region radius must be positive and finite, got {self.radius}")
         if self.kind not in ("ball", "cube"):
             raise RegionError(f"region kind must be 'ball' or 'cube', got {self.kind!r}")
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
 
     def scaled(self, factor: float) -> "Region":
         """Concentric region with radius scaled by `factor` (e.g. B/2 = B.scaled(0.5))."""
@@ -423,9 +421,6 @@ class DiscreteField:
         self.gradients = grid.assembly_plan(self.N).gradients(self.values)
         self.values.setflags(write=False)
         self.gradients.setflags(write=False)
-
-    def replace_values(self, nodal_values) -> "DiscreteField":
-        return DiscreteField(self.grid, nodal_values)
 
 
 # --------------------------------------------------------------------------- reports

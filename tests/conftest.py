@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -9,6 +11,19 @@ from pqvar.solver import Schedule, boundary_family, run_scheme
 # property tests explore a fixed corpus so the suite is reproducible run to run
 settings.register_profile("deterministic", derandomize=True)
 settings.load_profile("deterministic")
+
+
+@pytest.fixture(autouse=True)
+def no_unasserted_pqvar_warnings(caplog):
+    """Fail a test on any WARNING record of the `pqvar` logger, from its setup or
+    its call, that the test did not assert and then drop with `caplog.clear()`."""
+    yield
+    stray = [f"{r.name}: {r.getMessage()}" for when in ("setup", "call")
+             for r in caplog.get_records(when)
+             if r.name.split(".")[0] == "pqvar" and r.levelno >= logging.WARNING]
+    if stray:
+        pytest.fail("unasserted pqvar warnings:\n" + "\n".join(stray), pytrace=False)
+
 
 AMPLITUDES = (0.5, 1.0, 2.0, 4.0)
 GRIDS = (32, 64)

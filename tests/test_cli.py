@@ -1,5 +1,6 @@
 import csv
 import io
+import logging
 import math
 import os
 import re
@@ -47,6 +48,8 @@ PARSE_TIME_REJECTIONS = [
     ("diagnose", "seed = 42", "seed = 42\nsobolev_exp = nan"),
     ("diagnose", "seed = 42", "seed = 42\nsobolev_exp = inf"),
     ("solve", "seed = 42", "seed = 42\nworkers = 0"),
+    ("diagnose", "amplitudes = 1.0", "amplitudes = nan"),
+    ("solve", "amplitudes = 1.0", "amplitudes = 1.0,inf"),
 ]
 
 
@@ -169,6 +172,14 @@ class TestConfig:
             parse_config(MODEL_CFG.replace("amplitudes = 1.0", "amplitudes = 1,x"))
         assert exc.value.line == 12
 
+    @pytest.mark.parametrize("region, match", [("0.5,0.5,nan,ball", "radius"),
+                                               ("nan,0.5,0.45,ball", "center"),
+                                               ("0.5,inf,0.45,cube", "center")])
+    def test_non_finite_region_names_the_bad_part(self, region, match):
+        with pytest.raises(ConfigError, match=f"bad region: region {match} must be") as exc:
+            parse_config(MODEL_CFG + f"region = {region}\n")
+        assert exc.value.line == 15
+
     def test_readme_config_block(self):
         readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
         with open(readme) as fh:
@@ -194,6 +205,26 @@ class TestSubcommands:
 
     def test_gehring_domain_error(self, capsys):
         assert main(["gehring", "--c0", "0.2", "--M", "1", "--m", "0.5"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["gehring", "--c0", "nan", "--M", "1", "--m", "0.5"],
+        ["gehring", "--c0", "1", "--M", "inf", "--m", "0.5"],
+        ["moser", "--gamma", "0.5", "--alpha0", "nan"],
+        ["moser", "--gamma", "0.5", "--c0", "inf"],
+        ["moser", "--gamma", "0.5", "--M", "nan"],
+        ["moser", "--gamma", "0.5", "--tau1", "inf"],
+        ["moser", "--gamma", "0.5", "--V0", "-1"],
+        ["moser", "--gamma", "0.5", "--V0", "nan"],
+    ])
+    def test_unusable_constants_exit_2(self, capsys, argv):
+        assert main(argv) == 2
+        assert capsys.readouterr().out.startswith("error:")
+
+    def test_moser_negative_count_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["moser", "--gamma", "0.5", "--count", "-3"])
+        assert exc.value.code == 2
+        assert "argument --count: must be at least 0" in capsys.readouterr().err
 
     def test_moser_table(self, capsys):
         assert main(["moser", "--gamma", "0.5", "--count", "3"]) == 0
@@ -297,6 +328,23 @@ class TestSubcommands:
         fitted = {r[4] for r in hdes}
         assert len(fitted) == 1 and fitted != {""}
 
+    def test_diagnose_warns_of_a_skipped_fit(self, tmp_path, capsys, caplog):
+        # affine data leave hdes with lhs 0 at 3 of the 4 amplitudes: too few
+        # positive points to fit, so its exponent stays empty and a warning says why
+        cfg = tmp_path / "affine.cfg"
+        cfg.write_text(_edited(MODEL_CFG, "cells = 12;epsilons = 0.5,0.25;boundary = sine;"
+                               "amplitudes = 1.0", "cells = 16;schedule_count = 4;"
+                               "boundary = affine;amplitudes = 0.5,1,2,4"))
+        out = tmp_path / "diag.csv"
+        with caplog.at_level(logging.WARNING, logger="pqvar"):
+            assert main(["diagnose", "--config", str(cfg), "--out", str(out)]) == 0
+        warnings = [r.getMessage() for r in caplog.records if r.name == "pqvar"]
+        assert len(warnings) == 1 and "hdes" in warnings[0]
+        caplog.clear()
+        rows = [r.split(",") for r in out.read_text().strip().split("\n")[1:]]
+        assert {r[4] for r in rows if r[0] == "hdes"} == {""}
+        assert "" not in {r[4] for r in rows if r[0] == "sup_grad"}
+
     def test_diagnose_builds_one_grid(self, monkeypatch):
         built = []
         init = cli.Grid.__init__
@@ -394,6 +442,17 @@ class TestSubcommands:
         assert main(["sweep", "--config", str(cfg), "--vary", "amplitude",
                      "--values", "1,2"]) == 2
         assert capsys.readouterr().out.startswith("config error: no simplex barycenters")
+
+    @pytest.mark.parametrize("values", ["1,nan", "inf"])
+    def test_sweep_non_finite_amplitude_comes_before_the_solve(self, model_cfg, capsys,
+                                                               monkeypatch, values):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("run_scheme was called")
+
+        monkeypatch.setattr(solver, "run_scheme", no_solve)
+        assert main(["sweep", "--config", model_cfg, "--vary", "amplitude",
+                     "--values", values]) == 2
+        assert capsys.readouterr().out.startswith("config error: --values must be finite")
 
     def test_sweep_sobolev_default_follows_q(self, tmp_path, capsys):
         # q = 9 needs sobolev_exp > 2q/p = 9: the default 4q/p follows q, while an

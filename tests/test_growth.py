@@ -220,3 +220,9 @@ class TestGehringExponent:
         for bad in ((0.5, 1.0, 0.5), (1.0, 0.5, 0.5), (1.0, 1.0, 1.0), (1.0, 1.0, 0.0)):
             with pytest.raises(ValueError):
                 gehring_exponent(*bad)
+
+    @pytest.mark.parametrize("c0, M", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan),
+                                       (1.0, math.inf)])
+    def test_non_finite_constants_rejected(self, c0, M):
+        with pytest.raises(ValueError, match="finite"):
+            gehring_exponent(c0, M, 0.5)

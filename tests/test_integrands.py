@@ -408,18 +408,6 @@ class TestMoserWeight:
         assert out["L"] == pytest.approx(4.0)
         assert out["l_alpha"] == pytest.approx(5.0)  # L^1 + 1
 
-    def test_grad_factor_is_chain_rule(self):
-        # finite-difference check of d l_alpha / dz = grad_factor * z
-        r = Regime(2, 1, 3.0, 4.0, 0.5, 8.0)
-        w = MoserWeight(r, 1.5)
-        z = np.array([[0.8, -0.4]])
-        h = 1e-6
-        for k in range(2):
-            dz = np.zeros_like(z)
-            dz[0, k] = h
-            fd = (w.eval(z + dz)["l_alpha"] - w.eval(z - dz)["l_alpha"]) / (2 * h)
-            assert fd == pytest.approx(float(w.eval(z)["grad_factor"] * z[0, k]), rel=1e-5)
-
     def test_alpha_floor(self):
         with pytest.raises(ValueError):
             MoserWeight(Regime(2, 1, 2.0, 4.0, 0.0, 8.0), -1.5)

@@ -315,3 +315,9 @@ class TestRegion:
             Region((0.5, 0.5), -1.0, "ball")
         with pytest.raises(RegionError):
             Region((0.5, 0.5), 0.1, "disk")
+
+    @pytest.mark.parametrize("center, radius", [((0.5, math.nan), 0.1), ((math.inf, 0.5), 0.1),
+                                                ((0.5, 0.5), math.nan), ((0.5, 0.5), math.inf)])
+    def test_rejects_non_finite_center_or_radius(self, center, radius):
+        with pytest.raises(RegionError, match="finite"):
+            Region(center, radius, "ball")

@@ -739,6 +739,7 @@ class TestOneBlasThread:
             solver._scipy_blas_threads.cache_clear()
         assert rep.factorizations == ref_rep.factorizations >= 2
         assert [r.levelno for r in caplog.records if r.name == "pqvar"] == [logging.WARNING]
+        caplog.clear()
         assert np.array_equal(fld.values, ref.values)
 
     def test_ladder_is_the_same_on_one_and_two_caller_threads(self, scipy_pool):
@@ -779,7 +780,7 @@ class TestElResidual:
         rng = np.random.default_rng(7)
         pert = np.array(fld.values)
         pert[grid.interior_mask] += 1e-3 * rng.normal(size=(int(grid.interior_mask.sum()), 1))
-        assert el_residual(Feps, fld.replace_values(pert)) > rep.residual_sup
+        assert el_residual(Feps, DiscreteField(grid, pert)) > rep.residual_sup
 
 
 class TestScheme:
