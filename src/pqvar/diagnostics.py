@@ -300,9 +300,8 @@ def caccioppoli_check(field: DiscreteField, F: Integrand, r: Regime, alpha: floa
     cell_l = grid.per_cell(l_alpha)
 
     def eta_of(points):
-        d = points - np.asarray(inner_r.center)
-        dist = np.sqrt((d ** 2).sum(axis=-1)) if inner_r.kind == "ball" \
-            else np.abs(d).max(axis=-1)
+        gauge = inner_r.gauge(points)
+        dist = np.sqrt(gauge) if inner_r.kind == "ball" else gauge
         ramp = (outer_r.radius - dist) / (outer_r.radius - inner_r.radius)
         return np.clip(ramp, 0.0, 1.0), dist
 
@@ -365,10 +364,13 @@ def moser_bound(params: MoserParams, V0: float, tail_tol=1e-15) -> float:
     where C and a0 come from summing the per-rung factors
     [c0 A_{alpha_m}^2 (2^m/(tau1-tau2))^((gamma+1)/gamma)]^(e_m) with weights
     e_m = gamma^m / ((2+alpha0)(1-gamma)); the series is truncated once a term
-    drops below tail_tol.
+    drops below tail_tol.  The product is formed in log space: the result is
+    math.inf when the bound passes the float range, and 0 when V0 = 0.
     """
     if not (0.0 <= V0 < math.inf):
         raise ValueError(f"V0 must be finite and nonnegative, got {V0}")
+    if V0 == 0.0:
+        return 0.0
     g = params.gamma
     a0_weight = (g + 1.0) / g
     denom = (2.0 + params.alpha0) * (1.0 - g)
@@ -388,7 +390,12 @@ def moser_bound(params: MoserParams, V0: float, tail_tol=1e-15) -> float:
         m += 1
     m_expo = g / denom
     gap = params.tau1 - params.tau2
-    return math.exp(log_pref) * params.M ** m_expo / gap ** a0 * V0 ** (2.0 / (params.alpha0 + 2.0))
+    log_bound = (log_pref + m_expo * math.log(params.M) - a0 * math.log(gap)
+                 + 2.0 / (params.alpha0 + 2.0) * math.log(V0))
+    try:
+        return math.exp(log_bound)
+    except OverflowError:
+        return math.inf
 
 
 # ------------------------------------------------------------- Gehring on data

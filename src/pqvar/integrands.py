@@ -170,12 +170,15 @@ def _first_factor(t, p):
 
 def _second_factor(t, p):
     """b = p (p-2) t^((p-4)/2), so that the hessian is a Id + b w (x) w; None for
-    p = 2.  Below p = 4 the power is taken only where t > 0, and b is 0 at
-    t = 0, where w = 0 anyway."""
+    p = 2, and the number p (p-2) = 8 for p = 4, where it does not depend on t.
+    Below p = 4 the power is taken only where t > 0, and b is 0 at t = 0, where
+    w = 0 anyway."""
     if p == 2.0:
         return None
     e = (p - 4.0) / 2.0
-    if e >= 0.0:
+    if e == 0.0:
+        return p * (p - 2.0)
+    if e > 0.0:
         return p * (p - 2.0) * t ** e
     b = np.zeros_like(t)
     np.power(t, e, out=b, where=t > 0.0)
@@ -185,33 +188,39 @@ def _second_factor(t, p):
 class _Radial(_Accumulating):
     """A radial term t^(p/2), where t = mu^2 + |w|^2 for a list w of entries of
     z: all of them for a power norm, one column for an axis power.  Subclasses
-    return (t, p, slots, w) from _radial(z).
+    return (t, p, slots, w) from _radial(z); t may be None when p = 2, where no
+    factor depends on it.
 
     Entries are addressed by their slots (see _slots) in z.T and out.T, so the
     Python loops run over the few (N, n) entries while every numpy operation is
     a vector op over the whole batch, or a scalar op on a single point; t comes
-    with its batch axes reversed, as in z.T."""
+    with its batch axes reversed, as in z.T.  The factors a and b (see
+    _first_factor and _second_factor) are plain numbers when they do not depend
+    on t: a = 2 for p = 2, b = 8 for p = 4.  The weight c is applied to them
+    once, before they meet the batch vectors."""
 
     def _add_gradient(self, z, out, c):
         t, p, slots, w = self._radial(z)
-        a = _first_factor(t, p)
+        ca = c * _first_factor(t, p)
         gT = out.T
         for s, x in zip(slots, w):
-            gT[s] += c * (a * x)
+            gT[s] += ca * x
 
     def _add_hessian(self, z, out, c):
         # c (a Id + b w (x) w) on the slots x slots entries
         t, p, slots, w = self._radial(z)
-        a, b = _first_factor(t, p), _second_factor(t, p)
+        ca, b = c * _first_factor(t, p), _second_factor(t, p)
         hT = out.T
         if b is None:
             for s in slots:
-                hT[s + s] += c * a
+                hT[s + s] += ca
             return
+        cb = c * b
         for k, s in enumerate(slots):
-            hT[s + s] += c * (a + b * (w[k] * w[k]))
+            cbw = cb * w[k]
+            hT[s + s] += ca + cbw * w[k]
             for m in range(k + 1, len(slots)):
-                e = c * (b * (w[k] * w[m]))
+                e = cbw * w[m]
                 hT[s + slots[m]] += e
                 hT[slots[m] + s] += e
 
@@ -239,7 +248,8 @@ class PowerNorm(_Radial):
         slots = _slots(*z.shape[-2:])
         zT = z.T
         w = [zT[s] for s in slots]
-        return self.mu ** 2 + _square_sum(w), self.p, slots, w
+        t = None if self.p == 2.0 else self.mu ** 2 + _square_sum(w)
+        return t, self.p, slots, w
 
     def growth_exponents(self):
         return (self.p, self.p)
@@ -271,6 +281,14 @@ class AxisPower(_Radial):
     def value(self, z):
         r2, q, _, _ = self._radial(_as_batch(z))
         return (r2 ** (q / 2.0)).T
+
+    def _add_hessian(self, z, out, c):
+        if z.shape[-2] > 1:
+            super()._add_hessian(z, out, c)
+            return
+        # one slot, where t = w^2: a + b w^2 = (q - 1) a on the single diagonal entry
+        t, q, (s,), _ = self._radial(z)
+        out.T[s + s] += (c * (q - 1.0)) * _first_factor(t, q)
 
     def growth_exponents(self):
         return (self.q, self.q)

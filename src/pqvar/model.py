@@ -51,8 +51,8 @@ class Regime:
             raise InvalidRegimeError(f"exponents must satisfy 2 <= p <= q < inf, got p={self.p}, q={self.q}")
         if not (0.0 <= self.mu <= 1.0):
             raise InvalidRegimeError(f"degeneracy parameter mu must lie in [0, 1], got {self.mu}")
-        if not (self.L > 1.0):
-            raise InvalidRegimeError(f"structural constant L must exceed 1, got {self.L}")
+        if not (1.0 < self.L < math.inf):
+            raise InvalidRegimeError(f"structural constant L must satisfy 1 < L < inf, got {self.L}")
 
     @property
     def q_conj(self):
@@ -124,12 +124,31 @@ class Region:
         """Concentric region with radius scaled by `factor` (e.g. B/2 = B.scaled(0.5))."""
         return Region(self.center, self.radius * factor, self.kind)
 
+    def gauge(self, points: np.ndarray) -> np.ndarray:
+        """The offset of points of shape (..., dim) from the center, measured in the
+        region's norm: its squared Euclidean length for a ball, its sup norm for a
+        cube.  The columns are combined one at a time in axis order, each a vector
+        op over the points; for dim < 8 that is numpy's own order, so a ball's
+        gauge is bit-identical to ((points - center) ** 2).sum(axis=-1), which
+        would run an inner loop of length dim per point."""
+        points = np.asarray(points, dtype=float)
+        if points.shape[-1:] != (len(self.center),):
+            raise ShapeMismatchError(
+                f"points of shape {points.shape} do not match a center in {len(self.center)}d")
+        cols = [points[..., k] - c for k, c in enumerate(self.center)]
+        if self.kind == "ball":
+            out = cols[0] * cols[0]
+            for x in cols[1:]:
+                out += x * x
+            return out
+        out = np.abs(cols[0])
+        for x in cols[1:]:
+            out = np.maximum(out, np.abs(x))
+        return out
+
     def contains(self, points: np.ndarray) -> np.ndarray:
         """Boolean mask for points of shape (..., dim)."""
-        d = points - np.asarray(self.center)
-        if self.kind == "ball":
-            return (d ** 2).sum(axis=-1) < self.radius ** 2
-        return np.abs(d).max(axis=-1) < self.radius
+        return self.gauge(points) < (self.radius ** 2 if self.kind == "ball" else self.radius)
 
     def inside_unit_box(self) -> bool:
         c = np.asarray(self.center)

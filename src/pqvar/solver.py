@@ -150,7 +150,7 @@ class LinearSolveError(ArithmeticError):
     within its iteration cap, or the solution is not finite."""
 
 
-CG_RTOL = 1e-12  # the floor of the forcing term: the tolerance of a nearly converged step
+CG_RTOL = 1e-12  # the least forcing term: the tolerance of a nearly converged step
 REFACTOR_ITERS = 4  # a held 2d factor is replaced after a PCG that needed more iterations
 
 
@@ -300,9 +300,14 @@ def minimize_dirichlet(F: Integrand, grid: Grid, boundary: np.ndarray,
     residual is at most tol_residual.  The loop is `newton.minimize`.
 
     Every Newton system is solved by `_pcg`, inexactly (Dembo, Eisenstat and
-    Steihaug): to the relative residual max(CG_RTOL, min(0.01, ||g||_2^2)) of the
-    interior gradient g, so far from the minimizer a step costs few CG iterations
-    and near it the step is as accurate as an exact one.  In 3d each system is
+    Steihaug): to the relative residual
+    max(CG_RTOL, min(0.01, max(||g||_2^2, 0.1 tol_residual / ||g||_2))) of the
+    interior gradient g (0.01 when g = 0), so far from the minimizer a step costs
+    few CG iterations and near it the step is as accurate as an exact one.  The
+    floor 0.1 tol_residual / ||g||_2 never asks for a linear residual
+    ||K dx + g||_2 below 0.1 tol_residual: the next gradient's sup norm then
+    stays under the residual test by that margin, and CG iterations beyond it
+    buy accuracy that the stopping rule cannot see.  In 3d each system is
     preconditioned by its own Jacobi diagonal.  In 2d the preconditioner is the
     banded Cholesky factor of a recent hessian of this solve, factored from its
     lower band on one thread of scipy's BLAS pool.  It is factored at the first
@@ -348,8 +353,10 @@ def minimize_dirichlet(F: Integrand, grid: Grid, boundary: np.ndarray,
     def newton_step(v, gi):
         nonlocal fallbacks
         K = assemble_hessian(F, grid, v)
+        gg = float(gi @ gi)
+        floor = 0.1 * tol_residual / math.sqrt(gg) if gg > 0.0 else math.inf
         try:
-            step = solve(K, -gi, max(CG_RTOL, min(0.01, float(gi @ gi))))
+            step = solve(K, -gi, max(CG_RTOL, min(0.01, max(gg, floor))))
         except LinearSolveError:
             # degenerate system: fall back to a safeguarded gradient step
             fallbacks += 1

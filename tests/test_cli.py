@@ -50,6 +50,7 @@ PARSE_TIME_REJECTIONS = [
     ("solve", "seed = 42", "seed = 42\nworkers = 0"),
     ("diagnose", "amplitudes = 1.0", "amplitudes = nan"),
     ("solve", "amplitudes = 1.0", "amplitudes = 1.0,inf"),
+    ("diagnose", "L = 8", "L = inf"),
 ]
 
 
@@ -232,6 +233,18 @@ class TestSubcommands:
         assert out[0] == "i,alpha_i"
         assert out[1:5] == ["0,-1", "1,0", "2,2", "3,6"]
         assert out[5].startswith("bound,")
+
+    @pytest.mark.parametrize("argv", [["--gamma", "0.9"], ["--gamma", "0.9", "--M", "1e300"]])
+    def test_moser_bound_past_the_float_range_is_inf(self, capsys, argv):
+        assert main(["moser", *argv, "--count", "0"]) == 0
+        assert capsys.readouterr().out.strip().split("\n")[-1] == "bound,inf"
+
+    def test_moser_bound_in_range(self, capsys):
+        # 6254528839.7079782 is the direct product exp(log C) M^e / gap^a0 V0^(...);
+        # the log-space form agrees with it to round-off
+        assert main(["moser", "--gamma", "0.5", "--count", "0"]) == 0
+        bound = capsys.readouterr().out.strip().split("\n")[-1].split(",")[1]
+        assert float(bound) == pytest.approx(6254528839.7079782, rel=1e-15)
 
     def test_check_model(self, model_cfg, capsys, tmp_path):
         out = tmp_path / "cert.csv"

@@ -328,6 +328,11 @@ class TestMoserArithmetic:
         assert b2 / b1 == pytest.approx(10.0, rel=1e-10)
         assert moser_bound(mp1, 2.0) > b1
 
+    def test_bound_is_zero_at_zero_data_past_the_float_range(self):
+        mp = MoserParams(alpha0=-1.0, gamma=0.9, c0=1.0, M=1e300, tau1=0.25, tau2=0.125)
+        assert moser_bound(mp, 1.0) == math.inf
+        assert moser_bound(mp, 0.0) == 0.0
+
     def test_bound_blows_up_as_radii_merge(self):
         vals = [moser_bound(MoserParams(-1.0, 0.5, 1.0, 1.0, 0.25, tau2), 1.0)
                 for tau2 in (0.125, 0.2, 0.24, 0.249)]

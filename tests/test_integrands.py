@@ -195,9 +195,9 @@ class PublicOnly(Integrand):
 class TestKernels:
     TERMS = [PowerNorm(0.0, 2.0), PowerNorm(1.0, 2.0), PowerNorm(0.0, 3.0), PowerNorm(0.5, 4.0),
              PowerNorm(0.0, 5.5), AxisPower(1, 2.0), AxisPower(2, 3.0), AxisPower(1, 4.0),
-             AxisPower(2, 5.0),
+             AxisPower(2, 5.0), PowerNorm(1.0, 4.0), PowerNorm(0.5, 3.0),
              Sum([PowerNorm(0.0, 2.0), AxisPower(1, 4.0), AxisPower(2, 4.0),
-                  Scaled(0.3, PowerNorm(1.0, 4.0))])]
+                  Scaled(0.3, PowerNorm(1.0, 4.0)), Scaled(0.7, AxisPower(1, 5.0))])]
 
     @pytest.mark.parametrize("shape", [(2, 3), (1, 2), (7, 1, 3), (7, 2, 2), (3, 4, 2, 3)])
     @pytest.mark.parametrize("F", TERMS, ids=repr)
@@ -212,6 +212,28 @@ class TestKernels:
         assert g.shape == z.shape and H.shape == z.shape + z.shape[-2:]
         assert _rel_err(g, g_ref) <= 1e-14
         assert _rel_err(H, H_ref) <= 1e-14
+
+    # the terms whose factors are numbers (p = 2, b at p = 4) or whose hessian has
+    # one slot with t = w^2 (an axis power at N = 1); a power norm with mu > 0 on
+    # one entry has one slot too, but t = mu^2 + w^2
+    SHORTCUTS = [(F, shape)
+                 for F in (AxisPower(1, 4.0), AxisPower(3, 5.0), PowerNorm(0.0, 2.0),
+                           PowerNorm(1.0, 4.0), PowerNorm(0.5, 3.0))
+                 for shape in ((1, 3), (2, 3), (6, 1, 3), (6, 2, 3), (6, 1, 1))
+                 if not (isinstance(F, AxisPower) and F.i > shape[-1])]
+
+    @pytest.mark.parametrize("F, shape", SHORTCUTS, ids=repr)
+    def test_shortcuts_match_the_full_form_and_finite_differences(self, F, shape):
+        z = np.random.default_rng(20).normal(size=shape)
+        g_ref, H_ref = _reference(F, z)
+        g, H = F.gradient(z), F.hessian(z)
+        assert _rel_err(g, g_ref) <= 1e-14 and _rel_err(H, H_ref) <= 1e-14
+        out = fd_check(F, z, 1e-5)
+        assert out["grad_err"] <= 1e-8 * (1.0 + np.abs(g_ref).max())
+        assert out["hess_err"] <= 1e-8 * (1.0 + np.abs(H_ref).max())
+        for idx in np.ndindex(shape[:-2]):  # a single point gives its batch row
+            assert np.array_equal(F.gradient(z[idx]), g[idx])
+            assert np.array_equal(F.hessian(z[idx]), H[idx])
 
     @pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 6.0])
     def test_degenerate_corners(self, p):

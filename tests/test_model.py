@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from pqvar import registry
 from pqvar.integrands import EvenPolynomial, HomogeneousForm
 from pqvar.model import (DiscreteField, Grid, InvalidRegimeError, Region, RegionError,
-                         Regime, _kuhn_offsets, classical_gates, validate_regime)
+                         Regime, ShapeMismatchError, _kuhn_offsets, classical_gates,
+                         validate_regime)
 from pqvar.solver import RegularizedIntegrand
 
 
@@ -33,6 +34,11 @@ class TestRegimeGates:
             Regime(2, 1, 3.0, 2.0, 0.0, 2.0)
         with pytest.raises(InvalidRegimeError):
             Regime(2, 1, 1.5, 3.0, 0.0, 2.0)
+
+    @pytest.mark.parametrize("L", [math.inf, math.nan, 1.0])
+    def test_structural_constant_must_be_finite_above_one(self, L):
+        with pytest.raises(InvalidRegimeError, match="1 < L < inf"):
+            Regime(2, 1, 2.0, 4.0, 0.0, L)
 
     @given(p=st.floats(2.0, 10.0))
     def test_threshold_closed_forms(self, p):
@@ -309,6 +315,27 @@ class TestRegion:
         Q = Region((0.5, 0.5), 0.25, "cube")
         assert bool(Q.contains(np.array([0.7, 0.7])))
         assert not bool(Q.contains(np.array([0.8, 0.5])))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("kind", ["ball", "cube"])
+    def test_gauge_is_the_axis_reduction_bit_for_bit(self, dim, kind):
+        # the columns are combined one at a time, in the order numpy's reduction
+        # over the last axis adds them
+        grid = Grid(dim, 10)
+        rng = np.random.default_rng(23)
+        pts = np.concatenate([grid.barycenters, rng.uniform(-0.5, 1.5, size=(500, dim))])
+        for center, radius in [((0.5,) * dim, 0.3), (tuple(rng.uniform(0, 1, dim)), 0.1234)]:
+            R = Region(center, radius, kind)
+            d = pts - np.asarray(center)
+            want = (d ** 2).sum(axis=-1) if kind == "ball" else np.abs(d).max(axis=-1)
+            assert np.array_equal(R.gauge(pts), want)
+            bound = radius ** 2 if kind == "ball" else radius
+            assert np.array_equal(R.contains(pts), want < bound)
+            assert R.contains(pts[3]) == (want[3] < bound)
+
+    def test_gauge_rejects_points_of_another_dimension(self):
+        with pytest.raises(ShapeMismatchError):
+            Region((0.5, 0.5), 0.25).contains(np.zeros((4, 3)))
 
     def test_rejects_bad_region(self):
         with pytest.raises(RegionError):

@@ -1,4 +1,5 @@
 import ctypes
+import inspect
 import logging
 import math
 import tracemalloc
@@ -495,8 +496,10 @@ class TestWarmStart:
     def test_inexact_ladder_matches_exact_solves(self, monkeypatch, name, dim, cells, N,
                                                  amplitude, extra_steps, bound):
         # every 3d Newton system solved to CG_RTOL takes 283 (6 cells) and 446
-        # (8 cells) CG iterations over the ladder; the forcing term 169 and 222.
-        # In 2d the held-factor PCG takes 66, and one more Newton step at rung 2
+        # (8 cells) CG iterations over the ladder; the forcing term 100 and 126,
+        # and 168 and 222 without its floor at 0.1 tol_residual.  In 2d the
+        # held-factor PCG takes 60 (66 without the floor), and one more Newton
+        # step at rung 2
         grid = Grid(dim, cells)
         entry = registry.get(name)
         g = boundary_family("sine", grid, amplitude, N)
@@ -515,6 +518,29 @@ class TestWarmStart:
         for a, b in zip(inexact.fields, exact.fields):
             assert np.abs(a.values - b.values).max() <= 1e-10
         assert sum(r.linear_iterations for r in inexact.reports) <= bound
+
+    def test_forcing_term_asks_for_no_less_than_a_tenth_of_the_residual_test(self,
+                                                                             monkeypatch):
+        # CG is never asked for a linear residual below 0.1 tol_residual; with no
+        # such floor this ladder took 222 CG iterations
+        tol_residual = inspect.signature(minimize_dirichlet).parameters["tol_residual"].default
+        pcg, asked = solver._pcg, []
+
+        def recording(K, rhs, rtol, precondition):
+            asked.append((rtol, math.sqrt(float(rhs @ rhs))))
+            return pcg(K, rhs, rtol, precondition)
+
+        monkeypatch.setattr(solver, "_pcg", recording)
+        grid = Grid(3, 8)
+        entry = registry.get("aniso3d_q4")
+        res = run_scheme(entry.integrand, entry.regime, grid,
+                         boundary_family("sine", grid, 1.0, 1), Schedule.dyadic(4))
+        assert res.violations == []
+        assert [r.iterations for r in res.reports] == [4, 5, 4, 1]
+        assert len(asked) == sum(r.iterations for r in res.reports)
+        for rtol, norm in asked:
+            assert rtol >= (min(0.01, 0.1 * tol_residual / norm) if norm else 0.01)
+        assert sum(r.linear_iterations for r in res.reports) < 222
 
     def test_rungs_match_cold_starts(self, vectorial_ladder):
         grid, entry, g, res = vectorial_ladder
