@@ -15,15 +15,17 @@ Whitespace is insignificant.  Each key of an atom appears once, as a number:
 mu in [0, 1], p >= 2, q >= 2, i an integer in 1..n, coeff >= 0.  A poly file
 holds one monomial per line: a coefficient followed by 1-based flat indices
 into z (row-major over (N, n)); `1.0 1 1 2 2` is the monomial z_1^2 z_2^2.
+Like terms are combined, any degree is accepted, and coefficients must be finite.
 
 These config errors exit 2 before any solve: malformed lines, unknown keys, bad
-numbers, an integrand term out of range or syntax (by line and column), an
-empty amplitudes list or a non-finite amplitude, a region with a non-finite
-center or radius, sobolev_exp <= 2q/p, rh with n != 2 or a t_grid entry outside
-(1, 2), cacc with N != 1, and a measurement region that the grid does not
-resolve (no simplex barycenter or cell center inside).  So does a non-finite
-amplitude among the values of `sweep --vary amplitude`.  A q-sweep checks
-sobolev_exp at each q; a point it does not suit carries the error in its row.
+numbers, an integrand term out of range or syntax (by line and column), a poly
+file with a non-finite coefficient, an empty amplitudes list or a non-finite
+amplitude, a region with a non-finite center or radius, sobolev_exp <= 2q/p, rh
+with n != 2 or a t_grid entry outside (1, 2), cacc with N != 1, and a
+measurement region that the grid does not resolve (no simplex barycenter or
+cell center inside).  So does a non-finite amplitude among the values of
+`sweep --vary amplitude`.  A q-sweep checks sobolev_exp at each q; a point it
+does not suit carries the error in its row.
 
 Recognized keys (defaults in parentheses): n (2), N (1), p, q, mu (0), L,
 integrand, cells (32), epsilons (0.5,0.25,0.125,0.0625) or schedule_count,

@@ -151,13 +151,12 @@ def homogeneous_decomposition(P: EvenPolynomial, sphere_samples=2048, seed=0):
     rng = np.random.default_rng(seed)
     out = []
     for comp in P.components:
-        nonzero = np.abs(comp.tensor).max() > 0.0 if comp.degree > 0 else comp.tensor != 0.0
-        if comp.degree % 2 == 1 and nonzero:
+        if comp.degree % 2 == 1 and comp.monomials:
             raise NotEvenError(f"degree-{comp.degree} component is nonzero")
         if comp.degree % 2 == 1:
             continue
         omega = _sphere(rng, P.N * P.n, sphere_samples).reshape(-1, P.N, P.n)
-        vals = comp.value(omega) if comp.degree > 0 else np.full(sphere_samples, float(comp.tensor))
+        vals = comp.value(omega)
         out.append(GradedComponent(comp.degree, comp, bool(vals.min() >= -1e-12)))
     return out
 
@@ -178,8 +177,7 @@ def polynomial_growth_exponents(P: EvenPolynomial, n_samples=4096, radius=100.0,
     bad = [c.degree for c in comps if not c.nonnegative]
     if bad:
         raise ValueError(f"components of degree {bad} take negative values on the sphere")
-    degrees = [c.degree for c in comps
-               if c.degree > 0 and np.abs(c.form.tensor).max() > 0.0]
+    degrees = [c.degree for c in comps if c.degree > 0 and c.form.monomials]
     if not degrees:
         raise DegenerateFormError("polynomial has no nonconstant component")
     q = max(degrees)

@@ -6,9 +6,9 @@ shape (..., N, n), and hessians as bilinear forms of shape (..., N, n, N, n).
 Every formula is the exact analytic derivative, so finite differences of
 `value` must reproduce `gradient` at rate O(h^2) (see `fd_check`).
 
-Batches are entry-major in memory: the logical shapes are as above, but the
-built-in terms store a batched gradient with its (N, n) entry axes first and
-the batch axes last in memory, and a batched hessian in the memory order
+Batches are entry-major in memory: the logical shapes are as above, but every
+term here, polynomials included, stores a batched gradient with its (N, n)
+entry axes first and the batch axes last in memory, and a batched hessian in the memory order
 (i, j, k, l, batch) of its entry H[..., i, k, j, l].  Each entry is then one
 contiguous vector over the batch, which is what the kernels and the matrix
 assembly read and write.  A single point, with no batch axes, is C-contiguous.
@@ -16,7 +16,6 @@ Any layout is accepted as input.
 """
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -294,141 +293,99 @@ class AxisPower(_Radial):
         return (self.q, self.q)
 
 
-@dataclass
-class HomogeneousForm:
-    """Degree-s homogeneous form stored as a dense symmetric coefficient tensor.
+def _monomial(w, c, a):
+    """c z^a for the entries w of z and their exponents a.  Each power is a run of
+    products: numpy's vector power is not exactly even in its last bit, while
+    (-x)(-x)(-x)(-x) is x x x x to the bit."""
+    out = c
+    for x, e in zip(w, a):
+        for _ in range(e):
+            out = out * x
+    return out
 
-    The tensor C has shape (d,)*s with d = N*n and the form evaluates by
-    repeated contraction: P_s(z) = C[z, ..., z].  Memory grows like d^s, so the
-    degree is capped at 10 and d should stay small.
-    """
+
+def _lowered(a, k):
+    """The exponents a with a_k lowered by one."""
+    return a[:k] + (a[k] - 1,) + a[k + 1:]
+
+
+@dataclass
+class HomogeneousForm(_Accumulating):
+    """Degree-s homogeneous form sum c z^a, stored as its monomials: (c, a) pairs,
+    where a gives the exponents of the d = N*n flat entries of z, row-major over
+    (N, n), and sums to s.
+
+    As in _Radial, the entries are read through their slots, so the Python loops
+    run over the few monomials and entries while every numpy operation is a
+    vector op over the batch, and memory follows the batch.  The derivative of
+    c z^a along entry k is (c a_k) z^(a - e_k), taken only where a_k > 0."""
 
     N: int
     n: int
     degree: int
-    tensor: np.ndarray
-
-    MAX_DEGREE = 10
+    monomials: tuple
 
     def __post_init__(self):
         d = self.N * self.n
-        if self.degree < 0 or self.degree > self.MAX_DEGREE:
-            raise ValueError(f"homogeneous degree must lie in [0, {self.MAX_DEGREE}], got {self.degree}")
-        expected = (d,) * self.degree
-        self.tensor = np.asarray(self.tensor, dtype=float)
-        if self.tensor.shape != expected:
-            raise ShapeMismatchError(
-                f"coefficient tensor shape {self.tensor.shape} does not match (d,)*s = {expected}")
+        if self.degree < 0:
+            raise ValueError(f"homogeneous degree must be nonnegative, got {self.degree}")
+        self.monomials = tuple((float(c), tuple(a)) for c, a in self.monomials)
+        for c, a in self.monomials:
+            if not math.isfinite(c):
+                raise ValueError(f"monomial coefficient must be finite, got {c}")
+            if len(a) != d or min(a) < 0 or sum(a) != self.degree:
+                raise ValueError(f"exponents {a} are not those of a degree-{self.degree} "
+                                 f"monomial in d = {d} entries")
 
     @classmethod
     def from_terms(cls, N, n, degree, terms):
         """Build from monomials: terms is a list of (coeff, flat_indices) with 1-based flat
-        indices into z laid out row-major over (N, n); the tensor is symmetrized."""
+        indices into z laid out row-major over (N, n), so (1, 1, 2) is z_1^2 z_2.  Like
+        terms are combined, and zero coefficients are dropped."""
         d = N * n
-        C = np.zeros((d,) * degree) if degree > 0 else np.zeros(())
+        combined = {}
         for coeff, idx in terms:
-            idx = tuple(int(k) - 1 for k in idx)
+            idx = tuple(int(k) for k in idx)
             if len(idx) != degree:
                 raise ValueError(f"monomial {idx} has {len(idx)} factors, expected degree {degree}")
-            if any(k < 0 or k >= d for k in idx):
+            if any(k < 1 or k > d for k in idx):
                 raise ValueError(f"monomial index out of range in {idx} (d = {d})")
-            if degree == 0:
-                C += coeff
-                continue
-            perms = set(itertools.permutations(idx))
-            for perm in perms:
-                C[perm] += coeff / len(perms)
-        return cls(N, n, degree, C)
+            a = tuple(idx.count(k) for k in range(1, d + 1))
+            combined[a] = combined.get(a, 0.0) + float(coeff)
+        return cls(N, n, degree, tuple((c, a) for a, c in combined.items() if c != 0.0))
 
-    def _check(self, z):
+    def _entries(self, z):
         z = _as_batch(z)
         if z.shape[-2:] != (self.N, self.n):
             raise ShapeMismatchError(
                 f"z has shape {z.shape[-2:]}, form was built for (N, n) = ({self.N}, {self.n})")
-        return z.reshape(z.shape[:-2] + (self.N * self.n,))
-
-    def _reduce(self, zf, leave):
-        """Contract all but `leave` slots with zf; result has shape batch + (d,)*leave."""
-        s = self.degree
-        if s - leave <= 0:
-            return self.tensor
-        A = np.tensordot(self.tensor, zf, axes=([s - 1], [-1]))
-        # A: (d,)*(s-1) + batch ; move batch axes to the front
-        batch_nd = zf.ndim - 1
-        A = np.moveaxis(A, tuple(range(s - 1, s - 1 + batch_nd)), tuple(range(batch_nd)))
-        for _ in range(s - 1 - leave):
-            A = np.einsum("...i,...i->...", A, _expand(zf, A.ndim - batch_nd))
-        return A
+        zT = z.T
+        return [zT[s] for s in _slots(self.N, self.n)]
 
     def value(self, z):
-        zf = self._check(z)
-        if self.degree == 0:
-            return np.broadcast_to(self.tensor, zf.shape[:-1]).copy()
-        A = self._reduce(zf, 0)
-        return A
+        w = self._entries(z)
+        return sum((_monomial(w, c, a) for c, a in self.monomials), np.zeros(np.shape(w[0]))).T
 
-    def gradient(self, z):
-        zf = self._check(z)
-        batch = zf.shape[:-1]
-        if self.degree == 0:
-            return np.zeros(batch + (self.N, self.n))
-        A = self._reduce(zf, 1)  # batch + (d,)
-        A = np.broadcast_to(A, batch + (self.N * self.n,)) if A.ndim < len(batch) + 1 else A
-        return (self.degree * A).reshape(batch + (self.N, self.n))
+    def _add_gradient(self, z, out, c):
+        w, gT = self._entries(z), out.T
+        for b, a in self.monomials:
+            for k, s in enumerate(_slots(self.N, self.n)):
+                if a[k]:
+                    gT[s] += _monomial(w, c * b * a[k], _lowered(a, k))
 
-    def hessian(self, z):
-        zf = self._check(z)
-        batch = zf.shape[:-1]
-        d = self.N * self.n
-        if self.degree < 2:
-            return np.zeros(batch + (self.N, self.n, self.N, self.n))
-        A = self._reduce(zf, 2)  # batch + (d, d) (or (d, d) for degree 2)
-        A = np.broadcast_to(A, batch + (d, d))
-        return (self.degree * (self.degree - 1) * A).reshape(batch + (self.N, self.n, self.N, self.n))
-
-
-def _expand(zf, tensor_axes_left):
-    """Align zf (..., d) against an array carrying `tensor_axes_left` trailing tensor axes."""
-    out = zf
-    for _ in range(tensor_axes_left - 1):
-        out = out[..., None, :]
-    return out
-
-
-@dataclass
-class EvenPolynomial(Integrand):
-    """Polynomial given by homogeneous components; evenness is enforced at certification
-    time (growth.homogeneous_decomposition), not at construction."""
-
-    components: list
-
-    def __post_init__(self):
-        if not self.components:
-            raise ValueError("EvenPolynomial needs at least one homogeneous component")
-        shapes = {(c.N, c.n) for c in self.components}
-        if len(shapes) != 1:
-            raise ShapeMismatchError(f"components disagree on (N, n): {shapes}")
-        (self.N, self.n), = shapes
-        self.components = sorted(self.components, key=lambda c: c.degree)
-
-    def value(self, z):
-        return sum(c.value(z) for c in self.components)
-
-    def gradient(self, z):
-        return sum(c.gradient(z) for c in self.components)
-
-    def hessian(self, z):
-        return sum(c.hessian(z) for c in self.components)
-
-    def growth_exponents(self):
-        degs = [c.degree for c in self.components if c.degree > 0]
-        if not degs:
-            return (2.0, 2.0)
-        return (float(min(degs)), float(max(degs)))
-
-    @property
-    def degree(self):
-        return max(c.degree for c in self.components)
+    def _add_hessian(self, z, out, c):
+        w, hT, slots = self._entries(z), out.T, _slots(self.N, self.n)
+        for b, a in self.monomials:
+            for k, s in enumerate(slots):
+                if not a[k]:
+                    continue
+                ak = _lowered(a, k)
+                for m in range(k, len(slots)):
+                    if ak[m]:
+                        e = _monomial(w, c * b * a[k] * ak[m], _lowered(ak, m))
+                        hT[s + slots[m]] += e
+                        if m > k:
+                            hT[slots[m] + s] += e
 
 
 @dataclass
@@ -476,6 +433,35 @@ class Scaled(_Accumulating):
 
     def growth_exponents(self):
         return self.inner.growth_exponents()
+
+
+class EvenPolynomial(Sum):
+    """Polynomial given by homogeneous components, the parts of a Sum in increasing
+    degree; evenness is enforced at certification time
+    (growth.homogeneous_decomposition), not at construction."""
+
+    def __init__(self, components):
+        if not components:
+            raise ValueError("EvenPolynomial needs at least one homogeneous component")
+        shapes = {(c.N, c.n) for c in components}
+        if len(shapes) != 1:
+            raise ShapeMismatchError(f"components disagree on (N, n): {shapes}")
+        (self.N, self.n), = shapes
+        super().__init__(sorted(components, key=lambda c: c.degree))
+
+    @property
+    def components(self):
+        return self.parts
+
+    def growth_exponents(self):
+        degs = [c.degree for c in self.components if c.degree > 0]
+        if not degs:
+            return (2.0, 2.0)
+        return (float(min(degs)), float(max(degs)))
+
+    @property
+    def degree(self):
+        return max(c.degree for c in self.components)
 
 
 # --------------------------------------------------------------------- derivative check

@@ -445,6 +445,22 @@ class TestSubcommands:
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().out.startswith("config error:")
 
+    @pytest.mark.parametrize("command", ["check", "solve"])
+    @pytest.mark.parametrize("coeff", ["nan", "inf"])
+    def test_non_finite_poly_coefficient_comes_before_the_solve(self, tmp_path, capsys,
+                                                                monkeypatch, command, coeff):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("run_scheme was called")
+
+        monkeypatch.setattr(solver, "run_scheme", no_solve)
+        (tmp_path / "quartic.poly").write_text(f"1.0 1 1\n1.0 2 2\n{coeff} 1 1 1 1\n")
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(_edited(MODEL_CFG, "power(mu=0,p=2) + axis(i=1,q=4) + axis(i=2,q=4)",
+                               "poly(quartic.poly)"))
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("config error:") and "must be finite" in out
+
     def test_sweep_region_error_comes_before_the_solve(self, tmp_path, capsys, monkeypatch):
         def no_solve(*args, **kwargs):
             raise AssertionError("run_scheme was called")

@@ -291,7 +291,8 @@ class TestNewtonCore:
     def test_degree_one_component(self):
         # growth exponents (1, 2): no two-power fit, the seed falls back to xi/|xi|
         c = np.array([0.7, -1.3])
-        F = EvenPolynomial([HomogeneousForm(1, 2, 1, c), HomogeneousForm(1, 2, 2, np.eye(2))])
+        F = EvenPolynomial([HomogeneousForm.from_terms(1, 2, 1, [(0.7, (1,)), (-1.3, (2,))]),
+                            HomogeneousForm.from_terms(1, 2, 2, [(1.0, (1, 1)), (1.0, (2, 2))])])
         assert F.growth_exponents() == (1.0, 2.0)
         for xi in (np.array([[3.0, 4.0]]), np.array([[-2e-3, 1e-3]]), np.array([[0.7, -1.3]])):
             res = conjugate(F, xi)

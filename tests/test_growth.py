@@ -163,7 +163,8 @@ class TestDelta:
         assert d == pytest.approx(0.6, abs=5e-3)
 
     def test_zero_form_rejected(self):
-        c4 = HomogeneousForm(1, 2, 4, np.zeros((2,) * 4))
+        # like terms that cancel leave the zero form
+        c4 = HomogeneousForm.from_terms(1, 2, 4, [(1.0, (1, 2, 2, 2)), (-1.0, (2, 1, 2, 2))])
         with pytest.raises(DegenerateFormError):
             delta_of_homogeneous(c4, 4)
 

@@ -266,8 +266,8 @@ class TestKernels:
             assert not H.any()
 
     def test_even_polynomial_in_a_sum(self):
-        # an EvenPolynomial defines only the public methods: the Sum adds its
-        # derivatives through the default hooks
+        # an EvenPolynomial is a Sum of its components: inside another Sum they add
+        # into the same buffer, in the same order as on their own
         Q = HomogeneousForm.from_terms(1, 2, 2, [(1.0, (1, 1)), (0.5, (1, 2)), (2.0, (2, 2))])
         rng = np.random.default_rng(12)
         z = rng.normal(size=(5, 1, 2))
@@ -386,6 +386,46 @@ class TestGrowthSandwich:
         assert np.isfinite(c) and c <= 4.0 * r.L
 
 
+def octic(N, n):
+    """|z|^2 + sum of the eighth powers of the entries, as an EvenPolynomial."""
+    d = N * n
+    return EvenPolynomial([
+        HomogeneousForm.from_terms(N, n, 2, [(1.0, (k, k)) for k in range(1, d + 1)]),
+        HomogeneousForm.from_terms(N, n, 8, [(1.0, (k,) * 8) for k in range(1, d + 1)])])
+
+
+def mixed():
+    """A 2x2 polynomial with every degree from 0 to 4, whose even-degree monomials
+    have odd exponents; flat entries 1..4 are z11, z12, z21, z22:
+    0.5 + 0.7 z11 - 1.3 z22 + z11^2 + 3 z12 z21 + 2 z22^2
+        + z11 z12^3 - 2 z11 z12 z21 z22 + z21^4."""
+    return EvenPolynomial([
+        HomogeneousForm.from_terms(2, 2, 4, [(1.0, (1, 2, 2, 2)), (-2.0, (1, 2, 3, 4)),
+                                             (1.0, (3, 3, 3, 3))]),
+        HomogeneousForm.from_terms(2, 2, 0, [(0.5, ())]),
+        HomogeneousForm.from_terms(2, 2, 2, [(1.0, (1, 1)), (3.0, (2, 3)), (2.0, (4, 4))]),
+        HomogeneousForm.from_terms(2, 2, 1, [(0.7, (1,)), (-1.3, (4,))])])
+
+
+def mixed_reference(z):
+    """Value, gradient and hessian of `mixed`, written out by hand."""
+    a, b, c, e = (z[..., i, j] for i in range(2) for j in range(2))
+    one = np.ones_like(a)
+    value = (0.5 + 0.7 * a - 1.3 * e + a ** 2 + 3 * b * c + 2 * e ** 2
+             + a * b ** 3 - 2 * a * b * c * e + c ** 4)
+    grad = [0.7 + 2 * a + b ** 3 - 2 * b * c * e,
+            3 * c + 3 * a * b ** 2 - 2 * a * c * e,
+            3 * b - 2 * a * b * e + 4 * c ** 3,
+            -1.3 + 4 * e - 2 * a * b * c]
+    upper = {(0, 0): 2 * one, (0, 1): 3 * b ** 2 - 2 * c * e, (0, 2): -2 * b * e,
+             (0, 3): -2 * b * c, (1, 1): 6 * a * b, (1, 2): 3 - 2 * a * e,
+             (1, 3): -2 * a * c, (2, 2): 12 * c ** 2, (2, 3): -2 * a * b, (3, 3): 4 * one}
+    hess = [[upper[min(k, m), max(k, m)] for m in range(4)] for k in range(4)]
+    g = np.stack(grad, axis=-1).reshape(z.shape)
+    H = np.stack([np.stack(row, axis=-1) for row in hess], axis=-2).reshape(z.shape + (2, 2))
+    return value, g, H
+
+
 class TestEvenPolynomial:
     def test_matches_sum_representation(self):
         e = registry.get("aniso2d_q4")
@@ -399,14 +439,91 @@ class TestEvenPolynomial:
         P = registry.get("aniso3d_q4").polynomial
         rng = np.random.default_rng(9)
         z = rng.normal(size=(200, 1, 3)) * 5
-        assert np.abs(P.value(z) - P.value(-z)).max() < 1e-12
+        assert np.array_equal(P.value(z), P.value(-z))
 
-    def test_degree_cap(self):
-        with pytest.raises(ValueError):
-            HomogeneousForm(1, 2, 12, np.zeros((2,) * 12))
+    @pytest.mark.parametrize("P", [registry.get("aniso3d_q4").polynomial, mixed()],
+                             ids=["aniso3d_q4", "mixed"])
+    def test_even_components_have_exact_parity(self, P):
+        # powers are runs of products, so parity holds to the bit: the value and
+        # the hessian are even, the gradient is odd
+        E = EvenPolynomial([c for c in P.components if c.degree % 2 == 0])
+        z = np.random.default_rng(21).normal(size=(300,) + (P.N, P.n)) * 5
+        assert np.array_equal(E.value(z), E.value(-z))
+        assert np.array_equal(E.gradient(z), -E.gradient(-z))
+        assert np.array_equal(E.hessian(z), E.hessian(-z))
+
+    def test_mixed_monomials_match_their_formulas(self):
+        P = mixed()
+        assert [c.degree for c in P.components] == [0, 1, 2, 4] and P.degree == 4
+        assert P.growth_exponents() == (1.0, 4.0)
+        z = np.random.default_rng(22).normal(size=(40, 2, 2)) * 2
+        v_ref, g_ref, H_ref = mixed_reference(z)
+        assert _rel_err(P.value(z), v_ref) <= 1e-14
+        assert _rel_err(P.gradient(z), g_ref) <= 1e-14
+        assert _rel_err(P.hessian(z), H_ref) <= 1e-14
+        for k in range(5):
+            g, H = P.gradient(z[k]), P.hessian(z[k])
+            out = fd_check(P, z[k], 1e-5)
+            assert out["grad_err"] <= 1e-8 * (1.0 + np.abs(g).max())
+            assert out["hess_err"] <= 1e-8 * (1.0 + np.abs(H).max())
+
+    @pytest.mark.parametrize("shape", [(9, 2, 2), (4, 5, 2, 2)])
+    def test_batches_are_entry_major_and_single_points_their_rows(self, shape):
+        z = np.random.default_rng(23).normal(size=shape)
+        for F in (mixed(), mixed().components[-1]):
+            g, H = F.gradient(z), F.hessian(z)
+            assert all(e.flags.c_contiguous for e in _entries(g, 2))
+            assert all(e.flags.c_contiguous for e in _entries(H, 4))
+            for idx in np.ndindex(shape[:-2]):
+                gs, Hs = F.gradient(z[idx]), F.hessian(z[idx])
+                assert gs.flags.c_contiguous and Hs.flags.c_contiguous
+                assert F.value(z[idx]) == F.value(z)[idx]
+                assert np.array_equal(gs, g[idx]) and np.array_equal(Hs, H[idx])
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ShapeMismatchError):
+            mixed().value(np.zeros((1, 4)))
+
+    def test_like_terms_combine(self):
+        H = HomogeneousForm.from_terms(1, 2, 4, [(1.0, (1, 1, 2, 2)), (2.0, (2, 1, 2, 1))])
+        assert H.monomials == ((3.0, (2, 2)),)
+        Z = HomogeneousForm.from_terms(2, 2, 3, [(1.5, (1, 2, 4)), (-1.5, (4, 1, 2))])
+        assert Z.monomials == ()
+        assert not Z.value(np.ones((3, 2, 2))).any()
+
+    @pytest.mark.parametrize("coeff", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coefficient_rejected(self, coeff):
+        with pytest.raises(ValueError, match="must be finite"):
+            HomogeneousForm.from_terms(1, 2, 4, [(1.0, (1, 1, 2, 2)), (coeff, (1, 1, 1, 1))])
+
+    def test_degree_twelve(self):
+        # no degree cap: z_1^12 and its derivatives
+        H = HomogeneousForm.from_terms(1, 2, 12, [(1.0, (1,) * 12)])
+        z = np.random.default_rng(24).normal(size=(30, 1, 2)) * 1.5
+        x = z[:, 0, 0]
+        g_ref, H_ref = np.zeros_like(z), np.zeros(z.shape + (1, 2))
+        g_ref[:, 0, 0] = 12.0 * x ** 11
+        H_ref[:, 0, 0, 0, 0] = 132.0 * x ** 10
+        assert _rel_err(H.value(z), x ** 12) <= 1e-14
+        assert _rel_err(H.gradient(z), g_ref) <= 1e-14
+        assert _rel_err(H.hessian(z), H_ref) <= 1e-14
+
+    def test_memory_follows_the_batch(self):
+        # a dense symmetric tensor of the octic, contracted with the batch at the
+        # first slot, held d^7 floats per point: 328 MB here
+        P = octic(2, 2)
+        z = np.random.default_rng(25).normal(size=(2000, 2, 2))
+        P.hessian(z[:10])
+        tracemalloc.start()
+        try:
+            P.hessian(z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6
 
     def test_mixed_monomial_symmetrization(self):
-        # z1^2 z2^2 evaluated via the symmetric tensor
+        # z1^2 z2^2 and its gradient
         H = HomogeneousForm.from_terms(1, 2, 4, [(1.0, (1, 1, 2, 2))])
         z = np.array([[2.0, 3.0]])
         assert H.value(z) == pytest.approx(4.0 * 9.0)
