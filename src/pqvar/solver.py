@@ -123,24 +123,37 @@ def simplex_gradients(grid: Grid, values: np.ndarray) -> np.ndarray:
     return grid.assembly_plan(values.shape[1]).gradients(values)
 
 
-def energy(F: Integrand, grid: Grid, values: np.ndarray) -> float:
-    z = simplex_gradients(grid, values)
+def _plan_and_gradients(grid: Grid, values):
+    """The assembly plan and the per-simplex gradients of `values`: a nodal
+    array, whose gradients are formed here, or a DiscreteField on `grid`, whose
+    cached gradients are read."""
+    if isinstance(values, DiscreteField):
+        if values.grid is not grid:
+            raise ValueError("the field lives on another grid")
+        return grid.assembly_plan(values.N), values.gradients
+    plan = grid.assembly_plan(values.shape[1])
+    return plan, plan.gradients(values)
+
+
+def energy(F: Integrand, grid: Grid, values) -> float:
+    """The discrete energy of a nodal array or a DiscreteField."""
+    z = _plan_and_gradients(grid, values)[1]
     return float(grid.simplex_volume * F.value(z).sum())
 
 
-def assemble_gradient(F: Integrand, grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Nodal energy gradient; row (v, i) is the weak residual of the i-th
-    component hat function at node v."""
-    plan = grid.assembly_plan(values.shape[1])
-    return plan.assemble_vector(F.gradient(plan.gradients(values)))
+def assemble_gradient(F: Integrand, grid: Grid, values) -> np.ndarray:
+    """Nodal energy gradient of a nodal array or a DiscreteField; row (v, i) is
+    the weak residual of the i-th component hat function at node v."""
+    plan, z = _plan_and_gradients(grid, values)
+    return plan.assemble_vector(F.gradient(z))
 
 
-def assemble_hessian(F: Integrand, grid: Grid, values: np.ndarray) -> "scipy.sparse.dia_matrix":
-    """Sparse energy hessian over the interior dofs (node-major, component-minor),
-    in the order of the plan's `interior_dofs`, stored by its diagonals on the
-    plan's fixed stencil."""
-    plan = grid.assembly_plan(values.shape[1])
-    return plan.assemble_matrix(F.hessian(plan.gradients(values)))
+def assemble_hessian(F: Integrand, grid: Grid, values) -> "scipy.sparse.dia_matrix":
+    """Sparse energy hessian of a nodal array or a DiscreteField, over the
+    interior dofs (node-major, component-minor), in the order of the plan's
+    `interior_dofs`, stored by its diagonals on the plan's fixed stencil."""
+    plan, z = _plan_and_gradients(grid, values)
+    return plan.assemble_matrix(F.hessian(z))
 
 
 class LinearSolveError(ArithmeticError):
@@ -265,13 +278,14 @@ def _preconditioner(plan: AssemblyPlan, K: "scipy.sparse.dia_matrix"):
 
 def el_residual(F: Integrand, fld: DiscreteField) -> float:
     """Sup norm over interior nodes of the discrete weak residual <F'(grad u), grad w>."""
-    g = assemble_gradient(F, fld.grid, fld.values)
+    g = assemble_gradient(F, fld.grid, fld)
     return float(np.abs(g[fld.grid.interior_mask]).max())
 
 
-def grad_lp_norm(grid: Grid, values: np.ndarray, p: float) -> float:
-    """(integral of |grad u|^p)^(1/p) over the box, exact for PL fields."""
-    z = simplex_gradients(grid, values)
+def grad_lp_norm(grid: Grid, values, p: float) -> float:
+    """(integral of |grad u|^p)^(1/p) over the box, exact for PL fields, of a
+    nodal array or a DiscreteField."""
+    z = _plan_and_gradients(grid, values)[1]
     return float((grid.simplex_volume * frob2(z) ** (p / 2.0)).sum() ** (1.0 / p))
 
 
@@ -298,6 +312,11 @@ def minimize_dirichlet(F: Integrand, grid: Grid, boundary: np.ndarray,
     drops below tol_energy while the Euler-Lagrange residual sup-norm is below
     tol_residual, or, when the energy is flat to machine precision, once that
     residual is at most tol_residual.  The loop is `newton.minimize`.
+
+    Each iterate's PL gradients are formed once: the energy, the gradient and
+    the hessian at an iterate read them from one DiscreteField, and the field
+    returned is the last iterate's.  A solve thus makes one pass at the start
+    and one per candidate that the line search evaluates.
 
     Every Newton system is solved by `_pcg`, inexactly (Dembo, Eisenstat and
     Steihaug): to the relative residual
@@ -327,9 +346,17 @@ def minimize_dirichlet(F: Integrand, grid: Grid, boundary: np.ndarray,
     hold = grid.dim == 2  # a banded factor is worth keeping across steps; a diagonal is not
     held = None  # the held 2d preconditioner, None when the next step must refactor
     fallbacks = linear_iterations = factorizations = 0
+    last = (None, None)  # the last iterate asked for, and its field
+
+    def field(v):
+        nonlocal last
+        if last[0] is not v:
+            last = (None, None)  # free the last field's gradients before forming v's
+            last = (v, DiscreteField(grid, v))
+        return last[1]
 
     def gradient(v):
-        gi = assemble_gradient(F, grid, v).reshape(-1)[int_dofs]
+        gi = assemble_gradient(F, grid, field(v)).reshape(-1)[int_dofs]
         return gi, float(np.abs(gi).max())
 
     def solve(K, rhs, forcing):
@@ -352,7 +379,7 @@ def minimize_dirichlet(F: Integrand, grid: Grid, boundary: np.ndarray,
 
     def newton_step(v, gi):
         nonlocal fallbacks
-        K = assemble_hessian(F, grid, v)
+        K = assemble_hessian(F, grid, field(v))
         gg = float(gi @ gi)
         floor = 0.1 * tol_residual / math.sqrt(gg) if gg > 0.0 else math.inf
         try:
@@ -369,18 +396,18 @@ def minimize_dirichlet(F: Integrand, grid: Grid, boundary: np.ndarray,
         return res < tol_residual and abs(E_prev - E) / max(abs(E), 1.0) < tol_energy
 
     def partial(v, E, res, iters):
-        return {"field": DiscreteField(grid, v),
+        return {"field": field(v),
                 "report": SolveReport(E, res, iters, gradient_fallbacks=fallbacks,
                                       linear_iterations=linear_iterations,
                                       factorizations=factorizations)}
 
     u, E, residual, iters = newton.minimize(
-        lambda v: energy(F, grid, v), gradient, newton_step, u, converged,
+        lambda v: energy(F, grid, field(v)), gradient, newton_step, u, converged,
         stall_tol=tol_residual, max_iters=max_iters, partial=partial, values=energy_trace)
     report = SolveReport(energy=E, residual_sup=residual, iterations=iters,
                          gradient_fallbacks=fallbacks, linear_iterations=linear_iterations,
                          factorizations=factorizations)
-    return DiscreteField(grid, u), report
+    return field(u), report
 
 
 HARMONIC_TOL = 1e-10
@@ -465,9 +492,11 @@ def run_scheme(F: Integrand, r, grid: Grid, boundary: np.ndarray, schedule: Sche
     for eps in schedule.epsilons:
         g_eps = mollify_boundary(grid, boundary, eps)
         tilde = harmonic_extension(grid, g_eps)
-        norm_q = grad_lp_norm(grid, tilde, r.q)
-        gam = gamma_eps(eps, norm_q, r.q)
+        tilde_field = DiscreteField(grid, tilde)  # its gradients are not held through the solve
+        gam = gamma_eps(eps, grad_lp_norm(grid, tilde_field, r.q), r.q)
         Feps = RegularizedIntegrand(F, gam, r.q)
+        e_tilde = energy(Feps, grid, tilde_field)
+        del tilde_field
         if prev_values is None:
             init = tilde
         else:
@@ -482,17 +511,16 @@ def run_scheme(F: Integrand, r, grid: Grid, boundary: np.ndarray, schedule: Sche
         rep.epsilon = eps
         rep.gamma_eps = gam
         reports.append(rep)
-        gterm = gam * grad_lp_norm(grid, fld.values, r.q) ** r.q
+        gterm = gam * grad_lp_norm(grid, fld, r.q) ** r.q
         if gamma_terms and gterm > gamma_terms[-1] * (1.0 + 1e-9):
             violations.append(
                 f"viscosity term increased: {gamma_terms[-1]:.6e} -> {gterm:.6e} at eps={eps}")
         gamma_terms.append(gterm)
-        lhs = grad_lp_norm(grid, fld.values, r.p) ** r.p / r.L + gterm
-        e_tilde = energy(Feps, grid, tilde)
+        lhs = grad_lp_norm(grid, fld, r.p) ** r.p / r.L + gterm
         margins.append((rep.energy - lhs, e_tilde - rep.energy))
         if prev_values is not None:
             increments.append(w1p_norm(grid, fld.values - prev_values, r.p))
-        prev_values, prev_tilde = np.array(fld.values), tilde
+        prev_values, prev_tilde = fld.values, tilde
         if keep_fields:
             fields.append(fld)
     return SchemeResult(reports=reports, field=fld, gamma_terms=gamma_terms,

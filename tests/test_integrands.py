@@ -354,6 +354,87 @@ class TestLayout:
         assert np.array_equal(F.hessian(zt), F.hessian(z))
 
 
+def ref_value(F, z):
+    """Closed-form value of power norms and axis powers and their sums and scalings."""
+    if isinstance(F, PowerNorm):
+        return (F.mu ** 2 + (z * z).sum(axis=(-2, -1))) ** (F.p / 2.0)
+    if isinstance(F, AxisPower):
+        return (z[..., :, F.i - 1] ** 2).sum(axis=-1) ** (F.q / 2.0)
+    if isinstance(F, Scaled):
+        return F.coeff * ref_value(F.inner, z)
+    return sum(ref_value(P, z) for P in F.parts)
+
+
+def nested(mu, p):
+    """Power norms and axis powers of exponent p, with a quartic and quadratics,
+    through nested sums and scalings."""
+    return Sum([Scaled(0.7, Sum([PowerNorm(mu, p), AxisPower(1, p)])),
+                Sum([Scaled(0.2, Scaled(1.5, AxisPower(2, p))), PowerNorm(0.0, 2.0)]),
+                Scaled(0.3, PowerNorm(mu, 4.0)), AxisPower(1, 2.0)])
+
+
+def check_table(F, z):
+    """F against the closed forms on the batch z; each batch entry contiguous;
+    each single point C-contiguous, with the bits of its batch row."""
+    v, g, H = F.value(z), F.gradient(z), F.hessian(z)
+    g_ref, H_ref = _reference(F, z)
+    assert _rel_err(v, ref_value(F, z)) <= 1e-14
+    assert _rel_err(g, g_ref) <= 1e-14 and _rel_err(H, H_ref) <= 1e-14
+    assert all(e.flags.c_contiguous for e in _entries(g, 2))
+    assert all(e.flags.c_contiguous for e in _entries(H, 4))
+    for idx in np.ndindex(z.shape[:-2]):
+        gs, Hs = F.gradient(z[idx]), F.hessian(z[idx])
+        assert gs.flags.c_contiguous and Hs.flags.c_contiguous
+        assert F.value(z[idx]) == v[idx]
+        assert np.array_equal(gs, g[idx]) and np.array_equal(Hs, H[idx])
+
+
+class TestTable:
+    # a Sum or Scaled of power norms and axis powers evaluates as one table of
+    # radial terms, grouped by the entries they read
+    @pytest.mark.parametrize("N", [1, 2])
+    @pytest.mark.parametrize("p", [2.0, 3.0, 4.0, 5.0])
+    @pytest.mark.parametrize("mu", [0.0, 0.5])
+    def test_nested_terms_match_closed_forms(self, mu, p, N):
+        F = nested(mu, p)
+        assert F._table.cols == [None, 1, 2] and not F._others
+        rng = np.random.default_rng(int(10 * p) + N)
+        for shape in ((8, N, 3), (3, 2, N, 3)):
+            z = rng.normal(size=shape) * np.exp(rng.uniform(-3.0, 2.0, size=shape[:-2] + (1, 1)))
+            z[(0,) * (len(shape) - 2)] = 0.0  # a point at the degenerate corner
+            z[(1,) * (len(shape) - 2) + (slice(None), 0)] = 0.0  # and a zero column
+            check_table(F, z)
+
+    @pytest.mark.parametrize("regularized", [False, True])
+    @pytest.mark.parametrize("name", registry.names())
+    def test_builtins_match_closed_forms(self, name, regularized):
+        e = registry.get(name)
+        F = RegularizedIntegrand(e.integrand, 0.01, e.regime.q) if regularized else e.integrand
+        rng = np.random.default_rng(26)
+        z = rng.normal(size=(20,) + e.shape) * np.exp(rng.uniform(-4.0, 2.5, size=(20, 1, 1)))
+        z[0] = 0.0
+        check_table(F, z)
+
+    @pytest.mark.parametrize("p", [2.5, 3.0, 3.5])
+    def test_degenerate_corner_of_a_sum_takes_the_limits_quietly(self, p):
+        # at mu = 0 and 2 < p < 4 the second factor t^((p-4)/2) has no value at
+        # t = 0: the table takes the limit 0 there, with no RuntimeWarning
+        F = Sum([Scaled(0.5, PowerNorm(0.0, p)), AxisPower(2, p),
+                 Scaled(2.0, Sum([AxisPower(1, p), PowerNorm(0.0, 2.0)]))])
+        zc = np.array([[[0.0, 1.5], [0.0, -2.0]], [[0.7, 0.0], [-0.2, 0.0]]])  # a zero column
+        eye = 4.0 * np.eye(4).reshape(2, 2, 2, 2)  # the hessian of 2 |z|^2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for z0 in (np.zeros((3, 2, 2)), np.zeros((2, 2))):
+                assert not np.any(F.value(z0)) and not F.gradient(z0).any()
+                assert np.array_equal(F.hessian(z0), np.broadcast_to(eye, z0.shape + (2, 2)))
+            g_ref, H_ref = _reference(F, zc)
+            assert _rel_err(F.gradient(zc), g_ref) <= 1e-14
+            assert _rel_err(F.hessian(zc), H_ref) <= 1e-14
+            for k in range(2):
+                assert np.array_equal(F.hessian(zc[k]), F.hessian(zc)[k])
+
+
 class TestGrowthSandwich:
     @pytest.mark.parametrize("name", registry.names())
     def test_sandwich_with_registered_constant(self, name):

@@ -12,7 +12,7 @@ import scipy.sparse.linalg as spla
 
 from pqvar import registry, solver
 from pqvar.integrands import AxisPower, PowerNorm, Sum, frob2
-from pqvar.model import DiscreteField, Grid, ShapeMismatchError
+from pqvar.model import AssemblyPlan, DiscreteField, Grid, ShapeMismatchError
 from pqvar.solver import (LinearSolveError, NonConvergenceError, RegularizedIntegrand,
                           Schedule, _pcg, _preconditioner, assemble_hessian,
                           boundary_family, el_residual, energy, export_field_csv,
@@ -280,6 +280,36 @@ class TestMinimization:
         assert rep.residual_sup < 1e-9
         _, regular = minimize_dirichlet(PowerNorm(0.0, 2.0), grid, g)
         assert regular.gradient_fallbacks == 0
+
+    def test_each_iterate_forms_its_gradients_once(self, monkeypatch):
+        # the energy, gradient and hessian of an iterate share one PL-gradient
+        # pass, and the returned field is the last iterate's: a solve makes one
+        # pass at the start and one per candidate the line search evaluates
+        passes, energies = [], []
+        form, evaluate = AssemblyPlan.gradients, solver.energy
+
+        def counting_form(plan, values):
+            passes.append(1)
+            return form(plan, values)
+
+        def counting_energy(*args):
+            energies.append(1)
+            return evaluate(*args)
+
+        monkeypatch.setattr(AssemblyPlan, "gradients", counting_form)
+        monkeypatch.setattr(solver, "energy", counting_energy)
+        grid = Grid(3, 5)
+        Feps = RegularizedIntegrand(registry.get("aniso3d_q4").integrand, 0.01, 4.0)
+        g = boundary_family("sine", grid, 2.0, 1)
+        init = g.copy()
+        init[grid.interior_mask] = 10.0 * np.random.default_rng(2).normal(
+            size=(int(grid.interior_mask.sum()), 1))
+        trace = []
+        fld, rep = minimize_dirichlet(Feps, grid, g, init=init, energy_trace=trace)
+        assert rep.residual_sup <= 1e-9 and rep.iterations == len(trace) - 1  # no flat accept
+        backtracks = len(energies) - len(trace)  # energies the line search rejected
+        assert (rep.iterations, backtracks) == (15, 0)
+        assert len(passes) == 1 + rep.iterations + backtracks == 16
 
     def test_flat_energy_skips_line_search(self, monkeypatch):
         # near the minimizer the energy is flat at machine precision; halving the
@@ -807,6 +837,25 @@ class TestElResidual:
         pert = np.array(fld.values)
         pert[grid.interior_mask] += 1e-3 * rng.normal(size=(int(grid.interior_mask.sum()), 1))
         assert el_residual(Feps, DiscreteField(grid, pert)) > rep.residual_sup
+
+
+class TestFieldArguments:
+    def test_a_field_gives_the_numbers_of_its_values(self):
+        # energy, assembly and norms read a DiscreteField's cached gradients
+        grid = Grid(3, 4)
+        F = RegularizedIntegrand(registry.get("aniso3d_q4").integrand, 0.01, 4.0)
+        fld = DiscreteField(grid, np.random.default_rng(27).normal(size=(grid.n_nodes, 1)))
+        assert energy(F, grid, fld) == energy(F, grid, fld.values)
+        assert grad_lp_norm(grid, fld, 4.0) == grad_lp_norm(grid, fld.values, 4.0)
+        assert np.array_equal(solver.assemble_gradient(F, grid, fld),
+                              solver.assemble_gradient(F, grid, fld.values))
+        assert np.array_equal(assemble_hessian(F, grid, fld).data,
+                              assemble_hessian(F, grid, fld.values).data)
+
+    def test_a_field_on_another_grid_is_refused(self):
+        fld = DiscreteField(Grid(2, 4), np.zeros((25, 1)))
+        with pytest.raises(ValueError, match="another grid"):
+            energy(PowerNorm(0.0, 2.0), Grid(2, 4), fld)
 
 
 class TestScheme:
