@@ -477,6 +477,29 @@ def run_diagnose(cfg: ExperimentConfig) -> DiagnosticsReport:
 # ------------------------------------------------------------ subcommands
 
 
+def _polynomials(F: Integrand):
+    """The polynomials of the poly(...) atoms of a parsed integrand, in config
+    order, without their coefficients."""
+    if isinstance(F, EvenPolynomial):
+        return [F]
+    if isinstance(F, Scaled):
+        return _polynomials(F.inner)
+    if isinstance(F, Sum):
+        return [P for part in F.parts for P in _polynomials(part)]
+    return []
+
+
+def _poly_rows(P: EvenPolynomial, k: int, samples: int, radius: float, seed: int):
+    """The rows of the k-th polynomial: q, p_max and the stress constant, then
+    the alignment defect of each nonzero component of degree >= 2.  Raises
+    ValueError for a component negative on the sphere or a degenerate form."""
+    out = growth.polynomial_growth_exponents(P, n_samples=samples, radius=radius, seed=seed)
+    rows = [("q", out.q), ("p_max", out.p_max), ("stress_constant", out.constant)]
+    rows += [(f"delta_deg{c.degree}", growth.delta_of_homogeneous(c, c.degree, seed=seed))
+             for c in P.components if c.degree >= 2 and c.monomials]
+    return [(f"poly{k}_{key}", v) for key, v in rows]
+
+
 def cmd_check(args):
     cfg = load_config(args.config)
     try:
@@ -497,6 +520,14 @@ def cmd_check(args):
     passed = (math.isfinite(cert.constant_assf3) and math.isfinite(cert.constant_assf1)
               and cert.constant_assf3 <= cfg.regime.L)
     print(f"certified constants within registered L: {passed}")
+    for k, P in enumerate(_polynomials(cfg.integrand), start=1):
+        try:
+            poly_rows = _poly_rows(P, k, args.samples, args.radius, cfg.seed)
+        except ValueError as exc:
+            print(f"certification FAILED: poly {k}: {exc}")
+            return 1
+        for key, v in poly_rows:
+            print(f"{key},{_fmt(v)}")
     return 0 if passed else 1
 
 

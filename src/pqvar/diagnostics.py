@@ -1,5 +1,6 @@
-"""Measurement of the regularity estimates on solved fields, plus the exact
-exponent and iteration arithmetic they rely on.
+"""Measurement of the regularity estimates on solved fields, plus the exponent
+chain and the Moser iteration arithmetic they rely on, and the log-log exponent
+fits over amplitude sweeps.
 
 V-fields are piecewise constant in the PL discretization, so their gradients
 are formed on the dual grid: per-simplex values are averaged per cell and
@@ -16,7 +17,6 @@ import numpy as np
 
 from .integrands import Integrand, MoserWeight, frob2, v_map
 from .model import DiagnosticsEntry, DiscreteField, Region, RegionError, Regime
-from .growth import gehring_exponent
 
 
 class InadmissibleSobolevExponent(ValueError):
@@ -25,14 +25,6 @@ class InadmissibleSobolevExponent(ValueError):
 
 class ScalarOnlyError(ValueError):
     """This measurement is defined for scalar fields only."""
-
-
-class PreconditionViolation(RuntimeError):
-    """Discrete data violates the assumed cube-wise reverse Holder inequality."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 # ------------------------------------------------------------- exponent chain
@@ -396,82 +388,6 @@ def moser_bound(params: MoserParams, V0: float, tail_tol=1e-15) -> float:
         return math.exp(log_bound)
     except OverflowError:
         return math.inf
-
-
-# ------------------------------------------------------------- Gehring on data
-
-
-@dataclass
-class GehringResult:
-    t: float
-    c_star: float
-    c_hat: float
-    lhs: float
-    rhs: float
-    passed: bool
-
-
-def gehring_selfimprove(values: np.ndarray, M: float, m: float, c_hat=None,
-                        s0: float = 1.0) -> GehringResult:
-    """Self-improved integrability of per-cube averages on the unit cube.
-
-    `values` is a dim-dimensional array of nonnegative cell averages covering
-    Q_1.  Dyadic sub-cube windows are screened against
-        avg_{Q_rho/2} v <= c_hat M (avg_{Q_rho} v^m)^(1/m);
-    with c_hat given, a violating window raises PreconditionViolation (witness =
-    (corner, size)); with c_hat None the sampled constant is recorded instead.
-    The exponent t then comes from the closed form with c* = max(c_hat, s0)
-    enforced, and the improved inequality
-        (avg_{Q_1/2} v^t)^(1/t) <= 2^(4 dim + 4) avg_{Q_1} v
-    is verified on the data.
-    """
-    v = np.asarray(values, dtype=float)
-    if v.min() < 0.0:
-        raise ValueError("cell averages must be nonnegative")
-    dim = v.ndim
-    side = v.shape[0]
-    if any(s != side for s in v.shape):
-        raise ValueError("values must be a cubic array")
-
-    def window_ratio(corner, size):
-        sl = tuple(slice(c, c + size) for c in corner)
-        outer = v[sl]
-        quarter = size // 4
-        inner_sl = tuple(slice(c + quarter, c + size - quarter) for c in corner)
-        inner = v[inner_sl]
-        denom = M * float((outer ** m).mean()) ** (1.0 / m)
-        if denom == 0.0:
-            return 0.0 if inner.mean() == 0.0 else math.inf
-        return float(inner.mean()) / denom
-
-    sampled = []
-    size = 4
-    while size <= side:
-        stride = max(size // 2, 1)
-        for corner in np.ndindex(*(max((side - size) // stride + 1, 1),) * dim):
-            corner = tuple(c * stride for c in corner)
-            if any(c + size > side for c in corner):
-                continue
-            sampled.append(((corner, size), window_ratio(corner, size)))
-        size *= 2
-    observed = max(r for _, r in sampled) if sampled else 1.0
-    if c_hat is None:
-        c_hat = max(observed, 1.0)
-    else:
-        for witness, ratio in sampled:
-            if ratio > c_hat * (1.0 + 1e-12):
-                raise PreconditionViolation(
-                    f"cube at corner {witness[0]} size {witness[1]} has ratio "
-                    f"{ratio:.6g} > c_hat = {c_hat}", witness=witness)
-    c_star = max(float(c_hat), float(s0), 1.0)
-    t = gehring_exponent(c_star, M, m)
-    lo = side // 4
-    hi = side - lo
-    central = v[tuple(slice(lo, hi) for _ in range(dim))]
-    lhs = float((central ** t).mean() ** (1.0 / t))
-    rhs = 2.0 ** (4 * dim + 4) * float(v.mean())
-    return GehringResult(t=t, c_star=c_star, c_hat=float(c_hat), lhs=lhs, rhs=rhs,
-                         passed=lhs <= rhs)
 
 
 # ------------------------------------------------------------- stress + fits

@@ -3,7 +3,9 @@
 The conjugate F*(xi) = sup_z <z, xi> - F(z) is computed by damped Newton on the
 strictly concave objective.  For the strictly convex superlinear integrands in
 this package the supremum is attained at the unique z with F'(z) = xi, which is
-why the same iteration also inverts the gradient map.
+why the same iteration also inverts the gradient map.  Two identities of the
+duality are measured on top of it: the Fenchel-Young gap, and the batched
+ratios of the V-map monotonicity inequality.
 """
 
 import math
@@ -21,10 +23,6 @@ MAX_ITERS = 200
 CONDITION_LIMIT = 1e12
 SEED_ITERS = 50  # cap on the scalar Newton steps of the seed
 RAY_SCALES = np.array([0.0, 1.0, 2.0])[:, None, None]  # the s at which the seed samples F(s d)
-
-
-class SingularHessianError(ArithmeticError):
-    """Hessian not invertible (the mu = 0, z = 0 corner)."""
 
 
 @dataclass
@@ -141,18 +139,6 @@ def inverse_gradient(F: Integrand, xi, tol=DEFAULT_TOL, max_iters=MAX_ITERS):
     return conjugate(F, xi, tol=tol, max_iters=max_iters).argmax
 
 
-def conjugate_hessian(F: Integrand, z):
-    """(F*)'' at xi = F'(z), i.e. the inverse of F''(z), as a (N, n, N, n) form."""
-    z = np.asarray(z, dtype=float)
-    N, n = z.shape[-2:]
-    H = flatten_form(F.hessian(z))
-    eigs = np.linalg.eigvalsh(H)
-    if eigs[..., 0].min() <= 0.0 or (eigs[..., -1] / eigs[..., 0]).max() > 1e15:
-        raise SingularHessianError("hessian is singular at this point (mu = 0 degenerate corner)")
-    inv = np.linalg.inv(H)
-    return inv.reshape(z.shape[:-2] + (N, n, N, n))
-
-
 def fenchel_young_gap(F: Integrand, z, xi, tol=DEFAULT_TOL):
     """F(z) + F*(xi) - <z, xi>; nonnegative, zero exactly at xi = F'(z)."""
     z = np.asarray(z, dtype=float)
@@ -175,33 +161,3 @@ def monotonicity_ratios(F: Integrand, r: Regime, z1, z2):
     with np.errstate(invalid="ignore", divide="ignore"):
         out = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), np.nan)
     return out
-
-
-def conjugate_difference_probe(F: Integrand, G: Integrand, samples, shape=(1, 2), seed=0,
-                               radius=3.0, tol=1e-8):
-    """Check convexity of F* - G* through the equivalent primal inequality.
-
-    At sampled (z, z0) of the given (N, n) shape the inequality
-        F(z+z0) - F(z0) - <F'(z0), z>
-            <= G(z+w) - G(w) - <G'(w), z>,   w = (G*)'(F'(z0)),
-    must hold; worst_ratio records the largest violation lhs - rhs.
-    """
-    from .model import CheckReport
-
-    rng = np.random.default_rng(seed)
-    worst = -math.inf
-    witness = None
-    for _ in range(samples):
-        z = rng.normal(size=shape) * radius * rng.uniform(0.05, 1.0)
-        z0 = rng.normal(size=shape) * radius * rng.uniform(0.05, 1.0)
-        xi0 = F.gradient(z0)
-        w = inverse_gradient(G, xi0)
-        lhs = float(F.value(z + z0) - F.value(z0) - inner(xi0, z))
-        rhs = float(G.value(z + w) - G.value(w) - inner(G.gradient(w), z))
-        gap = lhs - rhs
-        if gap > worst:
-            worst = gap
-            witness = np.stack([z, z0])
-    passed = worst <= tol
-    return CheckReport(passed=passed, worst_ratio=float(worst),
-                       witness=None if passed else witness)

@@ -1,22 +1,20 @@
-"""Ellipticity analysis and certification: eigenvalue ratios, quantified growth
-checks, polynomial certificates, and the self-improving exponent arithmetic."""
+"""Growth certification: sampled constants of the stress-controlled hessian
+bounds with p-ellipticity checked from below, the exponents and alignment
+defects of even polynomials, and the self-improving exponent arithmetic."""
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .integrands import (EvenPolynomial, HomogeneousForm, Integrand, Sum, ell_mu,
-                         flatten_form, frob2)
+from .integrands import (EvenPolynomial, HomogeneousForm, Integrand, ell_mu, flatten_form,
+                         frob2)
 from .model import InvalidRegimeError, Regime
 
 
-class DegeneratePointError(ArithmeticError):
-    """Lowest hessian eigenvalue vanished (mu = 0, z = 0)."""
-
-
 class DegenerateFormError(ValueError):
-    """Homogeneous form is (numerically) identically zero on the sphere."""
+    """Homogeneous form is (numerically) zero, or not positive on the unit sphere
+    of the span of its gradients."""
 
 
 class NotEvenError(ValueError):
@@ -42,22 +40,6 @@ class LegendreCertificate:
     constant_assf1: float
     samples: int
     worst_points: list = field(default_factory=list)
-
-
-def ellipticity_eigs(F: Integrand, z):
-    """Extreme eigenvalues (lambda_min, lambda_max) of the hessian form at z."""
-    H = flatten_form(F.hessian(z))
-    if not np.all(np.isfinite(H)):
-        raise ValueError("hessian is not finite at this point")
-    eigs = np.linalg.eigvalsh(H)
-    return float(eigs[..., 0]), float(eigs[..., -1])
-
-
-def ellipticity_ratio(F: Integrand, z):
-    lo, hi = ellipticity_eigs(F, z)
-    if lo <= 0.0:
-        raise DegeneratePointError(f"lowest eigenvalue {lo} is not positive at this point")
-    return hi / lo
 
 
 def sample_gradients(rng, shape, n_samples, r_min=1e-3, r_max=1e3):
@@ -192,7 +174,9 @@ def delta_of_homogeneous(H: HomogeneousForm, s: int, sphere_samples=4096, seed=0
 
     Estimated on sampled sphere directions restricted to the span where H' is
     nonzero; exact optimization is not attempted, so the value is an empirical
-    certificate that can overestimate the true constant.
+    certificate that can overestimate the true constant.  Raises
+    DegenerateFormError when H' vanishes on every sample, or when H is not
+    positive on the sampled unit sphere of that span.
     """
     if s < 2 or s != H.degree:
         raise ValueError(f"degree mismatch or s < 2: s={s}, form degree {H.degree}")
@@ -217,44 +201,19 @@ def delta_of_homogeneous(H: HomogeneousForm, s: int, sphere_samples=4096, seed=0
     vdirs = (proj[keep] / pnorm[keep, None]) @ basis  # unit directions inside the span
     zz = vdirs.reshape(-1, H.N, H.n)
     vals = H.value(zz)
-    if vals.max() <= 0.0:
-        raise DegenerateFormError("form vanishes on its own span")
-    sigma = float(vals.min()) ** (1.0 / s)
+    sigma = max(float(vals.min()), 0.0) ** (1.0 / s)
     w = sigma * zz
     hw = H.value(w)
     gw = H.gradient(w).reshape(len(w), d)
     gn = np.linalg.norm(gw, axis=1)
     ok = gn > 1e-12 * max(1.0, gn.max())
+    if not ok.any():  # sigma is 0 or round-off: H is not positive on the whole span
+        raise DegenerateFormError("form is not positive on the unit sphere of its span")
     ratio = (s * hw[ok]) ** 2 / (sigma ** 2 * gn[ok] ** 2)
     delta2 = max(0.0, float(1.0 - ratio.min()))
     if delta2 < 1e-12:  # radial-on-span forms: exact alignment up to roundoff
         return 0.0
     return min(math.sqrt(delta2), 1.0 - 1e-15)
-
-
-@dataclass
-class SumGrowthResult:
-    p: float
-    q: float
-    equal_exponents: bool
-    certificate: LegendreCertificate | None
-
-
-def sum_growth(Q: Integrand, r: Regime, H: HomogeneousForm, n_samples=4096,
-               radius=100.0, seed=0) -> SumGrowthResult:
-    """Exponents for Q + H when Q is certified at (p, q) and H is s-homogeneous:
-    the sum carries (p, max(q, s)); the combined integrand is re-certified unless
-    the exponents collapse to p = q."""
-    s = H.degree
-    if s < 2:
-        raise ValueError(f"homogeneous degree must be >= 2, got {s}")
-    q_new = max(r.q, float(s))
-    F = Sum([Q, EvenPolynomial([H])])
-    if r.p == q_new:
-        return SumGrowthResult(p=r.p, q=q_new, equal_exponents=True, certificate=None)
-    r_new = r.with_exponents(q=q_new)
-    cert = check_legendre(F, r_new, n_samples=n_samples, radius=radius, seed=seed)
-    return SumGrowthResult(p=r.p, q=q_new, equal_exponents=False, certificate=cert)
 
 
 # ----------------------------------------------------------------- Gehring arithmetic

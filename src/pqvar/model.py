@@ -79,27 +79,6 @@ def validate_regime(r: Regime) -> Admissibility:
     return Admissibility(True, math.inf, "n in {2,3}: unbounded")
 
 
-def classical_gates(r: Regime) -> dict:
-    """Evaluate the classical exponent gates for comparison against the main gap condition.
-
-    Returns named booleans plus the Holder exponent 1-(n-2)/p when p > n-2 (n >= 3).
-    """
-    n, p, q = r.n, r.p, r.q
-    gates = {
-        # q < np/(n-2) (unbounded for n = 2)
-        "w1q_gap": q < n * p / (n - 2) if n >= 3 else True,
-        # q < p + 2p/n
-        "w1p_lipschitz_gap": q < p + 2.0 * p / n,
-        # q < p + 2p/(n-1)
-        "sphere_refined_gap": q < p + 2.0 * p / (n - 1),
-        # q <= np/(n-2) (non-strict: gradient L^q integrability)
-        "grad_lq_gap": q <= n * p / (n - 2) if n >= 3 else True,
-        "holder": p > n - 2 and n >= 3,
-    }
-    gates["holder_exponent"] = 1.0 - (n - 2) / p if gates["holder"] else None
-    return gates
-
-
 # --------------------------------------------------------------------------- regions
 
 
@@ -443,13 +422,6 @@ class DiscreteField:
 
 
 # --------------------------------------------------------------------------- reports
-
-
-@dataclass
-class CheckReport:
-    passed: bool
-    worst_ratio: float
-    witness: np.ndarray | None = None
 
 
 @dataclass

@@ -9,9 +9,8 @@ with a safety margin, not proofs.
 
 from dataclasses import dataclass
 
-from .growth import sample_hessians, stress_bound_ratio
 from .integrands import (AxisPower, EvenPolynomial, HomogeneousForm, Integrand,
-                         PowerNorm, Scaled, Sum, ell_mu)
+                         PowerNorm, Scaled, Sum)
 from .model import Regime
 
 
@@ -104,20 +103,3 @@ def get(name: str) -> BuiltinEntry:
 
 def names():
     return sorted(BUILTINS)
-
-
-def required_structural_constant(entry: BuiltinEntry, n_samples=20000, radius=1e3, seed=0):
-    """Sampled lower bound on any admissible L for this entry (sandwich + hessian
-    bounds).  Used offline to choose the registered values; tests assert the
-    registered L dominates a fresh sample."""
-    r = entry.regime
-    z, eigs, grad_norm = sample_hessians(entry.integrand, entry.shape, n_samples, radius, seed)
-    ell = ell_mu(r.mu, z)
-    vals = entry.integrand.value(z)
-    need = [
-        (vals / (ell ** r.p + ell ** r.q)).max(),          # upper sandwich
-        (ell ** r.p / vals).max(),                         # lower sandwich
-        stress_bound_ratio(eigs, grad_norm, r.q).max(),    # hessian upper
-        (ell ** (r.p - 2.0) / eigs[:, 0]).max(),           # ellipticity lower
-    ]
-    return float(max(need))

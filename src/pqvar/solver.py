@@ -118,11 +118,6 @@ def mollify_boundary(grid: Grid, values: np.ndarray, eps: float) -> np.ndarray:
 # diagonals on which every interior matrix is stored.
 
 
-def simplex_gradients(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Exact per-simplex gradients (n_simplices, N, dim) of the PL interpolant."""
-    return grid.assembly_plan(values.shape[1]).gradients(values)
-
-
 def _plan_and_gradients(grid: Grid, values):
     """The assembly plan and the per-simplex gradients of `values`: a nodal
     array, whose gradients are formed here, or a DiscreteField on `grid`, whose
@@ -276,12 +271,6 @@ def _preconditioner(plan: AssemblyPlan, K: "scipy.sparse.dia_matrix"):
     return lambda r: inv_diag * r
 
 
-def el_residual(F: Integrand, fld: DiscreteField) -> float:
-    """Sup norm over interior nodes of the discrete weak residual <F'(grad u), grad w>."""
-    g = assemble_gradient(F, fld.grid, fld)
-    return float(np.abs(g[fld.grid.interior_mask]).max())
-
-
 def grad_lp_norm(grid: Grid, values, p: float) -> float:
     """(integral of |grad u|^p)^(1/p) over the box, exact for PL fields, of a
     nodal array or a DiscreteField."""
@@ -291,7 +280,7 @@ def grad_lp_norm(grid: Grid, values, p: float) -> float:
 
 def w1p_norm(grid: Grid, values: np.ndarray, p: float) -> float:
     """Discrete W^{1,p} norm with a vertex-lumped zero-order part."""
-    z = simplex_gradients(grid, values)
+    z = _plan_and_gradients(grid, values)[1]
     grad_part = (grid.simplex_volume * frob2(z) ** (p / 2.0)).sum()
     val_part = (grid.lumped_mass * (values ** 2).sum(axis=1) ** (p / 2.0)).sum()
     return float((grad_part + val_part) ** (1.0 / p))
@@ -413,8 +402,8 @@ def minimize_dirichlet(F: Integrand, grid: Grid, boundary: np.ndarray,
 HARMONIC_TOL = 1e-10
 
 
-def harmonic_extension(grid: Grid, boundary: np.ndarray) -> np.ndarray:
-    """Interior values of the discrete |z|^2 minimizer with the given boundary rows.
+def harmonic_extension(grid: Grid, boundary: np.ndarray) -> DiscreteField:
+    """The discrete |z|^2 minimizer with the given boundary rows, as a field.
 
     On the Kuhn grid the diagonal couplings of the P1 Laplacian assemble to 0, so
     its interior hessian is 2 h^(d-2) times the (2d+1)-point stencil, which the
@@ -423,7 +412,8 @@ def harmonic_extension(grid: Grid, boundary: np.ndarray) -> np.ndarray:
     2 h^(d-2) sum_axes (2 - 2 cos(pi j / m)), j = 1..m-1, and applies its
     inverse: no factorization and no iteration.  The right-hand side applies the
     stencil to the nodal lattice by slicing.  Raises NonConvergenceError unless
-    the sup norm of the assembled interior residual ends at most HARMONIC_TOL."""
+    the sup norm of the assembled interior residual ends at most HARMONIC_TOL;
+    that residual is assembled from the gradients the returned field caches."""
     import scipy.fft
 
     u = nodal_array(grid, boundary).copy()
@@ -445,13 +435,14 @@ def harmonic_extension(grid: Grid, boundary: np.ndarray) -> np.ndarray:
     step = scipy.fft.idstn(scipy.fft.dstn(rhs, type=1, axes=axes) / eig[..., None],
                            type=1, axes=axes)
     u[grid.interior_mask] += step.reshape(-1, N)
+    fld = DiscreteField(grid, u)
     # gradient of sum_T vol(T) |grad u|^2 at the interior dofs
-    residual = plan.assemble_vector(2.0 * plan.gradients(u)).reshape(-1)[plan.interior_dofs]
+    residual = plan.assemble_vector(2.0 * fld.gradients).reshape(-1)[plan.interior_dofs]
     res = float(np.abs(residual).max())
     if not res <= HARMONIC_TOL:
         raise NonConvergenceError(f"harmonic extension residual {res:.3e} > {HARMONIC_TOL:g}",
-                                  field=DiscreteField(grid, u))
-    return u
+                                  field=fld)
+    return fld
 
 
 # ----------------------------------------------------------------- the scheme
@@ -491,12 +482,12 @@ def run_scheme(F: Integrand, r, grid: Grid, boundary: np.ndarray, schedule: Sche
     fld = None
     for eps in schedule.epsilons:
         g_eps = mollify_boundary(grid, boundary, eps)
-        tilde = harmonic_extension(grid, g_eps)
-        tilde_field = DiscreteField(grid, tilde)  # its gradients are not held through the solve
+        tilde_field = harmonic_extension(grid, g_eps)
         gam = gamma_eps(eps, grad_lp_norm(grid, tilde_field, r.q), r.q)
         Feps = RegularizedIntegrand(F, gam, r.q)
         e_tilde = energy(Feps, grid, tilde_field)
-        del tilde_field
+        tilde = tilde_field.values
+        del tilde_field  # its gradients are not held through the solve
         if prev_values is None:
             init = tilde
         else:

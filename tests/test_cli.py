@@ -34,6 +34,10 @@ MODEL_CFG = textwrap.dedent("""\
     seed = 42
 """)
 
+# |z|^2 + (z_1^2 + 4 z_2^2)^2, one monomial per line
+QUARTIC_POLY = "1 1 1\n1 2 2\n1 1 1 1 1\n8 1 1 2 2\n16 2 2 2 2\n"
+POLY_CFG = "n = 2\nN = 1\np = 2\nq = 4\nL = 16\nintegrand = {integrand}\n"
+
 
 # config values that a run would reject or drop, each rejected by the parser;
 # `old` and `new` may hold several replacements separated by ';'
@@ -260,6 +264,51 @@ class TestSubcommands:
                        .replace("integrand = power(mu=0,p=2) + axis(i=1,q=4) + axis(i=2,q=4)",
                                 "integrand = power(mu=0,p=2)"))
         assert main(["check", "--config", str(cfg)]) == 1
+
+    def run_poly_check(self, tmp_path, capsys, integrand, polys):
+        for name, text in polys.items():
+            (tmp_path / name).write_text(text)
+        cfg = tmp_path / "poly.cfg"
+        cfg.write_text(POLY_CFG.format(integrand=integrand))
+        code = main(["check", "--config", str(cfg), "--samples", "2000"])
+        return code, capsys.readouterr().out.splitlines()
+
+    def test_check_reports_polynomial_exponents_and_defects(self, tmp_path, capsys):
+        code, out = self.run_poly_check(tmp_path, capsys, "poly(quartic.poly)",
+                                        {"quartic.poly": QUARTIC_POLY})
+        assert code == 0
+        rows = dict(line.split(",") for line in out if "," in line)
+        assert [k for k in rows if k.startswith("poly")] == [
+            "poly1_q", "poly1_p_max", "poly1_stress_constant", "poly1_delta_deg2",
+            "poly1_delta_deg4"]
+        assert (float(rows["poly1_q"]), float(rows["poly1_p_max"])) == (4.0, 2.0)
+        # the same samples as the certificate: the polynomial is the whole integrand
+        assert rows["poly1_stress_constant"] == rows["assf3_constant"]
+        assert float(rows["poly1_delta_deg2"]) == 0.0
+        # (z1^2 + 4 z2^2)^2: the analytic defect of TestDelta in test_growth.py
+        assert float(rows["poly1_delta_deg4"]) == pytest.approx(0.6, abs=5e-3)
+
+    def test_check_blocks_follow_config_order(self, tmp_path, capsys):
+        code, out = self.run_poly_check(
+            tmp_path, capsys, "power(mu=0,p=2) + 2*poly(quartic.poly) + poly(axes.poly)",
+            {"quartic.poly": QUARTIC_POLY, "axes.poly": "1 1 1 1 1\n1 2 2 2 2\n"})
+        assert code == 0
+        keys = [line.split(",")[0] for line in out if line.startswith("poly")]
+        assert keys == ["poly1_q", "poly1_p_max", "poly1_stress_constant", "poly1_delta_deg2",
+                        "poly1_delta_deg4", "poly2_q", "poly2_p_max", "poly2_stress_constant",
+                        "poly2_delta_deg4"]
+        assert "poly2_p_max,4" in out
+
+    def test_check_fails_on_a_negative_component(self, tmp_path, capsys):
+        # 3|z|^2 + (z1^4 + z2^4 - |z|^2) is convex, but its polynomial's
+        # quadratic component is negative on the sphere
+        code, out = self.run_poly_check(
+            tmp_path, capsys, "3*power(mu=0,p=2) + poly(neg.poly)",
+            {"neg.poly": "-1 1 1\n-1 2 2\n1 1 1 1 1\n1 2 2 2 2\n"})
+        assert code == 1
+        assert out[-2] == "certified constants within registered L: True"
+        assert out[-1].startswith("certification FAILED: poly 1: ")
+        assert "negative" in out[-1]
 
     def test_conjugate_table(self, model_cfg, tmp_path):
         out = tmp_path / "conj.csv"

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from pqvar import registry
 from pqvar.diagnostics import (CaccioppoliResult, InadmissibleSobolevExponent,
-                               MoserParams, PreconditionViolation, ScalarOnlyError,
-                               caccioppoli_check, default_sobolev_exponent,
-                               fit_exponent, gehring_selfimprove, hd_exponents,
+                               MoserParams, ScalarOnlyError, caccioppoli_check,
+                               default_sobolev_exponent, fit_exponent, hd_exponents,
                                higher_diff_measure, log_decay_profile, moser_a_alpha,
                                moser_alpha_sequence, moser_bound, reverse_holder_scan,
                                stress_integrability, sup_grad_measure, v_fields)
@@ -361,34 +360,6 @@ class TestMoserArithmetic:
                 break
         exact = _math.exp(log_exact) * 1.0 ** (2.0 / (alpha0 + 2.0))
         assert exact <= moser_bound(mp, 1.0) * (1.0 + 1e-12)
-
-
-class TestGehringSelfImprove:
-    def test_constant_data(self):
-        out = gehring_selfimprove(np.ones((16, 16)), M=2.0, m=0.5, s0=2.0)
-        assert out.passed and 1.0 < out.t < 2.0
-        assert out.c_star >= 2.0  # s0 = q/p enforcement
-
-    def test_solved_field_data(self, scalar_entry, solve_battery):
-        fld = solve_battery[("scalar", 32, 1.0)].field
-        from pqvar.diagnostics import _cell_gradient_sq
-
-        vp, vq = v_fields(fld, scalar_entry.integrand, scalar_entry.regime)
-        v = _cell_gradient_sq(fld.grid, vp) + _cell_gradient_sq(fld.grid, vq)
-        out = gehring_selfimprove(v, M=4.0, m=0.5, s0=2.0)
-        assert out.passed
-
-    def test_precondition_violation_witness(self):
-        v = np.ones((16, 16)) * 1e-9
-        v[8, 8] = 1.0  # a spike the cube-wise inequality cannot absorb
-        with pytest.raises(PreconditionViolation) as exc:
-            gehring_selfimprove(v, M=1.0, m=0.5, c_hat=1.0)
-        assert exc.value.witness is not None
-
-    def test_s0_enforcement_value(self):
-        out = gehring_selfimprove(np.ones((8, 8)), M=1.0, m=0.5, s0=2.0)
-        assert out.c_star == 2.0
-        assert out.t == pytest.approx(gehring_exponent(2.0, 1.0, 0.5))
 
 
 class TestSecondOrderOnFields:

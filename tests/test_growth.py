@@ -6,52 +6,70 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pqvar import registry
-from pqvar.growth import (DegenerateFormError, DegeneratePointError,
-                          EllipticityViolationError, NotEvenError, check_legendre,
-                          delta_of_homogeneous, ellipticity_eigs, ellipticity_ratio,
-                          gehring_exponent, homogeneous_decomposition,
-                          polynomial_growth_exponents, sum_growth)
+from pqvar.growth import (DegenerateFormError, EllipticityViolationError, NotEvenError,
+                          check_legendre, delta_of_homogeneous, gehring_exponent,
+                          homogeneous_decomposition, polynomial_growth_exponents,
+                          sample_hessians, stress_bound_ratio)
 from pqvar.integrands import (AxisPower, EvenPolynomial, HomogeneousForm, PowerNorm,
                               Scaled, Sum, frob2)
 from pqvar.model import InvalidRegimeError, Regime
 
-MODEL = Sum([PowerNorm(0.0, 2.0), AxisPower(1, 4.0)])
 ANISO = registry.get("aniso2d_q4")
+MODEL = Sum([PowerNorm(0.0, 2.0), AxisPower(1, 4.0)])  # |z|^2 + z1^4
+QUADRATIC = HomogeneousForm.from_terms(1, 2, 2, [(1.0, (1, 1)), (1.0, (2, 2))])  # |z|^2
 
 
-class TestEigs:
+class TestSampledHessians:
+    """`sample_hessians` and `stress_bound_ratio`, the sampler and ratio behind
+    `check_legendre` and `polynomial_growth_exponents`, against closed forms."""
+
     def test_shifted_quadratic(self):
-        # 1 + |z|^2 has hessian 2I everywhere
-        F = PowerNorm(1.0, 2.0)
-        lo, hi = ellipticity_eigs(F, np.array([[5.0, -3.0]]))
-        assert lo == pytest.approx(2.0) and hi == pytest.approx(2.0)
-        assert ellipticity_ratio(F, np.array([[5.0, -3.0]])) == pytest.approx(1.0)
+        # 1 + |z|^2 has hessian 2I everywhere, so its stress ratio at q = 2 is 2/2
+        _, eigs, _ = sample_hessians(PowerNorm(1.0, 2.0), (1, 2), 64, 10.0, seed=5)
+        assert np.abs(eigs - 2.0).max() < 1e-12
+        assert np.abs(stress_bound_ratio(eigs, np.ones(64), 2.0) - 1.0).max() < 1e-12
 
-    @pytest.mark.parametrize("t", [0.1, 1.0, 10.0, 100.0])
-    def test_model_axis_point(self, t):
-        lo, hi = ellipticity_eigs(MODEL, np.array([[t, 0.0]]))
-        assert lo == pytest.approx(2.0)
-        assert hi == pytest.approx(2.0 + 12.0 * t * t)
-        assert ellipticity_ratio(MODEL, np.array([[t, 0.0]])) == pytest.approx(1.0 + 6.0 * t * t)
+    @pytest.mark.parametrize("radius", [0.1, 1.0, 10.0, 100.0])
+    def test_model_eigenvalues(self, radius):
+        # |z|^2 + z1^4 has hessian diag(2 + 12 z1^2, 2)
+        z, eigs, grad_norm = sample_hessians(MODEL, (1, 2), 256, radius, seed=6)
+        z1 = z[:, 0, 0]
+        assert np.abs(eigs[:, 0] - 2.0).max() < 1e-12 * (1.0 + radius ** 2)
+        assert np.allclose(eigs[:, 1], 2.0 + 12.0 * z1 * z1, rtol=1e-12, atol=1e-12)
+        exact = np.hypot(2.0 * z1 + 4.0 * z1 ** 3, 2.0 * z[:, 0, 1])
+        assert np.allclose(grad_norm, exact, rtol=1e-12, atol=0.0)
+        radii = np.sqrt(frob2(z))
+        assert radii.min() >= 1e-3 * (1 - 1e-12) and radii.max() <= radius * (1 + 1e-12)
 
-    def test_ratio_blows_up(self):
-        assert ellipticity_ratio(MODEL, np.array([[100.0, 0.0]])) > \
-            ellipticity_ratio(MODEL, np.array([[10.0, 0.0]])) > 1.0
+    def test_ratio_blows_up_while_stress_ratio_stays_bounded(self):
+        # lambda_max/lambda_min = 1 + 6 z1^2 is unbounded, but
+        # |F''| / (1 + |F'|^(2/3)) <= 12 t^2 / (4 t^3)^(2/3) + o(1) stays bounded
+        ratios, stress = [], []
+        for radius in (10.0, 100.0, 1000.0):
+            _, eigs, grad_norm = sample_hessians(MODEL, (1, 2), 4096, radius, seed=7)
+            ratios.append((eigs[:, -1] / eigs[:, 0]).max())
+            stress.append(stress_bound_ratio(eigs, grad_norm, 4.0).max())
+        assert ratios[2] > ratios[1] > ratios[0] > 1.0
+        assert ratios[2] > 1e5
+        assert max(stress) <= 12.0 / 4.0 ** (2.0 / 3.0) + 0.1
 
     def test_2x2_characteristic_polynomial_oracle(self):
-        rng = np.random.default_rng(30)
-        for _ in range(50):
-            z = rng.normal(size=(1, 2)) * rng.uniform(0.1, 5)
-            H = MODEL.hessian(z).reshape(2, 2)
-            tr, det = H[0, 0] + H[1, 1], H[0, 0] * H[1, 1] - H[0, 1] * H[1, 0]
-            disc = math.sqrt(max(tr * tr - 4 * det, 0.0))
-            lo, hi = ellipticity_eigs(MODEL, z)
-            assert lo == pytest.approx((tr - disc) / 2, rel=1e-10, abs=1e-12)
-            assert hi == pytest.approx((tr + disc) / 2, rel=1e-10, abs=1e-12)
+        z, eigs, _ = sample_hessians(ANISO.integrand, (1, 2), 200, 5.0, seed=30)
+        H = ANISO.integrand.hessian(z).reshape(200, 2, 2)
+        tr = H[:, 0, 0] + H[:, 1, 1]
+        det = H[:, 0, 0] * H[:, 1, 1] - H[:, 0, 1] * H[:, 1, 0]
+        disc = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
+        assert np.allclose(eigs[:, 0], (tr - disc) / 2, rtol=1e-10, atol=1e-12)
+        assert np.allclose(eigs[:, 1], (tr + disc) / 2, rtol=1e-10, atol=1e-12)
 
     def test_degenerate_point(self):
-        with pytest.raises(DegeneratePointError):
-            ellipticity_ratio(PowerNorm(0.0, 4.0), np.zeros((1, 2)))
+        # |z|^4 has eigenvalues 4|z|^2 and 12|z|^2: both vanish at z = 0
+        z, eigs, grad_norm = sample_hessians(PowerNorm(0.0, 4.0), (1, 2), 256, 10.0, seed=8)
+        r2 = frob2(z)
+        assert np.allclose(eigs[:, 0], 4.0 * r2, rtol=1e-12, atol=0.0)
+        assert np.allclose(eigs[:, 1], 12.0 * r2, rtol=1e-12, atol=0.0)
+        assert eigs[:, 0].min() < 1e-4
+        assert np.allclose(grad_norm, 4.0 * r2 ** 1.5, rtol=1e-12, atol=0.0)
 
 
 class TestCheckLegendre:
@@ -144,6 +162,37 @@ class TestPolynomials:
         assert (out.p_max, out.q) == (4.0, 6.0)
 
 
+class TestPolynomialSums:
+    """The exponents `pqvar check` reports for a polynomial built up as a sum."""
+
+    def test_quadratic_plus_axis_power(self):
+        P = EvenPolynomial([QUADRATIC, HomogeneousForm.from_terms(1, 2, 4, [(1.0, (1,) * 4)])])
+        out = polynomial_growth_exponents(P, n_samples=1024, radius=100.0, seed=3)
+        assert (out.p_max, out.q) == (2.0, 4.0)
+        # the stress constant is check_legendre's, over the same samples
+        cert = check_legendre(P, Regime(2, 1, 2.0, 4.0, 0.0, 4.0), 1024, 100.0, seed=3)
+        assert out.constant == cert.constant_assf3
+
+    def test_adding_axis_powers_one_at_a_time(self):
+        # |z|^2, then + z1^4, then + z2^4: the exponents of the (2, 4) model
+        forms, read = [QUADRATIC], []
+        for i in (1, 2):
+            out = polynomial_growth_exponents(EvenPolynomial(forms), n_samples=1024, seed=4)
+            read.append((out.p_max, out.q))
+            forms = forms + [HomogeneousForm.from_terms(1, 2, 4, [(1.0, (i,) * 4)])]
+        out = polynomial_growth_exponents(EvenPolynomial(forms), n_samples=1024, seed=4)
+        read.append((out.p_max, out.q))
+        assert read == [(2.0, 2.0), (2.0, 4.0), (2.0, 4.0)]
+
+    def test_equal_exponents_reported(self):
+        # |z|^4 + z1^4 is homogeneous: p_max = q = 4
+        c4 = HomogeneousForm.from_terms(
+            1, 2, 4, [(2.0, (1, 1, 1, 1)), (2.0, (1, 1, 2, 2)), (1.0, (2, 2, 2, 2))])
+        out = polynomial_growth_exponents(EvenPolynomial([c4]), n_samples=256)
+        assert (out.p_max, out.q) == (4.0, 4.0)
+        assert np.isfinite(out.constant)
+
+
 class TestDelta:
     def test_radial_form(self):
         c4 = HomogeneousForm.from_terms(
@@ -168,32 +217,13 @@ class TestDelta:
         with pytest.raises(DegenerateFormError):
             delta_of_homogeneous(c4, 4)
 
-
-class TestSumGrowth:
-    def test_quadratic_plus_axis_power(self):
-        H = HomogeneousForm.from_terms(1, 2, 4, [(1.0, (1, 1, 1, 1))])
-        r = Regime(2, 1, 2.0, 2.0, 0.0, 4.0)
-        out = sum_growth(PowerNorm(0.0, 2.0), r, H, n_samples=1024, seed=3)
-        assert (out.p, out.q) == (2.0, 4.0)
-        assert not out.equal_exponents and out.certificate is not None
-
-    def test_repeated_application_matches_model(self):
-        # adding the axis powers one at a time reproduces the (2, 4) model exponents
-        r = Regime(2, 1, 2.0, 2.0, 0.0, 8.0)
-        Q = PowerNorm(0.0, 2.0)
-        for i in (1, 2):
-            H = HomogeneousForm.from_terms(1, 2, 4, [(1.0, (i,) * 4)])
-            out = sum_growth(Q, r, H, n_samples=1024, seed=4)
-            Q = Sum([Q, EvenPolynomial([H])])
-            r = r.with_exponents(q=out.q)
-        assert (r.p, r.q) == (2.0, 4.0)
-
-    def test_equal_exponent_case_reported(self):
-        H = HomogeneousForm.from_terms(1, 2, 4, [(1.0, (1, 1, 1, 1))])
-        r = Regime(2, 1, 4.0, 4.0, 0.0, 6.0)
-        out = sum_growth(PowerNorm(0.0, 4.0), r, H, n_samples=256)
-        assert out.equal_exponents and out.certificate is None
-        assert (out.p, out.q) == (4.0, 4.0)
+    @pytest.mark.parametrize("terms", [
+        [(1.0, (1, 1, 2, 2))],  # z1^2 z2^2 vanishes on the axes of its span
+        [(1.0, (1, 1, 1, 1)), (-1.0, (2, 2, 2, 2))],  # negative along e_2
+    ])
+    def test_form_not_positive_on_its_span_rejected(self, terms):
+        with pytest.raises(DegenerateFormError, match="not positive"):
+            delta_of_homogeneous(HomogeneousForm.from_terms(1, 2, 4, terms), 4)
 
 
 class TestGehringExponent:

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from pqvar import registry
 from pqvar.model import (DiscreteField, Grid, InvalidRegimeError, Region, RegionError,
-                         Regime, ShapeMismatchError, _kuhn_offsets, classical_gates,
-                         validate_regime)
+                         Regime, ShapeMismatchError, _kuhn_offsets, validate_regime)
 from pqvar.solver import RegularizedIntegrand
 
 from test_integrands import PublicOnly
@@ -57,27 +56,6 @@ class TestRegimeGates:
         r_lo = Regime(n, 1, p, lo, 0.0, 2.0)
         if validate_regime(r_hi).admissible:
             assert validate_regime(r_lo).admissible
-
-
-class TestClassicalGates:
-    def test_holder_clause(self):
-        gates = classical_gates(Regime(3, 1, 2.0, 3.0, 0.0, 2.0))
-        assert gates["holder"] and gates["holder_exponent"] == pytest.approx(0.5)
-
-    def test_n4_p2_q3(self):
-        gates = classical_gates(Regime(4, 1, 2.0, 3.0, 0.0, 2.0))
-        # q < p + 2p/(n-1) = 2 + 4/3; q < p + 2p/n = 3 fails at equality
-        assert gates["sphere_refined_gap"] is True
-        assert gates["w1p_lipschitz_gap"] is False
-
-    def test_n3_p2_q5(self):
-        gates = classical_gates(Regime(3, 1, 2.0, 5.0, 0.0, 2.0))
-        assert gates["w1q_gap"] is True  # 5 < 6
-
-    def test_n2_unbounded_gates(self):
-        gates = classical_gates(Regime(2, 1, 2.0, 50.0, 0.0, 2.0))
-        assert gates["w1q_gap"] and gates["grad_lq_gap"]
-        assert not gates["holder"]
 
 
 class TestGrid:

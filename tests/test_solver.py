@@ -14,10 +14,10 @@ from pqvar import registry, solver
 from pqvar.integrands import AxisPower, PowerNorm, Sum, frob2
 from pqvar.model import AssemblyPlan, DiscreteField, Grid, ShapeMismatchError
 from pqvar.solver import (LinearSolveError, NonConvergenceError, RegularizedIntegrand,
-                          Schedule, _pcg, _preconditioner, assemble_hessian,
-                          boundary_family, el_residual, energy, export_field_csv,
-                          export_gradients_csv, gamma_eps, grad_lp_norm, harmonic_extension,
-                          minimize_dirichlet, mollify_boundary, run_scheme, simplex_gradients)
+                          Schedule, _pcg, _preconditioner, assemble_hessian, boundary_family,
+                          energy, export_field_csv, export_gradients_csv, gamma_eps,
+                          grad_lp_norm, harmonic_extension, minimize_dirichlet,
+                          mollify_boundary, run_scheme)
 
 
 def five_point_laplace(grid, boundary):
@@ -62,7 +62,7 @@ def dense_mollify(grid, values, eps):
 def coo_hessian(F, grid, values):
     """Full-dof energy hessian built element block by element block in COO form."""
     N = values.shape[1]
-    H = F.hessian(simplex_gradients(grid, values))
+    H = F.hessian(grid.assembly_plan(N).gradients(values))
     rows, cols, data = [], [], []
     comp = np.arange(N)
     for t in range(grid.n_types):
@@ -212,7 +212,7 @@ class TestEnergyExactness:
         rng = np.random.default_rng(4)
         vals = rng.normal(size=(grid.n_nodes, 1))
         F = Sum([PowerNorm(0.0, 2.0), AxisPower(1, 4.0)])
-        z = simplex_gradients(grid, vals)
+        z = grid.assembly_plan(1).gradients(vals)
         manual = grid.simplex_volume * float(F.value(z).sum())
         assert energy(F, grid, vals) == pytest.approx(manual, abs=1e-13)
 
@@ -310,6 +310,15 @@ class TestMinimization:
         backtracks = len(energies) - len(trace)  # energies the line search rejected
         assert (rep.iterations, backtracks) == (15, 0)
         assert len(passes) == 1 + rep.iterations + backtracks == 16
+
+        # a ladder: per rung the harmonic extension's pass, which its q-norm and
+        # energy read too, and the solve's; one more per W^{1,p} increment
+        del passes[:], energies[:]
+        entry = registry.get("aniso3d_q4")
+        res = run_scheme(entry.integrand, entry.regime, grid, g, Schedule.dyadic(3))
+        rungs, iterations = len(res.reports), sum(r.iterations for r in res.reports)
+        assert len(energies) == rungs * 2 + iterations  # no backtracks: e_tilde + trace
+        assert len(passes) == rungs * 2 + iterations + rungs - 1 == 20
 
     def test_flat_energy_skips_line_search(self, monkeypatch):
         # near the minimizer the energy is flat at machine precision; halving the
@@ -411,14 +420,14 @@ class TestAssemblyPlan:
         g = boundary_family("affine", grid, 2.0, 3)
         start = g.copy()
         start[grid.interior_mask] = 0.0
-        assert np.abs(harmonic_extension(grid, start) - g).max() <= 1e-12
+        assert np.abs(harmonic_extension(grid, start).values - g).max() <= 1e-12
 
     @pytest.mark.parametrize("dim, cells, N", [(2, 12, 2), (3, 6, 1)])
     def test_harmonic_extension_matches_newton(self, dim, cells, N):
         grid = Grid(dim, cells)
         g = boundary_family("sinecos", grid, 1.5, N)
         fld, _ = minimize_dirichlet(PowerNorm(0.0, 2.0), grid, g, tol_residual=1e-12)
-        assert np.abs(harmonic_extension(grid, g) - fld.values).max() <= 1e-10
+        assert np.abs(harmonic_extension(grid, g).values - fld.values).max() <= 1e-10
 
 
 def laplacian(grid, N):
@@ -440,7 +449,7 @@ class TestHarmonicExtension:
         # the energy is quadratic, so its gradient at g0 is the boundary coupling
         rhs = -solver.assemble_gradient(PowerNorm(0.0, 2.0), grid, g0).reshape(-1)[dofs]
         ref = np.atleast_1d(spla.spsolve(laplacian(grid, N).tocsc(), rhs))
-        u = harmonic_extension(grid, g)
+        u = harmonic_extension(grid, g).values
         assert np.array_equal(u[grid.boundary_mask], g[grid.boundary_mask])
         x = u.reshape(-1)[dofs]
         assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -578,7 +587,7 @@ class TestWarmStart:
             g_eps = mollify_boundary(grid, g, rep.epsilon)
             Feps = RegularizedIntegrand(entry.integrand, rep.gamma_eps, entry.regime.q)
             cold, _ = minimize_dirichlet(Feps, grid, g_eps,
-                                         init=harmonic_extension(grid, g_eps))
+                                         init=harmonic_extension(grid, g_eps).values)
             assert np.abs(fld.values - cold.values).max() <= 1e-10
 
 
@@ -587,7 +596,7 @@ def newton_hessian(cells=16):
     grid = Grid(2, cells)
     entry = registry.get("aniso2d_q4_vec")
     Feps = RegularizedIntegrand(entry.integrand, 0.01, 4.0)
-    vals = harmonic_extension(grid, boundary_family("sine", grid, 1.0, 2))
+    vals = harmonic_extension(grid, boundary_family("sine", grid, 1.0, 2)).values
     return grid.assembly_plan(2), assemble_hessian(Feps, grid, vals)
 
 
@@ -819,13 +828,18 @@ class TestOneBlasThread:
             assert np.array_equal(a.values, b.values)
 
 
+def interior_residual(F, fld):
+    """Sup norm over interior nodes of the discrete weak residual <F'(grad u), grad w>."""
+    return float(np.abs(solver.assemble_gradient(F, fld.grid, fld)[fld.grid.interior_mask]).max())
+
+
 class TestElResidual:
     def test_affine_interior_of_uniform_grid(self):
         grid = Grid(2, 12)
         entry = registry.get("aniso2d_q4")
         vals = 0.7 * grid.node_coords[:, 0:1] - 0.2 * grid.node_coords[:, 1:2]
         fld = DiscreteField(grid, vals)
-        assert el_residual(entry.integrand, fld) <= 1e-12
+        assert interior_residual(entry.integrand, fld) <= 1e-12
 
     def test_grows_away_from_minimizer(self):
         grid = Grid(2, 16)
@@ -836,7 +850,7 @@ class TestElResidual:
         rng = np.random.default_rng(7)
         pert = np.array(fld.values)
         pert[grid.interior_mask] += 1e-3 * rng.normal(size=(int(grid.interior_mask.sum()), 1))
-        assert el_residual(Feps, DiscreteField(grid, pert)) > rep.residual_sup
+        assert interior_residual(Feps, DiscreteField(grid, pert)) > rep.residual_sup
 
 
 class TestFieldArguments:
