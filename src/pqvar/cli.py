@@ -2,7 +2,8 @@
 
 Subcommands: check, conjugate, solve, diagnose, sweep (config-driven, CSV out)
 and gehring, moser (pure arithmetic, flags only).  Exit codes: 0 success,
-1 certification/diagnostic failure, 2 config or flag error, 3 solver non-convergence.
+1 certification/diagnostic failure, 2 config or flag error (also a check
+--radius below the sampling floor 1e-3), 3 solver non-convergence.
 
 Config files are plain text `key = value` lines; `#` starts a comment.  The
 integrand mini-language:
@@ -509,6 +510,9 @@ def cmd_check(args):
     except (growth.EllipticityViolationError, InvalidRegimeError) as exc:
         print(f"certification FAILED: {exc}")
         return 1
+    except ValueError as exc:  # --radius below the sampling floor
+        print(f"error: {exc}")
+        return 2
     rows = [("assf3_constant", cert.constant_assf3),
             ("assf1_constant", cert.constant_assf1),
             ("samples", cert.samples),

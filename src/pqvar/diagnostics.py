@@ -18,6 +18,8 @@ import numpy as np
 from .integrands import Integrand, MoserWeight, frob2, v_map
 from .model import DiagnosticsEntry, DiscreteField, Region, RegionError, Regime
 
+MOSER_TAIL_TOL = 1e-15  # the series of moser_bound stops at a term below this
+
 
 class InadmissibleSobolevExponent(ValueError):
     """Chosen sphere Sobolev exponent is too small for the interpolation split."""
@@ -214,9 +216,10 @@ def log_decay_profile(field: DiscreteField, F: Integrand, r: Regime, radii,
     """L^2 masses of the V-field gradients on shrinking balls, fitted against
     C log(r/sigma)^-(gamma+2) with gamma = (q+p)/(2q).
 
-    The fit adjusts only the prefactor C (least squares on logs); the residual
-    is the rms log deviation.  Needs at least 3 radii, decreasing, with the
-    largest ball inside B/2.
+    The fit adjusts only the prefactor C (least squares on logs) over the
+    positive masses; the residual is their rms log deviation.  C = 0 only when
+    every mass vanishes, as for affine data, where the profile is exact.  Needs
+    at least 3 radii, decreasing, with the largest ball inside B/2.
     """
     radii = [float(s) for s in radii]
     if len(radii) < 3:
@@ -232,11 +235,11 @@ def log_decay_profile(field: DiscreteField, F: Integrand, r: Regime, radii,
     gamma = (r.q + r.p) / (2.0 * r.q)
     expo = gamma + 2.0
     xs = np.array([math.log(B.radius / s) for s in radii])
-    positive = [m > 0.0 for m in masses]
-    if not all(positive):
-        # affine data: all masses vanish and the profile is exact with C = 0
+    m = np.array(masses)
+    positive = m > 0.0
+    if not positive.any():
         return LogDecayResult(radii, masses, gamma, expo, 0.0, 0.0)
-    ys = np.log(masses) + expo * np.log(xs)
+    ys = np.log(m[positive]) + expo * np.log(xs[positive])
     logC = float(ys.mean())
     resid = float(np.sqrt(((ys - logC) ** 2).mean()))
     return LogDecayResult(radii, masses, gamma, expo, math.exp(logC), resid)
@@ -348,7 +351,7 @@ def moser_alpha_sequence(params: MoserParams, i: int) -> float:
     return (2.0 + params.alpha0) / params.gamma ** i - 2.0
 
 
-def moser_bound(params: MoserParams, V0: float, tail_tol=1e-15) -> float:
+def moser_bound(params: MoserParams, V0: float) -> float:
     """Limit of the iterated sup bound: prefactor series evaluated to convergence.
 
     The bound has the shape
@@ -356,8 +359,8 @@ def moser_bound(params: MoserParams, V0: float, tail_tol=1e-15) -> float:
     where C and a0 come from summing the per-rung factors
     [c0 A_{alpha_m}^2 (2^m/(tau1-tau2))^((gamma+1)/gamma)]^(e_m) with weights
     e_m = gamma^m / ((2+alpha0)(1-gamma)); the series is truncated once a term
-    drops below tail_tol.  The product is formed in log space: the result is
-    math.inf when the bound passes the float range, and 0 when V0 = 0.
+    drops below MOSER_TAIL_TOL.  The product is formed in log space: the result
+    is math.inf when the bound passes the float range, and 0 when V0 = 0.
     """
     if not (0.0 <= V0 < math.inf):
         raise ValueError(f"V0 must be finite and nonnegative, got {V0}")
@@ -377,7 +380,7 @@ def moser_bound(params: MoserParams, V0: float, tail_tol=1e-15) -> float:
                       + a0_weight * m * math.log(2.0))
         log_pref += term
         a0 += a0_weight * e_m
-        if e_m * (1.0 + a0_weight * (m + 1)) < tail_tol or m > 100000:
+        if e_m * (1.0 + a0_weight * (m + 1)) < MOSER_TAIL_TOL or m > 100000:
             break
         m += 1
     m_expo = g / denom

@@ -19,7 +19,7 @@ from .model import Regime
 from .newton import NonConvergenceError
 
 DEFAULT_TOL = 1e-10
-MAX_ITERS = 200
+MAX_ITERS = 200  # Newton steps per conjugation, read at each call
 CONDITION_LIMIT = 1e12
 SEED_ITERS = 50  # cap on the scalar Newton steps of the seed
 RAY_SCALES = np.array([0.0, 1.0, 2.0])[:, None, None]  # the s at which the seed samples F(s d)
@@ -82,13 +82,14 @@ def _ray_root(a, p, b, q, r):
     return math.exp(t) if t < 700.0 else None
 
 
-def conjugate(F: Integrand, xi, tol=DEFAULT_TOL, max_iters=MAX_ITERS) -> ConjugateResult:
+def conjugate(F: Integrand, xi, tol=DEFAULT_TOL) -> ConjugateResult:
     """F*(xi) with its maximizer: solves sup_z <z, xi> - F(z).
 
     `newton.minimize` minimizes F(z) - <z, xi> from `_newton_seed`, the
     maximizer along the ray of xi of a two-power fit of F, until the
     residual |F'(z) - xi| is at most tol, relative above |xi| = 1, and accepts a
-    residual up to 100 tol where the objective is flat.  A hessian that is
+    residual up to 100 tol where the objective is flat; it raises
+    NonConvergenceError after MAX_ITERS steps.  A hessian that is
     singular, or too ill-conditioned by the Cholesky-diagonal proxy for its
     condition number, gives way to a gradient step scaled by the largest
     curvature, counted in `gradient_fallbacks`."""
@@ -129,14 +130,14 @@ def conjugate(F: Integrand, xi, tol=DEFAULT_TOL, max_iters=MAX_ITERS) -> Conjuga
     z, f, res, iters = newton.minimize(
         objective, gradient, newton_step, _newton_seed(F, xi),
         converged=lambda res, f, f_prev: res <= scaled_tol, stall_tol=100 * scaled_tol,
-        max_iters=max_iters, partial=lambda z, f, res, iters: {"z": z, "residual": res})
+        max_iters=MAX_ITERS, partial=lambda z, f, res, iters: {"z": z, "residual": res})
     return ConjugateResult(value=-f, argmax=z, newton_iters=iters, residual=res,
                            gradient_fallbacks=fallbacks)
 
 
-def inverse_gradient(F: Integrand, xi, tol=DEFAULT_TOL, max_iters=MAX_ITERS):
+def inverse_gradient(F: Integrand, xi, tol=DEFAULT_TOL):
     """The unique z with F'(z) = xi (to tolerance); equals conjugate(F, xi).argmax."""
-    return conjugate(F, xi, tol=tol, max_iters=max_iters).argmax
+    return conjugate(F, xi, tol=tol).argmax
 
 
 def fenchel_young_gap(F: Integrand, z, xi, tol=DEFAULT_TOL):

@@ -11,6 +11,10 @@ from .integrands import (EvenPolynomial, HomogeneousForm, Integrand, ell_mu, fla
                          frob2)
 from .model import InvalidRegimeError, Regime
 
+RADIUS_FLOOR = 1e-3  # the least |z| that the certificates sample
+DECOMPOSITION_SAMPLES = 2048  # sphere directions per component in homogeneous_decomposition
+DELTA_SAMPLES = 4096  # sphere directions in delta_of_homogeneous
+
 
 class DegenerateFormError(ValueError):
     """Homogeneous form is (numerically) zero, or not positive on the unit sphere
@@ -42,21 +46,19 @@ class LegendreCertificate:
     worst_points: list = field(default_factory=list)
 
 
-def sample_gradients(rng, shape, n_samples, r_min=1e-3, r_max=1e3):
-    """Log-uniform radius in [r_min, r_max], uniform direction: probes both the
-    degenerate small-z regime and the blow-up regime."""
-    d = shape[0] * shape[1]
-    dirs = rng.normal(size=(n_samples, d))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    radii = np.exp(rng.uniform(math.log(r_min), math.log(r_max), size=n_samples))
-    return (dirs * radii[:, None]).reshape((n_samples,) + tuple(shape))
-
-
 def sample_hessians(F: Integrand, shape, n_samples, radius, seed):
-    """Gradients z drawn by `sample_gradients` on [1e-3, radius] from `seed`, with
-    the ascending eigenvalues of F''(z) and |F'(z)| at each sample."""
+    """Gradients z drawn from `seed`, of uniform direction and log-uniform radius
+    in [RADIUS_FLOOR, radius], which probes both the degenerate small-z regime
+    and the blow-up regime; with the ascending eigenvalues of F''(z) and |F'(z)|
+    at each sample.  Raises ValueError for a radius below RADIUS_FLOOR."""
+    if not radius >= RADIUS_FLOOR:
+        raise ValueError(f"radius must be at least the sampling floor {RADIUS_FLOOR:g}, "
+                         f"got {radius:g}")
     rng = np.random.default_rng(seed)
-    z = sample_gradients(rng, shape, n_samples, r_min=1e-3, r_max=radius)
+    dirs = rng.normal(size=(n_samples, shape[0] * shape[1]))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    radii = np.exp(rng.uniform(math.log(RADIUS_FLOOR), math.log(radius), size=n_samples))
+    z = (dirs * radii[:, None]).reshape((n_samples,) + tuple(shape))
     eigs = np.linalg.eigvalsh(flatten_form(F.hessian(z)))
     return z, eigs, np.sqrt(frob2(F.gradient(z)))
 
@@ -74,12 +76,11 @@ def check_legendre(F: Integrand, r: Regime, n_samples: int, radius: float,
     Records sup |F''| / (1 + |F'|^((q-2)/(q-1))) and
     sup (|F''| / |z|^(p-2)) / (1 + |F'|^((q-p)/(q-1))); the lower bound
     <F''(z) xi, xi> >= L^-1 ell_mu(z)^(p-2) |xi|^2 is checked through the lowest
-    eigenvalue, which covers every direction xi at once.
+    eigenvalue, which covers every direction xi at once.  Raises ValueError for
+    n_samples < 1 or a radius below RADIUS_FLOOR.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    if radius <= 0:
-        raise ValueError("radius must be positive")
     if not (r.p < r.q):
         raise InvalidRegimeError(
             "certification requires strict p < q; the equal-exponent case is classical")
@@ -124,11 +125,11 @@ def _sphere(rng, d, count):
     return w / np.linalg.norm(w, axis=1, keepdims=True)
 
 
-def homogeneous_decomposition(P: EvenPolynomial, sphere_samples=2048, seed=0):
+def homogeneous_decomposition(P: EvenPolynomial, seed=0):
     """Graded components of P, with evenness and nonnegativity screening.
 
-    A nonzero odd-degree component raises NotEvenError; components that go
-    negative on sphere samples are flagged (nonnegative=False), not rejected.
+    A nonzero odd-degree component raises NotEvenError; components that go negative
+    on DECOMPOSITION_SAMPLES sphere samples are flagged (nonnegative=False).
     """
     rng = np.random.default_rng(seed)
     out = []
@@ -137,7 +138,7 @@ def homogeneous_decomposition(P: EvenPolynomial, sphere_samples=2048, seed=0):
             raise NotEvenError(f"degree-{comp.degree} component is nonzero")
         if comp.degree % 2 == 1:
             continue
-        omega = _sphere(rng, P.N * P.n, sphere_samples).reshape(-1, P.N, P.n)
+        omega = _sphere(rng, P.N * P.n, DECOMPOSITION_SAMPLES).reshape(-1, P.N, P.n)
         vals = comp.value(omega)
         out.append(GradedComponent(comp.degree, comp, bool(vals.min() >= -1e-12)))
     return out
@@ -154,7 +155,8 @@ def polynomial_growth_exponents(P: EvenPolynomial, n_samples=4096, radius=100.0,
                                 seed=0) -> PolyGrowthResult:
     """Exponents read off the graded structure: q is the degree, p_max the lowest
     nonconstant homogeneity; also records the sampled constant in
-    |P''(z)| <= c (1 + |P'(z)|^((2d-2)/(2d-1)))."""
+    |P''(z)| <= c (1 + |P'(z)|^((2d-2)/(2d-1))), sampled as `check_legendre`
+    samples; raises ValueError for a radius below RADIUS_FLOOR."""
     comps = homogeneous_decomposition(P, seed=seed)
     bad = [c.degree for c in comps if not c.nonnegative]
     if bad:
@@ -169,11 +171,11 @@ def polynomial_growth_exponents(P: EvenPolynomial, n_samples=4096, radius=100.0,
     return PolyGrowthResult(q=float(q), p_max=float(p_max), constant=float(c))
 
 
-def delta_of_homogeneous(H: HomogeneousForm, s: int, sphere_samples=4096, seed=0):
+def delta_of_homogeneous(H: HomogeneousForm, s: int, seed=0):
     """Alignment defect of H' against the radial direction, in [0, 1).
 
-    Estimated on sampled sphere directions restricted to the span where H' is
-    nonzero; exact optimization is not attempted, so the value is an empirical
+    Estimated on DELTA_SAMPLES sphere directions restricted to the span where H'
+    is nonzero; exact optimization is not attempted, so the value is an empirical
     certificate that can overestimate the true constant.  Raises
     DegenerateFormError when H' vanishes on every sample, or when H is not
     positive on the sampled unit sphere of that span.
@@ -182,7 +184,7 @@ def delta_of_homogeneous(H: HomogeneousForm, s: int, sphere_samples=4096, seed=0
         raise ValueError(f"degree mismatch or s < 2: s={s}, form degree {H.degree}")
     rng = np.random.default_rng(seed)
     d = H.N * H.n
-    omega = _sphere(rng, d, sphere_samples)
+    omega = _sphere(rng, d, DELTA_SAMPLES)
     # include coordinate directions so axis-aligned spans are found exactly
     omega = np.vstack([omega, np.eye(d), -np.eye(d)])
     zs = omega.reshape(-1, H.N, H.n)

@@ -59,9 +59,9 @@ class Regime:
         """Conjugate exponent q' = q/(q-1)."""
         return self.q / (self.q - 1.0)
 
-    def with_exponents(self, p=None, q=None):
-        return Regime(self.n, self.N, self.p if p is None else p,
-                      self.q if q is None else q, self.mu, self.L)
+    def with_exponents(self, q):
+        """The regime with the upper exponent q in place of its own."""
+        return Regime(self.n, self.N, self.p, q, self.mu, self.L)
 
 
 @dataclass(frozen=True)

@@ -118,37 +118,22 @@ def mollify_boundary(grid: Grid, values: np.ndarray, eps: float) -> np.ndarray:
 # diagonals on which every interior matrix is stored.
 
 
-def _plan_and_gradients(grid: Grid, values):
-    """The assembly plan and the per-simplex gradients of `values`: a nodal
-    array, whose gradients are formed here, or a DiscreteField on `grid`, whose
-    cached gradients are read."""
-    if isinstance(values, DiscreteField):
-        if values.grid is not grid:
-            raise ValueError("the field lives on another grid")
-        return grid.assembly_plan(values.N), values.gradients
-    plan = grid.assembly_plan(values.shape[1])
-    return plan, plan.gradients(values)
+def energy(F: Integrand, fld: DiscreteField) -> float:
+    """The discrete energy of a field."""
+    return float(fld.grid.simplex_volume * F.value(fld.gradients).sum())
 
 
-def energy(F: Integrand, grid: Grid, values) -> float:
-    """The discrete energy of a nodal array or a DiscreteField."""
-    z = _plan_and_gradients(grid, values)[1]
-    return float(grid.simplex_volume * F.value(z).sum())
+def assemble_gradient(F: Integrand, fld: DiscreteField) -> np.ndarray:
+    """Nodal energy gradient of a field; row (v, i) is the weak residual of the
+    i-th component hat function at node v."""
+    return fld.grid.assembly_plan(fld.N).assemble_vector(F.gradient(fld.gradients))
 
 
-def assemble_gradient(F: Integrand, grid: Grid, values) -> np.ndarray:
-    """Nodal energy gradient of a nodal array or a DiscreteField; row (v, i) is
-    the weak residual of the i-th component hat function at node v."""
-    plan, z = _plan_and_gradients(grid, values)
-    return plan.assemble_vector(F.gradient(z))
-
-
-def assemble_hessian(F: Integrand, grid: Grid, values) -> "scipy.sparse.dia_matrix":
-    """Sparse energy hessian of a nodal array or a DiscreteField, over the
-    interior dofs (node-major, component-minor), in the order of the plan's
-    `interior_dofs`, stored by its diagonals on the plan's fixed stencil."""
-    plan, z = _plan_and_gradients(grid, values)
-    return plan.assemble_matrix(F.hessian(z))
+def assemble_hessian(F: Integrand, fld: DiscreteField) -> "scipy.sparse.dia_matrix":
+    """Sparse energy hessian of a field, over the interior dofs (node-major,
+    component-minor), in the order of the plan's `interior_dofs`, stored by its
+    diagonals on the plan's fixed stencil."""
+    return fld.grid.assembly_plan(fld.N).assemble_matrix(F.hessian(fld.gradients))
 
 
 class LinearSolveError(ArithmeticError):
@@ -158,6 +143,9 @@ class LinearSolveError(ArithmeticError):
     within its iteration cap, or the solution is not finite."""
 
 
+TOL_ENERGY = 1e-12  # the relative energy decrease below which a solve may stop
+TOL_RESIDUAL = 1e-9  # the Euler-Lagrange residual sup norm a solve must reach
+MAX_ITERS = 100  # Newton steps per solve
 CG_RTOL = 1e-12  # the least forcing term: the tolerance of a nearly converged step
 REFACTOR_ITERS = 4  # a held 2d factor is replaced after a PCG that needed more iterations
 
@@ -271,18 +259,17 @@ def _preconditioner(plan: AssemblyPlan, K: "scipy.sparse.dia_matrix"):
     return lambda r: inv_diag * r
 
 
-def grad_lp_norm(grid: Grid, values, p: float) -> float:
-    """(integral of |grad u|^p)^(1/p) over the box, exact for PL fields, of a
-    nodal array or a DiscreteField."""
-    z = _plan_and_gradients(grid, values)[1]
-    return float((grid.simplex_volume * frob2(z) ** (p / 2.0)).sum() ** (1.0 / p))
+def grad_lp_norm(fld: DiscreteField, p: float) -> float:
+    """(integral of |grad u|^p)^(1/p) over the box, exact for PL fields."""
+    grad_part = (fld.grid.simplex_volume * frob2(fld.gradients) ** (p / 2.0)).sum()
+    return float(grad_part ** (1.0 / p))
 
 
-def w1p_norm(grid: Grid, values: np.ndarray, p: float) -> float:
+def w1p_norm(fld: DiscreteField, p: float) -> float:
     """Discrete W^{1,p} norm with a vertex-lumped zero-order part."""
-    z = _plan_and_gradients(grid, values)[1]
-    grad_part = (grid.simplex_volume * frob2(z) ** (p / 2.0)).sum()
-    val_part = (grid.lumped_mass * (values ** 2).sum(axis=1) ** (p / 2.0)).sum()
+    grid = fld.grid
+    grad_part = (grid.simplex_volume * frob2(fld.gradients) ** (p / 2.0)).sum()
+    val_part = (grid.lumped_mass * (fld.values ** 2).sum(axis=1) ** (p / 2.0)).sum()
     return float((grad_part + val_part) ** (1.0 / p))
 
 
@@ -290,17 +277,17 @@ def w1p_norm(grid: Grid, values: np.ndarray, p: float) -> float:
 
 
 def minimize_dirichlet(F: Integrand, grid: Grid, boundary: np.ndarray,
-                       tol_energy=1e-12, tol_residual=1e-9, max_iters=100,
-                       init: np.ndarray | None = None,
-                       energy_trace: list | None = None):
+                       init: np.ndarray | None = None, energy_trace: list | None = None):
     """Damped Newton minimization of the discrete energy over interior nodal values.
 
     `boundary` is a full nodal array whose boundary rows fix the Dirichlet data;
     its interior rows seed the first iterate unless `init` is given.  The energy
     decreases monotonically; iteration stops once the relative energy decrease
-    drops below tol_energy while the Euler-Lagrange residual sup-norm is below
-    tol_residual, or, when the energy is flat to machine precision, once that
-    residual is at most tol_residual.  The loop is `newton.minimize`.
+    drops below TOL_ENERGY while the Euler-Lagrange residual sup-norm is below
+    TOL_RESIDUAL, or, when the energy is flat to machine precision, once that
+    residual is at most TOL_RESIDUAL; after MAX_ITERS Newton steps it raises
+    NonConvergenceError.  The three are module constants, read at each call.
+    The loop is `newton.minimize`.
 
     Each iterate's PL gradients are formed once: the energy, the gradient and
     the hessian at an iterate read them from one DiscreteField, and the field
@@ -309,11 +296,11 @@ def minimize_dirichlet(F: Integrand, grid: Grid, boundary: np.ndarray,
 
     Every Newton system is solved by `_pcg`, inexactly (Dembo, Eisenstat and
     Steihaug): to the relative residual
-    max(CG_RTOL, min(0.01, max(||g||_2^2, 0.1 tol_residual / ||g||_2))) of the
+    max(CG_RTOL, min(0.01, max(||g||_2^2, 0.1 TOL_RESIDUAL / ||g||_2))) of the
     interior gradient g (0.01 when g = 0), so far from the minimizer a step costs
     few CG iterations and near it the step is as accurate as an exact one.  The
-    floor 0.1 tol_residual / ||g||_2 never asks for a linear residual
-    ||K dx + g||_2 below 0.1 tol_residual: the next gradient's sup norm then
+    floor 0.1 TOL_RESIDUAL / ||g||_2 never asks for a linear residual
+    ||K dx + g||_2 below 0.1 TOL_RESIDUAL: the next gradient's sup norm then
     stays under the residual test by that margin, and CG iterations beyond it
     buy accuracy that the stopping rule cannot see.  In 3d each system is
     preconditioned by its own Jacobi diagonal.  In 2d the preconditioner is the
@@ -345,7 +332,7 @@ def minimize_dirichlet(F: Integrand, grid: Grid, boundary: np.ndarray,
         return last[1]
 
     def gradient(v):
-        gi = assemble_gradient(F, grid, field(v)).reshape(-1)[int_dofs]
+        gi = assemble_gradient(F, field(v)).reshape(-1)[int_dofs]
         return gi, float(np.abs(gi).max())
 
     def solve(K, rhs, forcing):
@@ -368,9 +355,9 @@ def minimize_dirichlet(F: Integrand, grid: Grid, boundary: np.ndarray,
 
     def newton_step(v, gi):
         nonlocal fallbacks
-        K = assemble_hessian(F, grid, field(v))
+        K = assemble_hessian(F, field(v))
         gg = float(gi @ gi)
-        floor = 0.1 * tol_residual / math.sqrt(gg) if gg > 0.0 else math.inf
+        floor = 0.1 * TOL_RESIDUAL / math.sqrt(gg) if gg > 0.0 else math.inf
         try:
             step = solve(K, -gi, max(CG_RTOL, min(0.01, max(gg, floor))))
         except LinearSolveError:
@@ -382,7 +369,7 @@ def minimize_dirichlet(F: Integrand, grid: Grid, boundary: np.ndarray,
         return du.reshape(v.shape), float(gi @ step)
 
     def converged(res, E, E_prev):
-        return res < tol_residual and abs(E_prev - E) / max(abs(E), 1.0) < tol_energy
+        return res < TOL_RESIDUAL and abs(E_prev - E) / max(abs(E), 1.0) < TOL_ENERGY
 
     def partial(v, E, res, iters):
         return {"field": field(v),
@@ -391,8 +378,8 @@ def minimize_dirichlet(F: Integrand, grid: Grid, boundary: np.ndarray,
                                       factorizations=factorizations)}
 
     u, E, residual, iters = newton.minimize(
-        lambda v: energy(F, grid, field(v)), gradient, newton_step, u, converged,
-        stall_tol=tol_residual, max_iters=max_iters, partial=partial, values=energy_trace)
+        lambda v: energy(F, field(v)), gradient, newton_step, u, converged,
+        stall_tol=TOL_RESIDUAL, max_iters=MAX_ITERS, partial=partial, values=energy_trace)
     report = SolveReport(energy=E, residual_sup=residual, iterations=iters,
                          gradient_fallbacks=fallbacks, linear_iterations=linear_iterations,
                          factorizations=factorizations)
@@ -456,11 +443,10 @@ class SchemeResult:
     w1p_increments: list
     enes_margins: list
     violations: list = field(default_factory=list)
-    fields: list = field(default_factory=list)
 
 
-def run_scheme(F: Integrand, r, grid: Grid, boundary: np.ndarray, schedule: Schedule,
-               keep_fields=False) -> SchemeResult:
+def run_scheme(F: Integrand, r, grid: Grid, boundary: np.ndarray,
+               schedule: Schedule) -> SchemeResult:
     """The vanishing-viscosity ladder: mollify data, regularize, solve, monitor.
 
     Per epsilon the boundary data is mollified at width epsilon, extended
@@ -476,16 +462,16 @@ def run_scheme(F: Integrand, r, grid: Grid, boundary: np.ndarray, schedule: Sche
     into `violations`.
     """
     boundary = nodal_array(grid, boundary)
-    reports, gamma_terms, increments, margins, fields = [], [], [], [], []
+    reports, gamma_terms, increments, margins = [], [], [], []
     violations = []
     prev_values = None
     fld = None
     for eps in schedule.epsilons:
         g_eps = mollify_boundary(grid, boundary, eps)
         tilde_field = harmonic_extension(grid, g_eps)
-        gam = gamma_eps(eps, grad_lp_norm(grid, tilde_field, r.q), r.q)
+        gam = gamma_eps(eps, grad_lp_norm(tilde_field, r.q), r.q)
         Feps = RegularizedIntegrand(F, gam, r.q)
-        e_tilde = energy(Feps, grid, tilde_field)
+        e_tilde = energy(Feps, tilde_field)
         tilde = tilde_field.values
         del tilde_field  # its gradients are not held through the solve
         if prev_values is None:
@@ -502,21 +488,19 @@ def run_scheme(F: Integrand, r, grid: Grid, boundary: np.ndarray, schedule: Sche
         rep.epsilon = eps
         rep.gamma_eps = gam
         reports.append(rep)
-        gterm = gam * grad_lp_norm(grid, fld, r.q) ** r.q
+        gterm = gam * grad_lp_norm(fld, r.q) ** r.q
         if gamma_terms and gterm > gamma_terms[-1] * (1.0 + 1e-9):
             violations.append(
                 f"viscosity term increased: {gamma_terms[-1]:.6e} -> {gterm:.6e} at eps={eps}")
         gamma_terms.append(gterm)
-        lhs = grad_lp_norm(grid, fld, r.p) ** r.p / r.L + gterm
+        lhs = grad_lp_norm(fld, r.p) ** r.p / r.L + gterm
         margins.append((rep.energy - lhs, e_tilde - rep.energy))
         if prev_values is not None:
-            increments.append(w1p_norm(grid, fld.values - prev_values, r.p))
+            increments.append(w1p_norm(DiscreteField(grid, fld.values - prev_values), r.p))
         prev_values, prev_tilde = fld.values, tilde
-        if keep_fields:
-            fields.append(fld)
     return SchemeResult(reports=reports, field=fld, gamma_terms=gamma_terms,
                         w1p_increments=increments, enes_margins=margins,
-                        violations=violations, fields=fields)
+                        violations=violations)
 
 
 # ----------------------------------------------------------------- boundary data

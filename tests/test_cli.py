@@ -357,6 +357,12 @@ class TestSubcommands:
         assert exc.value.code == 2
         assert f"argument {flags[1]}: must be" in capsys.readouterr().err
 
+    def test_check_radius_below_the_sampling_floor_exits_2(self, model_cfg, capsys):
+        # not numpy's "high - low < 0" traceback: the message names the floor
+        assert main(["check", "--config", model_cfg, "--radius", "1e-4"]) == 2
+        assert capsys.readouterr().out == (
+            "error: radius must be at least the sampling floor 0.001, got 0.0001\n")
+
     def test_solve_outputs(self, model_cfg, tmp_path, capsys):
         outdir = tmp_path / "run"
         assert main(["solve", "--config", model_cfg, "--out", str(outdir)]) == 0
@@ -575,9 +581,9 @@ NUMPY_ONLY_SCRIPT = textwrap.dedent("""\
     for name, dim in (("aniso2d_q4", 2), ("aniso3d_q4", 3)):
         lattice = Grid(dim, 4)
         u = solver.boundary_family("sine", lattice, 1.0, 1)
-        solver.energy(registry.get(name).integrand, lattice, u)
-        solver.assemble_gradient(registry.get(name).integrand, lattice, u)
-        DiscreteField(lattice, u)
+        fld = DiscreteField(lattice, u)
+        solver.energy(registry.get(name).integrand, fld)
+        solver.assemble_gradient(registry.get(name).integrand, fld)
     print("lattice", scipy_modules())
     grid = Grid(2, 6)
     data = solver.boundary_family("sine", grid, 1.0, 1)

@@ -239,6 +239,21 @@ class TestLogDecay:
         assert out.masses == [0.0, 0.0, 0.0]
         assert out.amplitude == 0.0 and out.fit_residual == 0.0
 
+    def test_flat_core_fits_the_positive_masses(self, scalar_entry):
+        # u = max(|x - c|^2 - rho^2, 0) has zero PL gradients, so zero V-fields,
+        # on every simplex inside the disk of radius rho, and its V-gradients
+        # vanish on the two smallest balls only; C is fitted on the other two
+        grid, rho = Grid(2, 64), 0.14
+        r2 = ((grid.node_coords - 0.5) ** 2).sum(axis=1)
+        fld = DiscreteField(grid, np.maximum(r2 - rho ** 2, 0.0)[:, None])
+        radii = [B.radius * f for f in (0.45, 0.35, 0.25, 0.18)]
+        out = log_decay_profile(fld, scalar_entry.integrand, scalar_entry.regime, radii, B)
+        assert out.masses[2:] == [0.0, 0.0] and min(out.masses[:2]) > 0.0
+        ys = [math.log(m) + out.decay_exponent * math.log(math.log(B.radius / s))
+              for m, s in zip(out.masses[:2], radii[:2])]
+        assert out.amplitude == pytest.approx(math.exp(sum(ys) / 2), rel=1e-12)
+        assert out.fit_residual == pytest.approx(abs(ys[0] - ys[1]) / 2, rel=1e-12)
+
     def test_ball_without_cells_is_region_error(self, scalar_entry):
         # the CLI's decay radii on 8 cells: the smallest ball (radius 0.081)
         # holds no cell center, which must not read as an exact fit with C = 0

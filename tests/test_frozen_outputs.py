@@ -1,4 +1,5 @@
-"""`pqvar solve` and `pqvar check` against outputs frozen by the scripts in tests/data.
+"""`pqvar solve`, `check`, `conjugate` and `diagnose` against outputs frozen by
+the scripts in tests/data.
 
 For `solve` (tests/data/freeze_solve.py), every value of every output file lies
 within 1e-10 of its frozen value, relative to the largest magnitude in its
@@ -9,6 +10,12 @@ by construction, so it is held to the solver's stopping test instead.
 For `check` (tests/data/freeze_check.py), the certificate CSV is byte-identical
 and the frozen standard output is printed byte for byte; a config with poly
 atoms prints its polynomial rows after it, and nothing else.
+
+`conjugate` (tests/data/freeze_conjugate.py) and `diagnose`
+(tests/data/freeze_diagnose.py) are held as `solve` is: numbers to 1e-10 of
+their column's largest magnitude, every other cell exactly.  The conjugation's
+`residual` is round-off as `residual_sup` is, so it is held to the tolerance of
+`duality.conjugate`, 1e-10 relative above |xi| = 1.
 """
 
 import csv
@@ -28,7 +35,10 @@ CHECK_CASES = sorted(os.path.basename(p)[:-4]
                      for p in glob.glob(os.path.join(CHECK_DATA, "*.cfg")))
 OUTPUTS = ("reports.csv", "field.csv", "gradients.csv")
 REL = 1e-10
-TOL_RESIDUAL = 1e-9  # minimize_dirichlet's default tol_residual
+TOL_RESIDUAL = 1e-9  # solver.TOL_RESIDUAL
+CONJUGATE_DATA = os.path.join(HERE, "data", "conjugate")
+DIAGNOSE_DATA = os.path.join(HERE, "data", "diagnose")
+CONJUGATE_TOL = 1e-10  # duality.DEFAULT_TOL
 
 
 def read_csv(path):
@@ -83,3 +93,60 @@ def test_check_prints_frozen_rows(case, tmp_path, capsys):
         assert bool(extra) == ("poly(" in fh.read())
     with open(os.path.join(CHECK_DATA, f"{case}.csv"), "rb") as fh:
         assert out.read_bytes() == fh.read()
+
+
+def _number(x):
+    try:
+        return float(x)
+    except ValueError:
+        return None
+
+
+def assert_table_matches(want_path, got_path, held):
+    """Every cell of the CSV at got_path matches want_path: a number to REL of
+    its column's largest magnitude, anything else exactly.  held maps a column
+    name to a check of its row instead, called as held(value, row)."""
+    header, want = read_csv(want_path)
+    got_header, got = read_csv(got_path)
+    assert got_header == header and len(got) == len(want)
+    for k, col in enumerate(header):
+        if col in held:
+            for row in got:
+                assert held[col](float(row[k]), dict(zip(header, row))), f"{col}: {row}"
+            continue
+        w = [row[k] for row in want]
+        g = [row[k] for row in got]
+        scale = max((abs(_number(x)) for x in w if _number(x) is not None), default=0.0)
+        for x, y in zip(w, g):
+            if _number(x) is None or x.lstrip("-").isdigit():
+                assert y == x, col
+            else:
+                assert _number(y) is not None, col
+                err = abs(_number(y) - _number(x))
+                assert err <= REL * scale, f"{col} moved by {err:.3e}"
+
+
+def _conjugate_residual_ok(res, row):
+    xi = [float(v) for key, v in row.items() if key.startswith("xi")]
+    return res <= CONJUGATE_TOL * max(1.0, float(np.linalg.norm(xi)))
+
+
+def test_conjugate_matches_frozen_table(tmp_path):
+    out = tmp_path / "conjugate.csv"
+    assert main(["conjugate", "--config", os.path.join(CONJUGATE_DATA, "diagnose2d_vec.cfg"),
+                 "--count", "20", "--out", str(out)]) == 0
+    assert_table_matches(os.path.join(CONJUGATE_DATA, "diagnose2d_vec.csv"), out,
+                         {"residual": _conjugate_residual_ok})
+
+
+def test_diagnose_matches_frozen_report(tmp_path, capsys):
+    out = tmp_path / "diagnostics.csv"
+    assert main(["diagnose", "--config", os.path.join(DIAGNOSE_DATA, "aniso2d_q4_vec_fit.cfg"),
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    want = os.path.join(DIAGNOSE_DATA, "aniso2d_q4_vec_fit.csv")
+    assert_table_matches(want, out, {})
+    # the exponent fits ran: each of the 6 fitted estimates has one at all 4 amplitudes
+    _, rows = read_csv(want)
+    fits = [row[4] for row in rows if row[0] in ("hdes", "sup_grad") or row[0].startswith("rh_t=")]
+    assert len(fits) == 24 and all(fits)

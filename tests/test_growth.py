@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pqvar import registry
+from pqvar import growth, registry
 from pqvar.growth import (DegenerateFormError, EllipticityViolationError, NotEvenError,
                           check_legendre, delta_of_homogeneous, gehring_exponent,
                           homogeneous_decomposition, polynomial_growth_exponents,
@@ -83,6 +83,15 @@ class TestCheckLegendre:
         r = Regime(2, 1, 3.0, 4.0, 1.0, 12.0)
         cert = check_legendre(PowerNorm(1.0, 3.0), r, 2048, 1e2, seed=1)
         assert np.isfinite(cert.constant_assf3)
+
+    def test_radius_below_the_sampling_floor_is_named(self):
+        # the sampled radii are log-uniform on [1e-3, radius]
+        with pytest.raises(ValueError, match="at least the sampling floor 0.001, got 0.0001"):
+            check_legendre(ANISO.integrand, ANISO.regime, 64, 1e-4)
+        with pytest.raises(ValueError, match="at least the sampling floor 0.001, got 0.0001"):
+            polynomial_growth_exponents(ANISO.polynomial, n_samples=64, radius=1e-4)
+        cert = check_legendre(ANISO.integrand, ANISO.regime, 64, 1e-3)
+        assert np.allclose(np.sqrt(frob2(np.array(cert.worst_points))), 1e-3, rtol=1e-12)
 
     def test_equal_exponents_rejected(self):
         with pytest.raises(InvalidRegimeError):
@@ -203,11 +212,12 @@ class TestDelta:
         c4 = HomogeneousForm.from_terms(1, 2, 4, [(1.0, (1, 1, 1, 1))])
         assert delta_of_homogeneous(c4, 4) == 0.0
 
-    def test_anisotropic_quartic(self):
+    def test_anisotropic_quartic(self, monkeypatch):
         # (z1^2 + 4 z2^2)^2: analytic defect sqrt(1 - min (1+3t)^2/(1+15t)) = 0.6
         aniso = HomogeneousForm.from_terms(
             1, 2, 4, [(1.0, (1, 1, 1, 1)), (8.0, (1, 1, 2, 2)), (16.0, (2, 2, 2, 2))])
-        d = delta_of_homogeneous(aniso, 4, sphere_samples=8192)
+        monkeypatch.setattr(growth, "DELTA_SAMPLES", 8192)
+        d = delta_of_homogeneous(aniso, 4)
         assert 0.0 < d < 1.0
         assert d == pytest.approx(0.6, abs=5e-3)
 

@@ -1,5 +1,4 @@
 import ctypes
-import inspect
 import logging
 import math
 import tracemalloc
@@ -214,7 +213,7 @@ class TestEnergyExactness:
         F = Sum([PowerNorm(0.0, 2.0), AxisPower(1, 4.0)])
         z = grid.assembly_plan(1).gradients(vals)
         manual = grid.simplex_volume * float(F.value(z).sum())
-        assert energy(F, grid, vals) == pytest.approx(manual, abs=1e-13)
+        assert energy(F, DiscreteField(grid, vals)) == pytest.approx(manual, abs=1e-13)
 
 
 class TestMinimization:
@@ -242,7 +241,7 @@ class TestMinimization:
         fld, rep = minimize_dirichlet(Feps, grid, g)
         assert rep.residual_sup <= 1e-9
         harm = harmonic_extension(grid, g)
-        assert rep.energy < energy(Feps, grid, harm)
+        assert rep.energy < energy(Feps, harm)
 
     def test_energy_strictly_decreasing(self):
         grid = Grid(2, 16)
@@ -362,13 +361,15 @@ class TestMinimization:
         assert res.violations == [] and len(per_solve) == 4
         assert per_solve == [(its + 1, its) for _, its in per_solve]
 
-    def test_nonconvergence_carries_partial_state(self):
+    def test_nonconvergence_carries_partial_state(self, monkeypatch):
         grid = Grid(2, 16)
         entry = registry.get("aniso2d_q4")
         Feps = RegularizedIntegrand(entry.integrand, 0.01, 4.0)
         g = boundary_family("sine", grid, 2.0, 1)
+        monkeypatch.setattr(solver, "MAX_ITERS", 2)
+        monkeypatch.setattr(solver, "TOL_RESIDUAL", 1e-14)
         with pytest.raises(NonConvergenceError) as exc:
-            minimize_dirichlet(Feps, grid, g, max_iters=2, tol_residual=1e-14)
+            minimize_dirichlet(Feps, grid, g)
         assert exc.value.field is not None and exc.value.report.iterations == 2
 
     def test_start_without_finite_energy_raises(self):
@@ -380,12 +381,13 @@ class TestMinimization:
             minimize_dirichlet(PowerNorm(0.0, 2.0), grid, g, init=init)
         assert not math.isfinite(exc.value.report.energy) and exc.value.report.iterations == 0
 
-    def test_convergence_tested_after_the_last_step(self):
+    def test_convergence_tested_after_the_last_step(self, monkeypatch):
         grid = Grid(2, 16)
         Feps = RegularizedIntegrand(registry.get("aniso2d_q4").integrand, 0.01, 4.0)
         g = boundary_family("sine", grid, 2.0, 1)
         fld, rep = minimize_dirichlet(Feps, grid, g)
-        last, rep_last = minimize_dirichlet(Feps, grid, g, max_iters=rep.iterations)
+        monkeypatch.setattr(solver, "MAX_ITERS", rep.iterations)
+        last, rep_last = minimize_dirichlet(Feps, grid, g)
         assert np.array_equal(last.values, fld.values) and rep_last == rep
 
 
@@ -400,7 +402,7 @@ class TestAssemblyPlan:
         vals = rng.normal(size=(grid.n_nodes, entry.regime.N))
         dofs = grid.assembly_plan(entry.regime.N).interior_dofs
         ref = coo_hessian(entry.integrand, grid, vals)[dofs][:, dofs].toarray()
-        K = assemble_hessian(entry.integrand, grid, vals).toarray()
+        K = assemble_hessian(entry.integrand, DiscreteField(grid, vals)).toarray()
         assert np.abs(K - ref).max() <= 1e-13 * np.abs(ref).max()
 
     @pytest.mark.parametrize("dim, cells", [(2, 5), (3, 3)])
@@ -423,16 +425,17 @@ class TestAssemblyPlan:
         assert np.abs(harmonic_extension(grid, start).values - g).max() <= 1e-12
 
     @pytest.mark.parametrize("dim, cells, N", [(2, 12, 2), (3, 6, 1)])
-    def test_harmonic_extension_matches_newton(self, dim, cells, N):
+    def test_harmonic_extension_matches_newton(self, monkeypatch, dim, cells, N):
         grid = Grid(dim, cells)
         g = boundary_family("sinecos", grid, 1.5, N)
-        fld, _ = minimize_dirichlet(PowerNorm(0.0, 2.0), grid, g, tol_residual=1e-12)
+        monkeypatch.setattr(solver, "TOL_RESIDUAL", 1e-12)
+        fld, _ = minimize_dirichlet(PowerNorm(0.0, 2.0), grid, g)
         assert np.abs(harmonic_extension(grid, g).values - fld.values).max() <= 1e-10
 
 
 def laplacian(grid, N):
     """Interior hessian of the energy sum_T vol(T) |grad u|^2 for N components."""
-    return assemble_hessian(PowerNorm(0.0, 2.0), grid, np.zeros((grid.n_nodes, N)))
+    return assemble_hessian(PowerNorm(0.0, 2.0), DiscreteField(grid, np.zeros((grid.n_nodes, N))))
 
 
 class TestHarmonicExtension:
@@ -447,7 +450,7 @@ class TestHarmonicExtension:
         g0[grid.interior_mask] = 0.0
         dofs = grid.assembly_plan(N).interior_dofs
         # the energy is quadratic, so its gradient at g0 is the boundary coupling
-        rhs = -solver.assemble_gradient(PowerNorm(0.0, 2.0), grid, g0).reshape(-1)[dofs]
+        rhs = -solver.assemble_gradient(PowerNorm(0.0, 2.0), DiscreteField(grid, g0)).reshape(-1)[dofs]
         ref = np.atleast_1d(spla.spsolve(laplacian(grid, N).tocsc(), rhs))
         u = harmonic_extension(grid, g).values
         assert np.array_equal(u[grid.boundary_mask], g[grid.boundary_mask])
@@ -481,15 +484,29 @@ class TestHarmonicExtension:
         assert len(calls) == 1
 
 
+def run_scheme_with_fields(*args):
+    """run_scheme(*args), and the field that each rung's solve returned."""
+    fields, minimize = [], solver.minimize_dirichlet
+
+    def collecting(*a, **kw):
+        fld, rep = minimize(*a, **kw)
+        fields.append(fld)
+        return fld, rep
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "minimize_dirichlet", collecting)
+        return run_scheme(*args), fields
+
+
 @pytest.fixture(scope="module")
 def vectorial_ladder():
-    """The amplitude-2 vectorial ladder on 16 cells, with its fields kept."""
+    """The amplitude-2 vectorial ladder on 16 cells, and its rungs' fields."""
     grid = Grid(2, 16)
     entry = registry.get("aniso2d_q4_vec")
     g = boundary_family("sine", grid, 2.0, 2)
-    res = run_scheme(entry.integrand, entry.regime, grid, g, Schedule.dyadic(4),
-                     keep_fields=True)
-    return grid, entry, g, res
+    res, fields = run_scheme_with_fields(entry.integrand, entry.regime, grid, g,
+                                         Schedule.dyadic(4))
+    return grid, entry, g, res, fields
 
 
 class TestWarmStart:
@@ -497,7 +514,7 @@ class TestWarmStart:
         # the previous minimizer with only the boundary rows replaced took
         # [6, 7, 5, 4]; the harmonic lift removes the one-cell boundary layer.
         # Exact solves take [6, 4, 4, 4]: the forcing term adds the step at rung 2
-        _, _, _, res = vectorial_ladder
+        _, _, _, res, _ = vectorial_ladder
         assert res.violations == []
         assert [r.iterations for r in res.reports] == [6, 5, 4, 4]
 
@@ -544,25 +561,25 @@ class TestWarmStart:
         g = boundary_family("sine", grid, amplitude, N)
 
         def ladder():
-            return run_scheme(entry.integrand, entry.regime, grid, g, Schedule.dyadic(4),
-                              keep_fields=True)
+            return run_scheme_with_fields(entry.integrand, entry.regime, grid, g,
+                                          Schedule.dyadic(4))
 
-        inexact = ladder()
+        inexact, inexact_fields = ladder()
         monkeypatch.setattr(solver, "_pcg", lambda K, rhs, rtol, precondition:
                             (spla.spsolve(K.tocsc(), rhs), 0))
-        exact = ladder()
+        exact, exact_fields = ladder()
         assert inexact.violations == exact.violations == []
         for a, b in zip(inexact.reports, exact.reports):
             assert b.iterations <= a.iterations <= b.iterations + extra_steps
-        for a, b in zip(inexact.fields, exact.fields):
+        for a, b in zip(inexact_fields, exact_fields):
             assert np.abs(a.values - b.values).max() <= 1e-10
         assert sum(r.linear_iterations for r in inexact.reports) <= bound
 
     def test_forcing_term_asks_for_no_less_than_a_tenth_of_the_residual_test(self,
                                                                              monkeypatch):
-        # CG is never asked for a linear residual below 0.1 tol_residual; with no
+        # CG is never asked for a linear residual below 0.1 TOL_RESIDUAL; with no
         # such floor this ladder took 222 CG iterations
-        tol_residual = inspect.signature(minimize_dirichlet).parameters["tol_residual"].default
+        tol_residual = solver.TOL_RESIDUAL
         pcg, asked = solver._pcg, []
 
         def recording(K, rhs, rtol, precondition):
@@ -582,8 +599,8 @@ class TestWarmStart:
         assert sum(r.linear_iterations for r in res.reports) < 222
 
     def test_rungs_match_cold_starts(self, vectorial_ladder):
-        grid, entry, g, res = vectorial_ladder
-        for rep, fld in zip(res.reports, res.fields):
+        grid, entry, g, res, fields = vectorial_ladder
+        for rep, fld in zip(res.reports, fields):
             g_eps = mollify_boundary(grid, g, rep.epsilon)
             Feps = RegularizedIntegrand(entry.integrand, rep.gamma_eps, entry.regime.q)
             cold, _ = minimize_dirichlet(Feps, grid, g_eps,
@@ -596,8 +613,8 @@ def newton_hessian(cells=16):
     grid = Grid(2, cells)
     entry = registry.get("aniso2d_q4_vec")
     Feps = RegularizedIntegrand(entry.integrand, 0.01, 4.0)
-    vals = harmonic_extension(grid, boundary_family("sine", grid, 1.0, 2)).values
-    return grid.assembly_plan(2), assemble_hessian(Feps, grid, vals)
+    fld = harmonic_extension(grid, boundary_family("sine", grid, 1.0, 2))
+    return grid.assembly_plan(2), assemble_hessian(Feps, fld)
 
 
 class TestLinearSolve:
@@ -817,20 +834,20 @@ class TestOneBlasThread:
         runs = []
         for threads in (1, 2):
             set_threads(threads)
-            runs.append(run_scheme(entry.integrand, entry.regime, grid, g, Schedule.dyadic(4),
-                                   keep_fields=True))
-        one, two = runs
+            runs.append(run_scheme_with_fields(entry.integrand, entry.regime, grid, g,
+                                               Schedule.dyadic(4)))
+        (one, one_fields), (two, two_fields) = runs
         assert one.violations == two.violations == []
         for a, b in zip(one.reports, two.reports):
             assert (a.iterations, a.linear_iterations, a.factorizations) \
                 == (b.iterations, b.linear_iterations, b.factorizations)
-        for a, b in zip(one.fields, two.fields):
+        for a, b in zip(one_fields, two_fields):
             assert np.array_equal(a.values, b.values)
 
 
 def interior_residual(F, fld):
     """Sup norm over interior nodes of the discrete weak residual <F'(grad u), grad w>."""
-    return float(np.abs(solver.assemble_gradient(F, fld.grid, fld)[fld.grid.interior_mask]).max())
+    return float(np.abs(solver.assemble_gradient(F, fld)[fld.grid.interior_mask]).max())
 
 
 class TestElResidual:
@@ -855,21 +872,20 @@ class TestElResidual:
 
 class TestFieldArguments:
     def test_a_field_gives_the_numbers_of_its_values(self):
-        # energy, assembly and norms read a DiscreteField's cached gradients
+        # energy, assembly and norms read a DiscreteField's cached gradients,
+        # which are the plan's gradients of its values
         grid = Grid(3, 4)
         F = RegularizedIntegrand(registry.get("aniso3d_q4").integrand, 0.01, 4.0)
         fld = DiscreteField(grid, np.random.default_rng(27).normal(size=(grid.n_nodes, 1)))
-        assert energy(F, grid, fld) == energy(F, grid, fld.values)
-        assert grad_lp_norm(grid, fld, 4.0) == grad_lp_norm(grid, fld.values, 4.0)
-        assert np.array_equal(solver.assemble_gradient(F, grid, fld),
-                              solver.assemble_gradient(F, grid, fld.values))
-        assert np.array_equal(assemble_hessian(F, grid, fld).data,
-                              assemble_hessian(F, grid, fld.values).data)
-
-    def test_a_field_on_another_grid_is_refused(self):
-        fld = DiscreteField(Grid(2, 4), np.zeros((25, 1)))
-        with pytest.raises(ValueError, match="another grid"):
-            energy(PowerNorm(0.0, 2.0), Grid(2, 4), fld)
+        plan = grid.assembly_plan(1)
+        z = plan.gradients(fld.values)
+        assert energy(F, fld) == float(grid.simplex_volume * F.value(z).sum())
+        assert grad_lp_norm(fld, 4.0) == float(
+            (grid.simplex_volume * frob2(z) ** 2.0).sum() ** 0.25)
+        assert np.array_equal(solver.assemble_gradient(F, fld),
+                              plan.assemble_vector(F.gradient(z)))
+        assert np.array_equal(assemble_hessian(F, fld).data,
+                              plan.assemble_matrix(F.hessian(z)).data)
 
 
 class TestScheme:
