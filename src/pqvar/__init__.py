@@ -16,8 +16,7 @@ from .growth import (LegendreCertificate, check_legendre, delta_of_homogeneous,
 from .solver import (RegularizedIntegrand, Schedule, boundary_family, gamma_eps,
                      minimize_dirichlet, mollify_boundary, run_scheme)
 from .diagnostics import (ExponentChain, MoserParams, caccioppoli_check, hd_exponents,
-                          higher_diff_measure, log_decay_profile, moser_alpha_sequence,
-                          moser_bound, reverse_holder_scan, stress_integrability,
-                          sup_grad_measure, v_fields)
+                          log_decay_profile, measure_field, moser_alpha_sequence,
+                          moser_bound, v_fields)
 
 __version__ = "0.1.0"

@@ -22,11 +22,12 @@ These config errors exit 2 before any solve: malformed lines, unknown keys, bad
 numbers, an integrand term out of range or syntax (by line and column), a poly
 file with a non-finite coefficient, an empty amplitudes list or a non-finite
 amplitude, a region with a non-finite center or radius, sobolev_exp <= 2q/p, rh
-with n != 2 or a t_grid entry outside (1, 2), cacc with N != 1, and a
-measurement region that the grid does not resolve (no simplex barycenter or
-cell center inside).  So does a non-finite amplitude among the values of
-`sweep --vary amplitude`.  A q-sweep checks sobolev_exp at each q; a point it
-does not suit carries the error in its row.
+with n != 2, an empty t_grid or a t_grid entry outside (1, 2), cacc with N != 1,
+and a measurement region that the grid does not resolve (no simplex barycenter
+or cell center inside; `diagnostics.check_regions` lists the regions of each
+estimate).  So do an empty `sweep --values` list and a non-finite amplitude
+among the values of `sweep --vary amplitude`.  A q-sweep checks sobolev_exp at
+each q; a point it does not suit carries the error in its row.
 
 Recognized keys (defaults in parentheses): n (2), N (1), p, q, mu (0), L,
 integrand, cells (32), epsilons (0.5,0.25,0.125,0.0625) or schedule_count,
@@ -49,8 +50,8 @@ import numpy as np
 from . import diagnostics, duality, growth, solver
 from .integrands import (AxisPower, EvenPolynomial, HomogeneousForm, Integrand,
                          PowerNorm, Scaled, Sum)
-from .model import (DiagnosticsEntry, DiagnosticsReport, Grid, InvalidRegimeError, Region,
-                    RegionError, Regime, validate_regime)
+from .model import (DiagnosticsReport, Grid, InvalidRegimeError, Region, RegionError, Regime,
+                    validate_regime)
 from .solver import Schedule, _fmt, write_csv
 
 
@@ -362,41 +363,12 @@ DIAG_HEADER = ["estimate_id", "lhs", "rhs", "ratio", "fitted_exponent",
 # ------------------------------------------------------------ measurement core
 
 
-DECAY_FRACTIONS = (0.45, 0.35, 0.25, 0.18)  # the decay profile radii over B's radius
-CACC_FRACTIONS = (0.4, 0.8)  # the Caccioppoli cutoff's inner and outer radii over B's
-
-
-def check_regions(cfg: ExperimentConfig, grid: Grid):
-    """Raise RegionError unless `grid` resolves every region the selected
-    estimates measure on, as their measurements read them: simplex barycenters
-    in B, in B/8 (sup) and in the outer cutoff region (cacc); cell centers in B/2
-    (hd), in B/8 (rh) and in the decay balls; and B/2 inside the unit box (hd)."""
-    B, est = cfg.region, set(cfg.estimates)
-    simplex_regions = [B] if est & {"hd", "sup", "rh", "stress"} else []
-    cell_regions = []
-    if "hd" in est:
-        diagnostics.check_higher_diff_region(B)
-        cell_regions.append(B.scaled(0.5))
-    if "sup" in est:
-        simplex_regions.append(B.scaled(1.0 / 8.0))
-    if "rh" in est:
-        cell_regions.append(B.scaled(1.0 / 8.0))
-    if "cacc" in est:
-        simplex_regions.append(B.scaled(CACC_FRACTIONS[1]))
-    if "decay" in est:
-        cell_regions += [Region(B.center, B.radius * f, "ball") for f in DECAY_FRACTIONS]
-    for region in simplex_regions:
-        diagnostics.region_mask(grid, region)
-    for region in cell_regions:
-        diagnostics.region_mask(grid, region, by_cell=True)
-
-
 def _solve_grid(cfg: ExperimentConfig) -> Grid:
     """The grid of the config's solves, once it resolves the measurement regions."""
     if cfg.regime.n not in (2, 3):
         raise ConfigError(f"solves need n = 2 or 3, got n = {cfg.regime.n}")
     grid = Grid(cfg.regime.n, cfg.cells)
-    check_regions(cfg, grid)
+    diagnostics.check_regions(grid, cfg.region, cfg.estimates)
     return grid
 
 
@@ -409,36 +381,11 @@ def _solve_once(cfg: ExperimentConfig, amplitude: float, grid: Grid):
 def measure_estimates(cfg: ExperimentConfig, amplitude: float, scheme_result) -> DiagnosticsReport:
     """Measure the selected estimates on the final field of one scheme run."""
     fld = scheme_result.field
-    r = cfg.regime
-    F = cfg.integrand
-    B = cfg.region
-    chain = diagnostics.hd_exponents(r, cfg.sobolev_exp)
-    entries = []
-    if "hd" in cfg.estimates:
-        entries.append(diagnostics.higher_diff_measure(fld, F, r, chain, B))
-    if "sup" in cfg.estimates:
-        entries.append(diagnostics.sup_grad_measure(fld, F, B, b=chain.b))
-    if "rh" in cfg.estimates:
-        base = diagnostics.region_energy_average(fld, F, B) + 1.0
-        for t, lhs, _ in diagnostics.reverse_holder_scan(fld, F, r, cfg.t_grid, B, b=chain.b):
-            entries.append(DiagnosticsEntry(f"rh_t={t:g}", lhs=lhs, rhs=base ** chain.b))
-    if "cacc" in cfg.estimates:
-        cut = tuple(B.scaled(f) for f in CACC_FRACTIONS)
-        for alpha in (-1.0, 0.0, 2.0):
-            cc = diagnostics.caccioppoli_check(fld, F, r, alpha, cut)
-            entries.append(DiagnosticsEntry(f"cacc_a={alpha:g}", lhs=cc.lhs, rhs=cc.rhs))
-    if "stress" in cfg.estimates:
-        ratio = diagnostics.stress_integrability(fld, F, r, B)
-        entries.append(DiagnosticsEntry("stress", lhs=ratio, rhs=1.0))
-    if "decay" in cfg.estimates:
-        radii = [B.radius * f for f in DECAY_FRACTIONS]
-        ld = diagnostics.log_decay_profile(fld, F, r, radii, B)
-        for s, mass in zip(ld.radii, ld.masses):
-            pred = ld.amplitude * math.log(B.radius / s) ** (-ld.decay_exponent)
-            entries.append(DiagnosticsEntry(f"decay_r={s:g}", lhs=mass, rhs=max(pred, 0.0)))
-    rep = DiagnosticsReport()
+    chain = diagnostics.hd_exponents(cfg.regime, cfg.sobolev_exp)
     eps = scheme_result.reports[-1].epsilon
-    for e in entries:
+    rep = DiagnosticsReport()
+    for e in diagnostics.measure_field(fld, cfg.integrand, cfg.regime, chain, cfg.region,
+                                       cfg.estimates, cfg.t_grid):
         e.grid, e.amplitude, e.epsilon = fld.grid.cells_per_side, amplitude, eps
         rep.add(e)
     return rep
@@ -636,6 +583,8 @@ def cmd_sweep(args):
     base_dir = os.path.dirname(os.path.abspath(args.config))
     cfg = parse_config(cfg_text, base_dir=base_dir)  # validate before the pool spins up
     values = _floats("--values", args.values)
+    if not values:
+        raise ConfigError("--values needs at least one value")
     if args.vary not in ("q", "amplitude"):
         print(f"cannot vary {args.vary!r}; choose q or amplitude")
         return 2

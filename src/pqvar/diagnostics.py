@@ -2,6 +2,12 @@
 chain and the Moser iteration arithmetic they rely on, and the log-log exponent
 fits over amplitude sweeps.
 
+`measure_field` is the one implementation of the estimates on a field (hdes,
+sup_grad, rh_t=*, cacc_a=*, stress, decay_r=*): per field it forms the region
+masks, F over B and the V-field gradients once.  `check_regions` declares the
+regions each estimate reads, so a grid is refused before any solve when it
+leaves one empty.
+
 V-fields are piecewise constant in the PL discretization, so their gradients
 are formed on the dual grid: per-simplex values are averaged per cell and
 differenced centrally between cell centers (one-sided at the array edge).
@@ -125,80 +131,116 @@ def region_mask(grid, region: Region, by_cell=False):
     return mask
 
 
-def _region_cell_mean(grid, cell_values, region: Region):
-    mask = region_mask(grid, region, by_cell=True).reshape(cell_values.shape)
-    return float(cell_values[mask].mean())
+# ------------------------------------------------------------- the estimates on a field
 
 
-def _region_cell_integral(grid, cell_values, region: Region):
-    mask = region_mask(grid, region, by_cell=True).reshape(cell_values.shape)
-    cellvol = grid.h ** grid.dim
-    return float(cell_values[mask].sum() * cellvol)
+DECAY_FRACTIONS = (0.45, 0.35, 0.25, 0.18)  # the decay profile's ball radii over B's radius
+CACC_FRACTIONS = (0.4, 0.8)  # the Caccioppoli cutoff's inner and outer radii over B's
 
 
-def region_energy_average(field: DiscreteField, F: Integrand, region: Region) -> float:
-    """Volume-weighted average of F(grad u) over simplices with barycenter in the region."""
-    mask = region_mask(field.grid, region)
-    vals = F.value(field.gradients[mask])
-    return float(vals.mean())
-
-
-def check_higher_diff_region(B: Region):
-    """Raise RegionError unless B/2, where the higher differentiability is
-    averaged, sits inside the solved unit box."""
-    if not B.scaled(0.5).inside_unit_box():
+def check_regions(grid, B: Region, estimates):
+    """Raise RegionError unless the grid resolves every region the selected
+    estimates read: B/2 inside the unit box (hd); simplex barycenters in B (hd,
+    sup, rh, stress), in B/8 (sup) and in the outer cutoff region (cacc); cell
+    centers in B/2 (hd), in B/8 (rh) and in the decay balls (decay), which are
+    nested, so the smallest decides.  Returns the masks that `measure_field`
+    reads, by name; `caccioppoli_check` and `log_decay_profile` form their own."""
+    est = set(estimates)
+    if "hd" in est and not B.scaled(0.5).inside_unit_box():
         raise RegionError("B/2 must sit inside the solved unit box")
+    eighth = B.scaled(1.0 / 8.0)
+    masks = {}
+    if est & {"hd", "sup", "rh", "stress"}:
+        masks["B"] = region_mask(grid, B)
+    if "sup" in est:
+        masks["B/8"] = region_mask(grid, eighth)
+    if "cacc" in est:
+        region_mask(grid, B.scaled(CACC_FRACTIONS[1]))
+    if "hd" in est:
+        masks["B/2 cells"] = region_mask(grid, B.scaled(0.5), by_cell=True)
+    if "rh" in est:
+        masks["B/8 cells"] = region_mask(grid, eighth, by_cell=True)
+    if "decay" in est:
+        region_mask(grid, Region(B.center, B.radius * DECAY_FRACTIONS[-1], "ball"), by_cell=True)
+    return masks
 
 
-def higher_diff_measure(field: DiscreteField, F: Integrand, r: Regime,
-                        chain: ExponentChain, B: Region) -> DiagnosticsEntry:
-    """lhs: average over B/2 of |grad_h V_{mu,p}|^2 + |grad_h V_{1,q'}(F')|^2;
-    rhs: (average of F over B, plus 1) to the chain exponent b."""
-    check_higher_diff_region(B)
-    half = B.scaled(0.5)
-    gp, gq = v_gradient_sq(field, F, r)
-    lhs = _region_cell_mean(field.grid, gp + gq, half)
-    rhs = (region_energy_average(field, F, B) + 1.0) ** chain.b
-    return DiagnosticsEntry("hdes", lhs=lhs, rhs=rhs, grid=field.grid.cells_per_side)
+def measure_field(field: DiscreteField, F: Integrand, r: Regime, chain: ExponentChain,
+                  B: Region, estimates, t_grid):
+    """The selected estimates on one solved field, as DiagnosticsEntry rows in
+    the order hd, sup, rh, cacc, stress, decay.  With base = avg_B F + 1:
 
+    - hdes: the average over B/2 of |grad_h V_{mu,p}|^2 + |grad_h V_{1,q'}(F')|^2
+      against base^b, b the chain exponent;
+    - sup_grad: the sup over simplices in B/8 of |grad u| against base^b;
+    - rh_t=<t>, for each t of t_grid (2d only): the averaged L^{2t} norm of the
+      V-field gradients over B/8 against base^b;
+    - cacc_a=<alpha>, for alpha in -1, 0, 2 (scalar only): `caccioppoli_check`
+      on the cutoff between B scaled by CACC_FRACTIONS;
+    - stress: ||F'(grad u)||_{q'}^{q'} over B divided by (energy over B + 1),
+      against 1;
+    - decay_r=<s>: `log_decay_profile` on the balls of radius s, DECAY_FRACTIONS
+      of B's, against the fitted profile.
 
-def sup_grad_measure(field: DiscreteField, F: Integrand, B: Region,
-                     b: float = 1.0) -> DiagnosticsEntry:
-    """lhs: sup over simplices in B/8 of |grad u|; rhs: (avg_B F + 1)^b.
-
-    The exponent b is supplied by the caller (a chain value or a sweep fit)."""
-    mask = region_mask(field.grid, B.scaled(1.0 / 8.0))
-    lhs = float(np.sqrt(frob2(field.gradients[mask])).max())
-    rhs = (region_energy_average(field, F, B) + 1.0) ** b
-    return DiagnosticsEntry("sup_grad", lhs=lhs, rhs=rhs, grid=field.grid.cells_per_side)
+    The region masks, F over B and the V-field gradients are formed once.
+    Raises ValueError for rh off 2d or a t_grid it cannot scan, ScalarOnlyError
+    for cacc on a vector field, and RegionError as `check_regions` does.
+    """
+    est = set(estimates)
+    if "rh" in est:
+        check_reverse_holder(field.grid.dim, t_grid)
+    if "cacc" in est:
+        check_caccioppoli(field.N)
+    grid, z = field.grid, field.gradients
+    masks = check_regions(grid, B, est)
+    if est & {"hd", "rh", "decay"}:
+        gp, gq = v_gradient_sq(field, F, r)
+        density = gp + gq
+    if "B" in masks:
+        zB = z[masks["B"]]
+        FB = F.value(zB)
+        rhs = (float(FB.mean()) + 1.0) ** chain.b
+    entries = []
+    if "hd" in est:
+        lhs = float(density.reshape(-1)[masks["B/2 cells"]].mean())
+        entries.append(DiagnosticsEntry("hdes", lhs=lhs, rhs=rhs))
+    if "sup" in est:
+        lhs = float(np.sqrt(frob2(z[masks["B/8"]])).max())
+        entries.append(DiagnosticsEntry("sup_grad", lhs=lhs, rhs=rhs))
+    if "rh" in est:
+        inside = masks["B/8 cells"]
+        gp8, gq8 = gp.reshape(-1)[inside], gq.reshape(-1)[inside]
+        for t in t_grid:
+            mean_pow = float((gp8 ** t + gq8 ** t).mean())
+            entries.append(DiagnosticsEntry(f"rh_t={float(t):g}",
+                                            lhs=mean_pow ** (1.0 / (2.0 * t)), rhs=rhs))
+    if "cacc" in est:
+        cut = tuple(B.scaled(f) for f in CACC_FRACTIONS)
+        for alpha in (-1.0, 0.0, 2.0):
+            cc = caccioppoli_check(field, F, r, alpha, cut)
+            entries.append(DiagnosticsEntry(f"cacc_a={alpha:g}", lhs=cc.lhs, rhs=cc.rhs))
+    if "stress" in est:
+        vol = grid.simplex_volume
+        num = float(vol * (np.sqrt(frob2(F.gradient(zB))) ** r.q_conj).sum())
+        den = float(vol * FB.sum()) + 1.0
+        entries.append(DiagnosticsEntry("stress", lhs=num / den, rhs=1.0))
+    if "decay" in est:
+        ld = log_decay_profile(grid, density, r, [B.radius * f for f in DECAY_FRACTIONS], B)
+        for s, mass in zip(ld.radii, ld.masses):
+            pred = ld.amplitude * math.log(B.radius / s) ** (-ld.decay_exponent)
+            entries.append(DiagnosticsEntry(f"decay_r={s:g}", lhs=mass, rhs=max(pred, 0.0)))
+    return entries
 
 
 def check_reverse_holder(dim: int, t_grid):
-    """Raise ValueError unless a reverse Holder scan can run: 2d, every t in (1, 2)."""
+    """Raise ValueError unless a reverse Holder scan can run: 2d, and a t_grid
+    of at least one value, every one in (1, 2)."""
     if dim != 2:
         raise ValueError("reverse Holder scan is a 2d measurement")
+    if not t_grid:
+        raise ValueError("t_grid needs at least one value")
     if any(not (1.0 < t < 2.0) for t in t_grid):
         raise ValueError("t_grid entries must lie in (1, 2)")
-
-
-def reverse_holder_scan(field: DiscreteField, F: Integrand, r: Regime, t_grid,
-                        B: Region, b: float = 1.0):
-    """Integrability scan on a 2d solve: for each t in (1, 2) the averaged
-    L^{2t} norm of the V-field gradients over B/8 against (avg_B F + 1)^b.
-
-    Returns a list of (t, lhs, ratio); across an amplitude sweep `run_diagnose`
-    fits the exponent of each t's lhs against the base.
-    """
-    check_reverse_holder(field.grid.dim, t_grid)
-    eighth = B.scaled(1.0 / 8.0)
-    gp, gq = v_gradient_sq(field, F, r)
-    base = region_energy_average(field, F, B) + 1.0
-    out = []
-    for t in t_grid:
-        mean_pow = _region_cell_mean(field.grid, gp ** t + gq ** t, eighth)
-        lhs = mean_pow ** (1.0 / (2.0 * t))
-        out.append((float(t), lhs, lhs / base ** b))
-    return out
 
 
 @dataclass
@@ -211,27 +253,29 @@ class LogDecayResult:
     fit_residual: float
 
 
-def log_decay_profile(field: DiscreteField, F: Integrand, r: Regime, radii,
-                      B: Region) -> LogDecayResult:
-    """L^2 masses of the V-field gradients on shrinking balls, fitted against
-    C log(r/sigma)^-(gamma+2) with gamma = (q+p)/(2q).
+def log_decay_profile(grid, density, r: Regime, radii, B: Region) -> LogDecayResult:
+    """L^2 masses on shrinking balls of a per-cell V-gradient density, (m,)*dim
+    as `measure_field` forms it, |grad_h V_{mu,p}|^2 + |grad_h V_{1,q'}(F')|^2;
+    fitted against C log(B's radius/s)^-(gamma+2) with gamma = (q+p)/(2q).
 
     The fit adjusts only the prefactor C (least squares on logs) over the
     positive masses; the residual is their rms log deviation.  C = 0 only when
     every mass vanishes, as for affine data, where the profile is exact.  Needs
-    at least 3 radii, decreasing, with the largest ball inside B/2.
+    at least 3 radii, decreasing, with the largest ball inside B/2; raises
+    RegionError for a ball without a cell center.
     """
     radii = [float(s) for s in radii]
     if len(radii) < 3:
         raise ValueError("need at least 3 radii for a decay fit")
     if any(b >= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly decreasing")
-    half = B.scaled(0.5)
-    if radii[0] >= half.radius:
+    if radii[0] >= 0.5 * B.radius:
         raise RegionError("largest profile ball must sit strictly inside B/2")
-    gp, gq = v_gradient_sq(field, F, r)
-    masses = [_region_cell_integral(field.grid, gp + gq, Region(B.center, s, "ball"))
-              for s in radii]
+    cells, cellvol = density.reshape(-1), grid.h ** grid.dim
+    masses = []
+    for s in radii:
+        ball = region_mask(grid, Region(B.center, s, "ball"), by_cell=True)
+        masses.append(float(cells[ball].sum() * cellvol))
     gamma = (r.q + r.p) / (2.0 * r.q)
     expo = gamma + 2.0
     xs = np.array([math.log(B.radius / s) for s in radii])
@@ -393,18 +437,7 @@ def moser_bound(params: MoserParams, V0: float) -> float:
         return math.inf
 
 
-# ------------------------------------------------------------- stress + fits
-
-
-def stress_integrability(field: DiscreteField, F: Integrand, r: Regime,
-                         B: Region) -> float:
-    """||F'(grad u)||_{q'}^{q'} over B divided by (energy over B + 1)."""
-    z = field.gradients[region_mask(field.grid, B)]
-    vol = field.grid.simplex_volume
-    qc = r.q_conj
-    num = float(vol * (np.sqrt(frob2(F.gradient(z))) ** qc).sum())
-    den = float(vol * F.value(z).sum()) + 1.0
-    return num / den
+# ------------------------------------------------------------- exponent fits
 
 
 def fit_exponent(bases, lhs_values):

@@ -12,9 +12,8 @@ import pytest
 
 from pqvar import registry
 from pqvar.diagnostics import (MoserParams, caccioppoli_check,
-                               default_sobolev_exponent, hd_exponents,
-                               higher_diff_measure, moser_alpha_sequence,
-                               sup_grad_measure)
+                               default_sobolev_exponent, hd_exponents, measure_field,
+                               moser_alpha_sequence)
 from pqvar.duality import conjugate, inverse_gradient, monotonicity_ratios
 from pqvar.growth import (NotEvenError, check_legendre, gehring_exponent,
                           homogeneous_decomposition, polynomial_growth_exponents)
@@ -238,8 +237,9 @@ def test_09_higher_diff_stability(solve_battery, scalar_entry):
 
     def ratio(cells, amp):
         fld = solve_battery[("scalar", cells, amp)].field
-        return higher_diff_measure(fld, scalar_entry.integrand, scalar_entry.regime,
-                                   chain, B).ratio
+        [hd] = measure_field(fld, scalar_entry.integrand, scalar_entry.regime, chain, B,
+                             ["hd"], [])
+        return hd.ratio
 
     r32, r64 = ratio(32, 1.0), ratio(64, 1.0)
     refine_change = abs(r64 - r32) / r32
@@ -255,11 +255,14 @@ def test_10_sup_gradient_refinement(solve_battery, scalar_entry, vector_entry):
     worst_growth = -math.inf
     details = []
     for case, entry in (("scalar", scalar_entry), ("vector", vector_entry)):
+        chain = hd_exponents(entry.regime, default_sobolev_exponent(entry.regime))
         for amp in (0.5, 1.0, 2.0, 4.0):
             sups = {}
             for cells in (32, 64):
                 fld = solve_battery[(case, cells, amp)].field
-                sups[cells] = sup_grad_measure(fld, entry.integrand, B, b=1.0).lhs
+                [sup] = measure_field(fld, entry.integrand, entry.regime, chain, B,
+                                      ["sup"], [])
+                sups[cells] = sup.lhs
             growth = (sups[64] - sups[32]) / sups[32]
             worst_growth = max(worst_growth, growth)
             details.append(f"{case}@A={amp:g}:{growth:+.2%}")

@@ -39,8 +39,9 @@ QUARTIC_POLY = "1 1 1\n1 2 2\n1 1 1 1 1\n8 1 1 2 2\n16 2 2 2 2\n"
 POLY_CFG = "n = 2\nN = 1\np = 2\nq = 4\nL = 16\nintegrand = {integrand}\n"
 
 
-# config values that a run would reject or drop, each rejected by the parser;
-# `old` and `new` may hold several replacements separated by ';'
+# config values that a run would reject or drop, each rejected by the parser,
+# and an empty sweep; `command` may carry flags, and `old` and `new` may hold
+# several replacements separated by ';'
 PARSE_TIME_REJECTIONS = [
     ("diagnose", "seed = 42", "seed = 42\nsobolev_exp = 1"),
     ("diagnose", "estimates = hd,sup", "estimates = hd,rh\nt_grid = 1.5,2.5"),
@@ -55,6 +56,9 @@ PARSE_TIME_REJECTIONS = [
     ("diagnose", "amplitudes = 1.0", "amplitudes = nan"),
     ("solve", "amplitudes = 1.0", "amplitudes = 1.0,inf"),
     ("diagnose", "L = 8", "L = inf"),
+    # at 9 cells a cell center sits in B/8, so only the empty t_grid is wrong
+    ("diagnose", "cells = 12;estimates = hd,sup", "cells = 9;estimates = hd,rh\nt_grid ="),
+    ("sweep --vary amplitude --values=", "", ""),
 ]
 
 
@@ -479,7 +483,8 @@ class TestSubcommands:
     def test_bad_config_values_exit_2(self, tmp_path, capsys, command, old, new):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(_edited(MODEL_CFG, old, new))
-        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        argv = [*command.split(), "--config", str(cfg), "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
         assert capsys.readouterr().out.startswith("config error:")
 
     @pytest.mark.parametrize("command, old, new", PARSE_TIME_REJECTIONS + [
@@ -497,7 +502,8 @@ class TestSubcommands:
         monkeypatch.setattr(solver, "run_scheme", no_solve)
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(_edited(MODEL_CFG, old, new))
-        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        argv = [*command.split(), "--config", str(cfg), "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
         assert capsys.readouterr().out.startswith("config error:")
 
     @pytest.mark.parametrize("command", ["check", "solve"])

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pqvar import registry
+from pqvar import diagnostics, registry
 from pqvar.diagnostics import (CaccioppoliResult, InadmissibleSobolevExponent,
                                MoserParams, ScalarOnlyError, caccioppoli_check,
-                               default_sobolev_exponent, fit_exponent, hd_exponents,
-                               higher_diff_measure, log_decay_profile, moser_a_alpha,
-                               moser_alpha_sequence, moser_bound, reverse_holder_scan,
-                               stress_integrability, sup_grad_measure, v_fields)
+                               check_regions, default_sobolev_exponent, fit_exponent,
+                               hd_exponents, log_decay_profile, measure_field,
+                               moser_a_alpha, moser_alpha_sequence, moser_bound,
+                               v_fields, v_gradient_sq)
 from pqvar.duality import monotonicity_ratios
 from pqvar.growth import gehring_exponent
 from pqvar.integrands import PowerNorm, ell_mu, frob2, v_map
@@ -19,6 +19,80 @@ from pqvar.model import DiscreteField, Grid, Region, RegionError, Regime
 from pqvar.solver import Schedule, boundary_family, minimize_dirichlet, run_scheme
 
 B = Region((0.5, 0.5), 0.45, "ball")
+ALL_ESTIMATES = ("hd", "sup", "rh", "cacc", "stress", "decay")
+
+
+def chain_of(entry):
+    return hd_exponents(entry.regime, default_sobolev_exponent(entry.regime))
+
+
+def measure(fld, entry, estimates, t_grid=(), region=B):
+    """measure_field's entries on the field, by estimate id."""
+    entries = measure_field(fld, entry.integrand, entry.regime, chain_of(entry), region,
+                            estimates, t_grid)
+    return {e.estimate_id: e for e in entries}
+
+
+def v_density(fld, entry):
+    """The per-cell V-gradient density that log_decay_profile reads."""
+    gp, gq = v_gradient_sq(fld, entry.integrand, entry.regime)
+    return gp + gq
+
+
+class TestMeasureField:
+    """measure_field forms its inputs once per field, and measures on every
+    grid that check_regions accepts."""
+
+    @pytest.mark.parametrize("name, dim, cells, estimates", [
+        ("aniso2d_q4_vec", 2, 9, ("hd", "sup", "rh", "stress", "decay")),
+        ("aniso3d_q4", 3, 7, ("hd", "sup", "cacc", "stress", "decay")),
+    ])
+    def test_one_v_field_pass_and_one_evaluation_of_F_over_B(self, monkeypatch, name, dim,
+                                                            cells, estimates):
+        entry = registry.get(name)
+        grid, region = Grid(dim, cells), Region((0.5,) * dim, 0.45, "ball")
+        fld = DiscreteField(grid, boundary_family("sine", grid, 1.0, entry.regime.N))
+        passes, evaluated = [], []
+        form, value = diagnostics.v_fields, entry.integrand.value
+
+        def counting_form(*args):
+            passes.append(1)
+            return form(*args)
+
+        def counting_value(z):
+            evaluated.append(len(z))
+            return value(z)
+
+        monkeypatch.setattr(diagnostics, "v_fields", counting_form)
+        monkeypatch.setattr(entry.integrand, "value", counting_value)
+        rows = measure(fld, entry, estimates, (1.1, 1.5), region=region)
+        assert len(passes) == 1
+        assert evaluated == [int(region.contains(grid.barycenters).sum())]
+        assert {key.split("=")[0] for key in rows} >= {"hdes", "sup_grad", "stress", "decay_r"}
+
+    @pytest.mark.parametrize("dim, sizes, estimates", [
+        (2, range(2, 17), ALL_ESTIMATES),
+        (3, range(2, 11), tuple(e for e in ALL_ESTIMATES if e != "rh")),  # rh is 2d only
+    ])
+    def test_no_region_error_where_the_regions_are_resolved(self, scalar_entry, dim, sizes,
+                                                           estimates):
+        entry = scalar_entry if dim == 2 else registry.get("aniso3d_q4")
+        regions = [Region((0.5,) * dim, 0.45, "ball"), Region((0.5,) * dim, 0.48, "cube"),
+                   Region((0.4,) * dim, 0.3, "ball")]
+        accepted = rejected = 0
+        for cells in sizes:
+            grid = Grid(dim, cells)
+            fld = DiscreteField(grid, boundary_family("sine", grid, 1.0, 1))
+            for region in regions:
+                try:
+                    check_regions(grid, region, estimates)
+                except RegionError:
+                    rejected += 1
+                    continue
+                accepted += 1
+                rows = measure(fld, entry, estimates, (1.1, 1.5), region=region)
+                assert all(np.isfinite(e.lhs) and np.isfinite(e.rhs) for e in rows.values())
+        assert accepted > 0 and rejected > 0, (accepted, rejected)
 
 
 class TestExponentChain:
@@ -107,19 +181,14 @@ class TestHigherDiff:
     def test_affine_field_zero_lhs(self, scalar_entry):
         grid = Grid(2, 16)
         fld = DiscreteField(grid, 2.0 * grid.node_coords[:, 0:1])
-        ch = hd_exponents(scalar_entry.regime,
-                          default_sobolev_exponent(scalar_entry.regime))
-        ent = higher_diff_measure(fld, scalar_entry.integrand, scalar_entry.regime, ch, B)
+        ent = measure(fld, scalar_entry, ["hd"])["hdes"]
         assert ent.lhs == 0.0 and ent.rhs >= 1.0
 
     def test_refinement_stability(self, scalar_entry, solve_battery):
-        ch = hd_exponents(scalar_entry.regime,
-                          default_sobolev_exponent(scalar_entry.regime))
         ratios = {}
         for cells in (32, 64):
             fld = solve_battery[("scalar", cells, 1.0)].field
-            ent = higher_diff_measure(fld, scalar_entry.integrand, scalar_entry.regime,
-                                      ch, B)
+            ent = measure(fld, scalar_entry, ["hd"])["hdes"]
             ratios[cells] = ent.ratio
         assert abs(ratios[64] - ratios[32]) / ratios[32] < 0.2
 
@@ -129,8 +198,7 @@ class TestHigherDiff:
         bases, lhss = [], []
         for amp in (0.5, 1.0, 2.0, 4.0):
             fld = solve_battery[("scalar", 32, amp)].field
-            ent = higher_diff_measure(fld, scalar_entry.integrand, scalar_entry.regime,
-                                      ch, B)
+            ent = measure(fld, scalar_entry, ["hd"])["hdes"]
             assert np.isfinite(ent.ratio)
             bases.append(ent.rhs ** (1.0 / ch.b))
             lhss.append(ent.lhs)
@@ -142,18 +210,20 @@ class TestSupGrad:
     def test_affine_unit_gradient(self, scalar_entry):
         grid = Grid(2, 16)
         fld = DiscreteField(grid, grid.node_coords[:, 0:1])
-        ent = sup_grad_measure(fld, scalar_entry.integrand, B, b=1.0)
+        ent = measure(fld, scalar_entry, ["sup"])["sup_grad"]
         assert ent.lhs == pytest.approx(1.0)
         assert np.isfinite(ent.ratio)
 
     def test_fit_stability_on_doubled_amplitudes(self, scalar_entry, solve_battery):
         # refitting on the doubled amplitude set moves the exponent by < 10%
+        b_chain = chain_of(scalar_entry).b
+
         def fit_for(amps):
             bases, lhss = [], []
             for amp in amps:
                 fld = solve_battery[("scalar", 32, amp)].field
-                ent = sup_grad_measure(fld, scalar_entry.integrand, B, b=1.0)
-                bases.append(ent.rhs)
+                ent = measure(fld, scalar_entry, ["sup"])["sup_grad"]
+                bases.append(ent.rhs ** (1.0 / b_chain))
                 lhss.append(ent.lhs)
             return fit_exponent(bases, lhss)[0]
 
@@ -173,7 +243,7 @@ class TestSupGrad:
             grid = Grid(3, cells)
             g = boundary_family("sine", grid, 1.0, 1)
             res = run_scheme(e.integrand, e.regime, grid, g, Schedule.dyadic(3))
-            sups.append(sup_grad_measure(res.field, e.integrand, B3, b=1.0).lhs)
+            sups.append(measure(res.field, e, ["sup"], region=B3)["sup_grad"].lhs)
         assert sups[1] <= 1.2 * sups[0]
 
 
@@ -181,15 +251,14 @@ class TestReverseHolder:
     def test_affine_passes_all_t(self, scalar_entry):
         grid = Grid(2, 16)
         fld = DiscreteField(grid, grid.node_coords[:, 0:1])
-        scan = reverse_holder_scan(fld, scalar_entry.integrand, scalar_entry.regime,
-                                   [1.1, 1.5, 1.9], B)
-        assert all(lhs == 0.0 for _, lhs, _ in scan)
+        scan = measure(fld, scalar_entry, ["rh"], [1.1, 1.5, 1.9])
+        assert list(scan) == ["rh_t=1.1", "rh_t=1.5", "rh_t=1.9"]
+        assert all(ent.lhs == 0.0 for ent in scan.values())
 
     def test_ratios_increase_with_t(self, scalar_entry, solve_battery):
         fld = solve_battery[("scalar", 32, 2.0)].field
-        scan = reverse_holder_scan(fld, scalar_entry.integrand, scalar_entry.regime,
-                                   [1.1, 1.3, 1.5, 1.7, 1.9], B, b=2.0)
-        ratios = [ratio for _, _, ratio in scan]
+        scan = measure(fld, scalar_entry, ["rh"], [1.1, 1.3, 1.5, 1.7, 1.9])
+        ratios = [ent.ratio for ent in scan.values()]
         assert all(b >= a for a, b in zip(ratios, ratios[1:]))
 
     def test_arithmetic_prediction_achievable_on_field(self, scalar_entry, solve_battery):
@@ -215,17 +284,21 @@ class TestReverseHolder:
         assert lhs <= rhs
 
     def test_requires_2d(self, scalar_entry):
+        # at 4 cells no cell center lies in B/8, yet the refusal names the
+        # dimension: it is checked before the regions
         grid = Grid(3, 4)
+        B3 = Region((0.5,) * 3, 0.45, "ball")
         fld = DiscreteField(grid, np.zeros((grid.n_nodes, 1)))
-        with pytest.raises(ValueError):
-            reverse_holder_scan(fld, scalar_entry.integrand, scalar_entry.regime,
-                                [1.5], Region((0.5,) * 3, 0.45, "ball"))
+        with pytest.raises(RegionError, match="no cell centers"):
+            check_regions(grid, B3, ["rh"])
+        with pytest.raises(ValueError, match="reverse Holder scan is a 2d measurement"):
+            measure(fld, scalar_entry, ["rh"], [1.5], region=B3)
 
 
 class TestLogDecay:
     def test_gamma_arithmetic(self, scalar_entry, solve_battery):
         fld = solve_battery[("scalar", 32, 1.0)].field
-        out = log_decay_profile(fld, scalar_entry.integrand, scalar_entry.regime,
+        out = log_decay_profile(fld.grid, v_density(fld, scalar_entry), scalar_entry.regime,
                                 [0.2, 0.15, 0.1, 0.07], B)
         assert out.gamma == pytest.approx((4.0 + 2.0) / 8.0)  # (q+p)/(2q) = 3/4
         assert out.decay_exponent == pytest.approx(11.0 / 4.0)
@@ -234,7 +307,7 @@ class TestLogDecay:
     def test_affine_zero_masses(self, scalar_entry):
         grid = Grid(2, 16)
         fld = DiscreteField(grid, grid.node_coords[:, 0:1])
-        out = log_decay_profile(fld, scalar_entry.integrand, scalar_entry.regime,
+        out = log_decay_profile(grid, v_density(fld, scalar_entry), scalar_entry.regime,
                                 [0.2, 0.15, 0.1], B)
         assert out.masses == [0.0, 0.0, 0.0]
         assert out.amplitude == 0.0 and out.fit_residual == 0.0
@@ -247,7 +320,8 @@ class TestLogDecay:
         r2 = ((grid.node_coords - 0.5) ** 2).sum(axis=1)
         fld = DiscreteField(grid, np.maximum(r2 - rho ** 2, 0.0)[:, None])
         radii = [B.radius * f for f in (0.45, 0.35, 0.25, 0.18)]
-        out = log_decay_profile(fld, scalar_entry.integrand, scalar_entry.regime, radii, B)
+        out = log_decay_profile(grid, v_density(fld, scalar_entry), scalar_entry.regime,
+                                radii, B)
         assert out.masses[2:] == [0.0, 0.0] and min(out.masses[:2]) > 0.0
         ys = [math.log(m) + out.decay_exponent * math.log(math.log(B.radius / s))
               for m, s in zip(out.masses[:2], radii[:2])]
@@ -263,14 +337,14 @@ class TestLogDecay:
                          Schedule.dyadic(2))
         radii = [B.radius * f for f in (0.45, 0.35, 0.25, 0.18)]
         with pytest.raises(RegionError):
-            log_decay_profile(res.field, scalar_entry.integrand, scalar_entry.regime,
+            log_decay_profile(grid, v_density(res.field, scalar_entry), scalar_entry.regime,
                               radii, B)
 
     def test_needs_three_radii(self, scalar_entry):
         grid = Grid(2, 8)
         fld = DiscreteField(grid, np.zeros((grid.n_nodes, 1)))
         with pytest.raises(ValueError):
-            log_decay_profile(fld, scalar_entry.integrand, scalar_entry.regime,
+            log_decay_profile(grid, v_density(fld, scalar_entry), scalar_entry.regime,
                               [0.2, 0.1], B)
 
 
@@ -399,12 +473,12 @@ class TestStress:
         e = registry.get("nondeg_quad")
         grid = Grid(2, 8)
         fld = DiscreteField(grid, np.zeros((grid.n_nodes, 1)))
-        out = stress_integrability(fld, e.integrand, e.regime, B)
+        out = measure(fld, e, ["stress"])["stress"].lhs
         assert np.isfinite(out) and out >= 0.0
 
     def test_resolution_stability(self, scalar_entry, solve_battery):
-        vals = [stress_integrability(solve_battery[("scalar", cells, 1.0)].field,
-                                     scalar_entry.integrand, scalar_entry.regime, B)
+        vals = [measure(solve_battery[("scalar", cells, 1.0)].field, scalar_entry,
+                        ["stress"])["stress"].lhs
                 for cells in (32, 64)]
         assert abs(vals[1] - vals[0]) / vals[0] < 0.2
 

@@ -1,21 +1,24 @@
 """`pqvar solve`, `check`, `conjugate` and `diagnose` against outputs frozen by
 the scripts in tests/data.
 
-For `solve` (tests/data/freeze_solve.py), every value of every output file lies
+For `solve`, every value of every output file lies
 within 1e-10 of its frozen value, relative to the largest magnitude in its
 column, and every integer matches exactly.  The one exception is
 `residual_sup`: the sup norm of the final Euler-Lagrange residual is round-off
 by construction, so it is held to the solver's stopping test instead.
 
-For `check` (tests/data/freeze_check.py), the certificate CSV is byte-identical
+For `check`, the certificate CSV is byte-identical
 and the frozen standard output is printed byte for byte; a config with poly
 atoms prints its polynomial rows after it, and nothing else.
 
-`conjugate` (tests/data/freeze_conjugate.py) and `diagnose`
-(tests/data/freeze_diagnose.py) are held as `solve` is: numbers to 1e-10 of
-their column's largest magnitude, every other cell exactly.  The conjugation's
-`residual` is round-off as `residual_sup` is, so it is held to the tolerance of
+`conjugate` and `diagnose` hold every number to 1e-10 of its own frozen value,
+so a zero stays exactly zero, and every other cell exactly.  Their columns span
+many decades (a `diagnose` ratio of 7.7e-11 shares a column with values up to
+5.5), which a column-wide tolerance would not see.  The conjugation's `residual`
+is round-off as `residual_sup` is, so it is held to the tolerance of
 `duality.conjugate`, 1e-10 relative above |xi| = 1.
+
+tests/data/freeze.py wrote every frozen file, from one table of cases.
 """
 
 import csv
@@ -104,8 +107,8 @@ def _number(x):
 
 def assert_table_matches(want_path, got_path, held):
     """Every cell of the CSV at got_path matches want_path: a number to REL of
-    its column's largest magnitude, anything else exactly.  held maps a column
-    name to a check of its row instead, called as held(value, row)."""
+    its own frozen value, anything else exactly.  held maps a column name to a
+    check of its row instead, called as held(value, row)."""
     header, want = read_csv(want_path)
     got_header, got = read_csv(got_path)
     assert got_header == header and len(got) == len(want)
@@ -114,16 +117,13 @@ def assert_table_matches(want_path, got_path, held):
             for row in got:
                 assert held[col](float(row[k]), dict(zip(header, row))), f"{col}: {row}"
             continue
-        w = [row[k] for row in want]
-        g = [row[k] for row in got]
-        scale = max((abs(_number(x)) for x in w if _number(x) is not None), default=0.0)
-        for x, y in zip(w, g):
+        for x, y in zip((row[k] for row in want), (row[k] for row in got)):
             if _number(x) is None or x.lstrip("-").isdigit():
                 assert y == x, col
             else:
                 assert _number(y) is not None, col
                 err = abs(_number(y) - _number(x))
-                assert err <= REL * scale, f"{col} moved by {err:.3e}"
+                assert err <= REL * abs(_number(x)), f"{col}: {y} is {err:.3e} from {x}"
 
 
 def _conjugate_residual_ok(res, row):
