@@ -298,11 +298,10 @@ def parse_config(text, base_dir=".") -> ExperimentConfig:
         raise ConfigError("amplitudes needs at least one value", line=lines["amplitudes"])
     _check_amplitudes("amplitudes", amplitudes, line=lines.get("amplitudes"))
     estimates = [tok.strip() for tok in raw.get("estimates", "hd,sup").split(",") if tok.strip()]
-    known_estimates = {"hd", "sup", "rh", "cacc", "stress", "decay"}
     for est in estimates:
-        if est not in known_estimates:
-            raise ConfigError(f"unknown estimate {est!r} (choose from {sorted(known_estimates)})",
-                              line=lines.get("estimates"))
+        if est not in diagnostics.ESTIMATES:
+            raise ConfigError(f"unknown estimate {est!r} (choose from "
+                              f"{sorted(diagnostics.ESTIMATES)})", line=lines.get("estimates"))
     if "region" in raw:
         parts = [tok.strip() for tok in raw["region"].split(",")]
         if len(parts) != n + 2:

@@ -4,9 +4,9 @@ fits over amplitude sweeps.
 
 `measure_field` is the one implementation of the estimates on a field (hdes,
 sup_grad, rh_t=*, cacc_a=*, stress, decay_r=*): per field it forms the region
-masks, F over B and the V-field gradients once.  `check_regions` declares the
-regions each estimate reads, so a grid is refused before any solve when it
-leaves one empty.
+masks, F over B, the V-field gradients and the Caccioppoli cutoff, weight and
+M once.  `check_regions` declares the regions each estimate reads, so a grid
+is refused before any solve when it leaves one empty.
 
 V-fields are piecewise constant in the PL discretization, so their gradients
 are formed on the dual grid: per-simplex values are averaged per cell and
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrands import Integrand, MoserWeight, frob2, v_map
+from .integrands import Integrand, frob2, v_map
 from .model import DiagnosticsEntry, DiscreteField, Region, RegionError, Regime
 
 MOSER_TAIL_TOL = 1e-15  # the series of moser_bound stops at a term below this
@@ -97,19 +97,12 @@ def _noise_floor_sq(W, h, dim):
     return dim * W[(0,) * dim].size * per_component ** 2
 
 
-def _dual_grid(grid, per_simplex):
-    """The dual-grid discretization of a per-simplex matrix field: its cell
-    averages W, (m,)*dim + (N, n), and the differences of W between cell centers
+def _cell_gradient_sq(grid, W):
+    """|grad_h W|^2 per cell, (m,)*dim, for the cell averages W, (m,)*dim + (N, n),
+    of a per-simplex matrix field: the differences of W between cell centers
     along each axis, central inside and one-sided at the array edge."""
-    W = grid.per_cell(per_simplex)
-    return W, np.gradient(W, grid.h, axis=tuple(range(grid.dim)), edge_order=1)
-
-
-def _cell_gradient_sq(grid, per_simplex):
-    """|grad_h W|^2 per cell, (m,)*dim, for a per-simplex matrix field W."""
-    W, parts = _dual_grid(grid, per_simplex)
     total = np.zeros(W.shape[:grid.dim])
-    for gpart in parts:
+    for gpart in np.gradient(W, grid.h, axis=tuple(range(grid.dim)), edge_order=1):
         total += (gpart ** 2).sum(axis=(-2, -1))
     total[total <= _noise_floor_sq(W, grid.h, grid.dim)] = 0.0
     return total
@@ -117,8 +110,8 @@ def _cell_gradient_sq(grid, per_simplex):
 
 def v_gradient_sq(field: DiscreteField, F: Integrand, r: Regime):
     """Per-cell |grad_h V_{mu,p}(grad u)|^2 and |grad_h V_{1,q'}(F'(grad u))|^2."""
-    vp, vq = v_fields(field, F, r)
-    return _cell_gradient_sq(field.grid, vp), _cell_gradient_sq(field.grid, vq)
+    grid = field.grid
+    return tuple(_cell_gradient_sq(grid, grid.per_cell(v)) for v in v_fields(field, F, r))
 
 
 def region_mask(grid, region: Region, by_cell=False):
@@ -134,6 +127,7 @@ def region_mask(grid, region: Region, by_cell=False):
 # ------------------------------------------------------------- the estimates on a field
 
 
+ESTIMATES = ("hd", "sup", "rh", "cacc", "stress", "decay")  # in measure_field's row order
 DECAY_FRACTIONS = (0.45, 0.35, 0.25, 0.18)  # the decay profile's ball radii over B's radius
 CACC_FRACTIONS = (0.4, 0.8)  # the Caccioppoli cutoff's inner and outer radii over B's
 
@@ -141,10 +135,10 @@ CACC_FRACTIONS = (0.4, 0.8)  # the Caccioppoli cutoff's inner and outer radii ov
 def check_regions(grid, B: Region, estimates):
     """Raise RegionError unless the grid resolves every region the selected
     estimates read: B/2 inside the unit box (hd); simplex barycenters in B (hd,
-    sup, rh, stress), in B/8 (sup) and in the outer cutoff region (cacc); cell
-    centers in B/2 (hd), in B/8 (rh) and in the decay balls (decay), which are
-    nested, so the smallest decides.  Returns the masks that `measure_field`
-    reads, by name; `caccioppoli_check` and `log_decay_profile` form their own."""
+    sup, rh, stress), in B/8 (sup) and in the outer cutoff region, the cutoff's
+    support (cacc); cell centers in B/2 (hd), in B/8 (rh) and in the decay balls
+    (decay), which are nested, so the smallest decides.  Returns the masks that
+    `measure_field` reads, by name; `log_decay_profile` forms its own."""
     est = set(estimates)
     if "hd" in est and not B.scaled(0.5).inside_unit_box():
         raise RegionError("B/2 must sit inside the solved unit box")
@@ -155,7 +149,7 @@ def check_regions(grid, B: Region, estimates):
     if "sup" in est:
         masks["B/8"] = region_mask(grid, eighth)
     if "cacc" in est:
-        region_mask(grid, B.scaled(CACC_FRACTIONS[1]))
+        masks["cutoff"] = region_mask(grid, B.scaled(CACC_FRACTIONS[1]))
     if "hd" in est:
         masks["B/2 cells"] = region_mask(grid, B.scaled(0.5), by_cell=True)
     if "rh" in est:
@@ -168,23 +162,29 @@ def check_regions(grid, B: Region, estimates):
 def measure_field(field: DiscreteField, F: Integrand, r: Regime, chain: ExponentChain,
                   B: Region, estimates, t_grid):
     """The selected estimates on one solved field, as DiagnosticsEntry rows in
-    the order hd, sup, rh, cacc, stress, decay.  With base = avg_B F + 1:
+    the order of ESTIMATES.  With base = avg_B F + 1:
 
     - hdes: the average over B/2 of |grad_h V_{mu,p}|^2 + |grad_h V_{1,q'}(F')|^2
       against base^b, b the chain exponent;
     - sup_grad: the sup over simplices in B/8 of |grad u| against base^b;
     - rh_t=<t>, for each t of t_grid (2d only): the averaged L^{2t} norm of the
       V-field gradients over B/8 against base^b;
-    - cacc_a=<alpha>, for alpha in -1, 0, 2 (scalar only): `caccioppoli_check`
-      on the cutoff between B scaled by CACC_FRACTIONS;
+    - cacc_a=<alpha>, for alpha in -1, 0, 2 (scalar only): the energy
+      estimate for powers of the gradient weight.  With L = ell_mu(grad u)^p,
+      l_alpha = L^((alpha+2)/2) + 1 and eta the PL cutoff between B scaled by
+      CACC_FRACTIONS, ||eta grad_h l_alpha||_L2 against
+      A_alpha M^(1/2) ||l_alpha grad eta||_L2, where A_alpha is
+      `moser_a_alpha` and M = max(1, sup_{supp eta} |F'(grad u)|^((q-p)/(q-1)));
     - stress: ||F'(grad u)||_{q'}^{q'} over B divided by (energy over B + 1),
       against 1;
     - decay_r=<s>: `log_decay_profile` on the balls of radius s, DECAY_FRACTIONS
       of B's, against the fitted profile.
 
-    The region masks, F over B and the V-field gradients are formed once.
-    Raises ValueError for rh off 2d or a t_grid it cannot scan, ScalarOnlyError
-    for cacc on a vector field, and RegionError as `check_regions` does.
+    The region masks, F over B, the V-field gradients, and the cutoff, L and M
+    are formed once; per alpha only l_alpha, its cell means and their dual-grid
+    gradient.  Raises ValueError for rh off 2d or a t_grid it cannot scan,
+    ScalarOnlyError for cacc on a vector field, and RegionError as
+    `check_regions` does.
     """
     est = set(estimates)
     if "rh" in est:
@@ -215,10 +215,22 @@ def measure_field(field: DiscreteField, F: Integrand, r: Regime, chain: Exponent
             entries.append(DiagnosticsEntry(f"rh_t={float(t):g}",
                                             lhs=mean_pow ** (1.0 / (2.0 * t)), rhs=rhs))
     if "cacc" in est:
-        cut = tuple(B.scaled(f) for f in CACC_FRACTIONS)
+        inner, outer = (B.scaled(f).radius for f in CACC_FRACTIONS)
+        gauge = B.gauge(grid.cell_centers).reshape((grid.cells_per_side,) * grid.dim)
+        dist = np.sqrt(gauge) if B.kind == "ball" else gauge
+        eta = np.clip((outer - dist) / (outer - inner), 0.0, 1.0)
+        grad_eta = np.where((dist > inner) & (dist < outer), 1.0 / (outer - inner), 0.0)
+        gnorm = np.sqrt(frob2(F.gradient(z[masks["cutoff"]])))
+        sqrt_m = math.sqrt(max(1.0, float(gnorm.max() ** ((r.q - r.p) / (r.q - 1.0)))))
+        L = (r.mu ** 2 + frob2(z)) ** (r.p / 2.0)
+        cellvol = grid.h ** grid.dim
         for alpha in (-1.0, 0.0, 2.0):
-            cc = caccioppoli_check(field, F, r, alpha, cut)
-            entries.append(DiagnosticsEntry(f"cacc_a={alpha:g}", lhs=cc.lhs, rhs=cc.rhs))
+            cell_l = grid.per_cell(L ** ((alpha + 2.0) / 2.0) + 1.0)
+            grad_l2 = _cell_gradient_sq(grid, cell_l[..., None, None])
+            lhs = math.sqrt(float((eta ** 2 * grad_l2).sum() * cellvol))
+            norm = math.sqrt(float((cell_l ** 2 * grad_eta ** 2).sum() * cellvol))
+            entries.append(DiagnosticsEntry(f"cacc_a={alpha:g}", lhs=lhs,
+                                            rhs=moser_a_alpha(alpha) * sqrt_m * norm))
     if "stress" in est:
         vol = grid.simplex_volume
         num = float(vol * (np.sqrt(frob2(F.gradient(zB))) ** r.q_conj).sum())
@@ -292,16 +304,6 @@ def log_decay_profile(grid, density, r: Regime, radii, B: Region) -> LogDecayRes
 # ------------------------------------------------------------- scalar estimates
 
 
-@dataclass
-class CaccioppoliResult:
-    lhs: float
-    rhs: float
-    ratio: float
-    alpha: float
-    a_alpha: float
-    big_m: float
-
-
 def moser_a_alpha(alpha: float, alpha0: float = -1.0) -> float:
     """The iteration prefactor: 1 at the base power, (alpha+2)/(alpha+1) above it."""
     if alpha < alpha0:
@@ -315,54 +317,6 @@ def check_caccioppoli(N: int):
     """Raise ScalarOnlyError unless the field is scalar (N = 1)."""
     if N != 1:
         raise ScalarOnlyError("the power Caccioppoli measurement needs a scalar field")
-
-
-def caccioppoli_check(field: DiscreteField, F: Integrand, r: Regime, alpha: float,
-                      cutoff) -> CaccioppoliResult:
-    """Energy estimate for powers of the gradient weight on a scalar solve.
-
-    With eta the PL cutoff between the region pair, compares
-    lhs = ||eta grad_h l_alpha(grad u)||_L2 against
-    rhs = A_alpha M^(1/2) ||l_alpha(grad u) grad eta||_L2, where
-    M = max(1, sup_{supp eta} |F'(grad u)|^((q-p)/(q-1))).  Raises RegionError
-    when no simplex barycenter lies in the outer region, the support of eta.
-    """
-    check_caccioppoli(field.N)
-    inner_r, outer_r = cutoff
-    if inner_r.kind != outer_r.kind or inner_r.center != outer_r.center:
-        raise RegionError("cutoff regions must be concentric and of the same kind")
-    if not (inner_r.radius < outer_r.radius):
-        raise RegionError("cutoff needs inner radius < outer radius")
-    grid = field.grid
-    weight = MoserWeight(r, alpha)
-    l_alpha = weight.eval(field.gradients)["l_alpha"]  # per simplex
-    cell_l = grid.per_cell(l_alpha)
-
-    def eta_of(points):
-        gauge = inner_r.gauge(points)
-        dist = np.sqrt(gauge) if inner_r.kind == "ball" else gauge
-        ramp = (outer_r.radius - dist) / (outer_r.radius - inner_r.radius)
-        return np.clip(ramp, 0.0, 1.0), dist
-
-    eta_c, dist_c = eta_of(grid.cell_centers)
-    eta_c = eta_c.reshape(cell_l.shape)
-    ramp_mask = ((dist_c > inner_r.radius) & (dist_c < outer_r.radius)).reshape(cell_l.shape)
-    grad_eta = np.where(ramp_mask, 1.0 / (outer_r.radius - inner_r.radius), 0.0)
-
-    grad_l2 = _cell_gradient_sq(grid, l_alpha[:, None, None])
-
-    cellvol = grid.h ** grid.dim
-    lhs = math.sqrt(float((eta_c ** 2 * grad_l2).sum() * cellvol))
-    rhs_norm = math.sqrt(float((cell_l ** 2 * grad_eta ** 2).sum() * cellvol))
-
-    supp = region_mask(grid, outer_r)  # eta > 0 at the barycenter
-    gnorm = np.sqrt(frob2(F.gradient(field.gradients[supp])))
-    big_m = max(1.0, float(gnorm.max() ** ((r.q - r.p) / (r.q - 1.0))))
-    a_alpha = moser_a_alpha(alpha)
-    rhs = a_alpha * math.sqrt(big_m) * rhs_norm
-    ratio = 0.0 if lhs == 0.0 else (math.inf if rhs == 0.0 else lhs / rhs)
-    return CaccioppoliResult(lhs=lhs, rhs=rhs, ratio=ratio, alpha=alpha,
-                             a_alpha=a_alpha, big_m=big_m)
 
 
 # ------------------------------------------------------------- Moser arithmetic
@@ -442,13 +396,15 @@ def moser_bound(params: MoserParams, V0: float) -> float:
 
 def fit_exponent(bases, lhs_values):
     """Least-squares exponent b with lhs ~ C * base^b on logs; returns (b, rms
-    residual).  Needs >= 4 positive points."""
+    residual).  Needs >= 4 positive points, not all at one base."""
     bases = np.asarray(bases, dtype=float)
     lhs_values = np.asarray(lhs_values, dtype=float)
     keep = (bases > 0) & (lhs_values > 0)
     if keep.sum() < 4:
         raise ValueError("need at least 4 positive points to fit an exponent")
     x = np.log(bases[keep])
+    if (x == x[0]).all():
+        raise ValueError("the positive points share one base, so no slope fits them")
     y = np.log(lhs_values[keep])
     A = np.stack([x, np.ones_like(x)], axis=1)
     coef, *_ = np.linalg.lstsq(A, y, rcond=None)

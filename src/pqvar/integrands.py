@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Regime, ShapeMismatchError
+from .model import ShapeMismatchError
 
 
 def frob2(z):
@@ -793,24 +793,3 @@ def fd_check(F: Integrand, z, h: float) -> dict:
     hess_err = np.abs(np.moveaxis(hess_fd, (-2, -1), (-4, -3)) - F.hessian(z)).max()
     return {"grad_err": float(grad_err), "hess_err": float(hess_err)}
 
-
-# --------------------------------------------------------------------------- weights
-
-
-@dataclass
-class MoserWeight:
-    """Weight pair L(z) = ell_mu(z)^p and l_alpha(z) = L(z)^((alpha+2)/2) + 1."""
-
-    regime: Regime
-    alpha: float
-
-    def __post_init__(self):
-        if self.alpha < -1.0:
-            raise ValueError(f"alpha must be >= -1, got {self.alpha}")
-
-    def eval(self, z) -> dict:
-        """Returns L and l_alpha at z."""
-        r = self.regime
-        z = np.asarray(z, dtype=float)
-        L = (r.mu ** 2 + frob2(z)) ** (r.p / 2.0)
-        return {"L": L, "l_alpha": L ** ((self.alpha + 2.0) / 2.0) + 1.0}

@@ -11,18 +11,29 @@ writes reports.csv, field.csv and gradients.csv into <case>/; the other
 commands write <case>.csv, and `check` also keeps its standard output in
 <case>.stdout.  Given command names, it writes only their cases.
 
+    PYTHONPATH=src python tests/data/freeze.py --digests
+
+runs every case in a temporary directory instead, leaves the frozen files as
+they are, and writes the sha256 of each output, by its path under tests/data,
+to tests/data/outputs.sha256.
+
 The frozen files are an oracle: they are regenerated when a command's output
-is meant to change, never to make the comparison pass.
+is meant to change, never to make the comparison pass.  The digests hold the
+same outputs byte for byte; a change that moves an output by round-off
+rewrites them and states the largest difference.
 """
 
 import contextlib
+import hashlib
 import io
 import os
 import sys
+import tempfile
 
 from pqvar.cli import main
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+DIGESTS = os.path.join(HERE, "outputs.sha256")
 
 # aniso2d_q4_vec; at 48 cells with four amplitudes and ESTIMATES it is the
 # diagnose2d_vec config of perfbench/run.py
@@ -41,9 +52,24 @@ amplitudes = {amplitudes}
 ESTIMATES = "estimates = hd,sup,rh,stress,decay\n"
 DIAGNOSE2D_VEC = VEC2D.format(cells=48, amplitudes="0.5,1,2,4") + ESTIMATES
 
-# `solve` measures nothing, but it checks that the grid resolves the regions of
-# the configured estimates; at 6 cells the default sup estimate's B/8 holds no
-# simplex barycenter, so this config names one estimate whose region it resolves
+# aniso2d_q4, the scalar model: cacc measures scalar fields only
+SCALAR2D = """\
+n = 2
+N = 1
+p = 2
+q = 4
+mu = 0
+L = 8
+integrand = power(mu=0,p=2) + axis(i=1,q=4) + axis(i=2,q=4)
+cells = {cells}
+boundary = sine
+amplitudes = {amplitudes}
+"""
+# the estimates of the scheme3d config of perfbench/run.py; rh is 2d only
+CACC_ESTIMATES = "estimates = hd,sup,cacc,stress,decay\n"
+
+# aniso3d_q4; at 20 cells with amplitude 1 and CACC_ESTIMATES it is the
+# scheme3d config of perfbench/run.py
 ANISO3D = """\
 n = 3
 N = 1
@@ -52,10 +78,9 @@ q = 4
 mu = 0
 L = 8
 integrand = power(mu=0,p=2) + axis(i=1,q=4) + axis(i=2,q=4) + axis(i=3,q=4)
-cells = 6
+cells = {cells}
 boundary = sine
-amplitudes = 1
-estimates = stress
+amplitudes = {amplitudes}
 """
 
 POLY2D = """\
@@ -81,7 +106,11 @@ ANISO_QUARTIC = """\
 CASES = [
     ("solve", "aniso2d_q4_vec_amp1", VEC2D.format(cells=12, amplitudes=1), (), {}),
     ("solve", "aniso2d_q4_vec_amp4", VEC2D.format(cells=12, amplitudes=4), (), {}),
-    ("solve", "aniso3d_q4", ANISO3D, (), {}),
+    # `solve` measures nothing, but it checks that the grid resolves the regions
+    # of the configured estimates; at 6 cells the default sup estimate's B/8
+    # holds no simplex barycenter, so this case names one whose region it resolves
+    ("solve", "aniso3d_q4", ANISO3D.format(cells=6, amplitudes=1) + "estimates = stress\n",
+     (), {}),
     ("check", "diagnose2d_vec", DIAGNOSE2D_VEC, ("--samples", "2000"), {}),
     ("check", "poly_aniso_quartic", POLY2D, ("--samples", "2000"),
      {"aniso_quartic.poly": ANISO_QUARTIC}),
@@ -91,6 +120,11 @@ CASES = [
     # resolve every region of the five estimates
     ("diagnose", "aniso2d_q4_vec_fit", VEC2D.format(cells=9, amplitudes="0.5,1,2,4")
      + ESTIMATES, (), {}),
+    # the same sweep on the scalar models, with the Caccioppoli estimate
+    ("diagnose", "aniso2d_q4", SCALAR2D.format(cells=9, amplitudes="0.5,1,2,4")
+     + CACC_ESTIMATES, (), {}),
+    ("diagnose", "aniso3d_q4", ANISO3D.format(cells=9, amplitudes="0.5,1,2,4")
+     + CACC_ESTIMATES, (), {}),
 ]
 
 
@@ -99,28 +133,51 @@ def write(path, text):
         fh.write(text)
 
 
+def outputs(command, case):
+    """The output files of one case, by their paths under its command's directory."""
+    if command == "solve":
+        return [f"{case}/{name}" for name in ("reports.csv", "field.csv", "gradients.csv")]
+    return [f"{case}.csv"] + ([f"{case}.stdout"] if command == "check" else [])
+
+
+def run(root, command, case, text, flags, files):
+    """Write one case's config, with the files it reads, into root/<command>/
+    and run it there; its outputs land beside the config."""
+    here = os.path.join(root, command)
+    os.makedirs(here, exist_ok=True)
+    for name, body in files.items():
+        write(os.path.join(here, name), body)
+    cfg = os.path.join(here, f"{case}.cfg")
+    write(cfg, text)
+    out = os.path.join(here, case if command == "solve" else f"{case}.csv")
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        code = main([command, "--config", cfg, *flags, "--out", out])
+    if code != 0:
+        raise SystemExit(f"pqvar {command} exited {code} on {case}:\n{printed.getvalue()}")
+    if command == "check":
+        write(os.path.join(here, f"{case}.stdout"), printed.getvalue())
+
+
 def freeze(commands):
     unknown = set(commands) - {row[0] for row in CASES}
     if unknown:
         raise SystemExit(f"no cases for {', '.join(sorted(unknown))}")
-    for command, case, text, flags, files in CASES:
-        if commands and command not in commands:
-            continue
-        here = os.path.join(HERE, command)
-        os.makedirs(here, exist_ok=True)
-        for name, body in files.items():
-            write(os.path.join(here, name), body)
-        cfg = os.path.join(here, f"{case}.cfg")
-        write(cfg, text)
-        out = os.path.join(here, case if command == "solve" else f"{case}.csv")
-        printed = io.StringIO()
-        with contextlib.redirect_stdout(printed):
-            code = main([command, "--config", cfg, *flags, "--out", out])
-        if code != 0:
-            raise SystemExit(f"pqvar {command} exited {code} on {case}:\n{printed.getvalue()}")
-        if command == "check":
-            write(os.path.join(here, f"{case}.stdout"), printed.getvalue())
+    for row in CASES:
+        if not commands or row[0] in commands:
+            run(HERE, *row)
+
+
+def digests():
+    lines = []
+    with tempfile.TemporaryDirectory() as root:
+        for row in CASES:
+            run(root, *row)
+            for name in outputs(*row[:2]):
+                with open(os.path.join(root, row[0], name), "rb") as fh:
+                    lines.append(f"{hashlib.sha256(fh.read()).hexdigest()}  {row[0]}/{name}\n")
+    write(DIGESTS, "".join(lines))
 
 
 if __name__ == "__main__":
-    sys.exit(freeze(sys.argv[1:]))
+    sys.exit(digests() if sys.argv[1:] == ["--digests"] else freeze(sys.argv[1:]))

@@ -11,9 +11,8 @@ import numpy as np
 import pytest
 
 from pqvar import registry
-from pqvar.diagnostics import (MoserParams, caccioppoli_check,
-                               default_sobolev_exponent, hd_exponents, measure_field,
-                               moser_alpha_sequence)
+from pqvar.diagnostics import (CACC_FRACTIONS, MoserParams, default_sobolev_exponent,
+                               hd_exponents, measure_field, moser_alpha_sequence)
 from pqvar.duality import conjugate, inverse_gradient, monotonicity_ratios
 from pqvar.growth import (NotEvenError, check_legendre, gehring_exponent,
                           homogeneous_decomposition, polynomial_growth_exponents)
@@ -271,16 +270,20 @@ def test_10_sup_gradient_refinement(solve_battery, scalar_entry, vector_entry):
 
 
 def test_11_caccioppoli(solve_battery, scalar_entry):
-    cut = (Region((0.5, 0.5), 0.18, "ball"), Region((0.5, 0.5), 0.36, "ball"))
-    fld = solve_battery[("scalar", 32, 1.0)].field
-    ratios = {alpha: caccioppoli_check(fld, scalar_entry.integrand,
-                                       scalar_entry.regime, alpha, cut).ratio
-              for alpha in (-1.0, 0.0, 2.0)}
+    # the cutoff runs between radii 0.18 and 0.36, up to one ulp each
+    cut = [B.scaled(f).radius for f in CACC_FRACTIONS]
+    assert all(abs(a - b) <= math.ulp(b) for a, b in zip(cut, (0.18, 0.36)))
+    chain = hd_exponents(scalar_entry.regime, default_sobolev_exponent(scalar_entry.regime))
+
+    def cacc(fld):
+        return {e.estimate_id: e for e in measure_field(
+            fld, scalar_entry.integrand, scalar_entry.regime, chain, B, ["cacc"], [])}
+
+    ratios = {key: e.ratio for key, e in cacc(solve_battery[("scalar", 32, 1.0)].field).items()}
     grid = Grid(2, 32)
     affine = grid.node_coords[:, 0:1] * 1.2
     from pqvar.model import DiscreteField
-    lhs0 = caccioppoli_check(DiscreteField(grid, affine), scalar_entry.integrand,
-                             scalar_entry.regime, 0.0, cut).lhs
+    lhs0 = cacc(DiscreteField(grid, affine))["cacc_a=0"].lhs
     common = max(ratios.values())
     criterion(11, "power Caccioppoli estimate", common <= 1.0 and lhs0 == 0.0,
               f"ratios {({a: round(v, 4) for a, v in ratios.items()})} below common "

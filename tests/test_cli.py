@@ -163,6 +163,12 @@ class TestConfig:
             parse_config("n = 2\nbogus = 3\n")
         assert exc.value.line == 2
 
+    def test_unknown_estimate_lists_the_known_ones(self):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(MODEL_CFG.replace("estimates = hd,sup", "estimates = hd,gehring"))
+        assert str(exc.value) == ("unknown estimate 'gehring' (choose from ['cacc', "
+                                  "'decay', 'hd', 'rh', 'stress', 'sup']) (line 13)")
+
     def test_missing_required(self):
         with pytest.raises(ConfigError):
             parse_config("n = 2\nN = 1\np = 2\nq = 4\nintegrand = power(mu=0,p=2)\n")
@@ -416,6 +422,21 @@ class TestSubcommands:
         rows = [r.split(",") for r in out.read_text().strip().split("\n")[1:]]
         assert {r[4] for r in rows if r[0] == "hdes"} == {""}
         assert "" not in {r[4] for r in rows if r[0] == "sup_grad"}
+
+    def test_diagnose_fits_no_slope_through_one_amplitude(self, tmp_path, capsys, caplog):
+        # four solves at one amplitude give four points at one base: no exponent
+        cfg = tmp_path / "ones.cfg"
+        cfg.write_text(MODEL_CFG.replace("amplitudes = 1.0", "amplitudes = 1,1,1,1"))
+        out = tmp_path / "diag.csv"
+        with caplog.at_level(logging.WARNING, logger="pqvar"):
+            assert main(["diagnose", "--config", str(cfg), "--out", str(out)]) == 0
+        warnings = [r.getMessage() for r in caplog.records if r.name == "pqvar"]
+        caplog.clear()
+        assert len(warnings) == 2
+        assert "hdes" in warnings[0] and "sup_grad" in warnings[1]
+        assert all("one base" in w for w in warnings)
+        rows = [r.split(",") for r in out.read_text().strip().split("\n")[1:]]
+        assert len(rows) == 8 and {r[4] for r in rows} == {""}
 
     def test_diagnose_builds_one_grid(self, monkeypatch):
         built = []

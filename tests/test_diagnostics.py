@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -6,10 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pqvar import diagnostics, registry
-from pqvar.diagnostics import (CaccioppoliResult, InadmissibleSobolevExponent,
-                               MoserParams, ScalarOnlyError, caccioppoli_check,
-                               check_regions, default_sobolev_exponent, fit_exponent,
-                               hd_exponents, log_decay_profile, measure_field,
+from pqvar.diagnostics import (CACC_FRACTIONS, InadmissibleSobolevExponent, MoserParams,
+                               ScalarOnlyError, check_regions, default_sobolev_exponent,
+                               fit_exponent, hd_exponents, log_decay_profile, measure_field,
                                moser_a_alpha, moser_alpha_sequence, moser_bound,
                                v_fields, v_gradient_sq)
 from pqvar.duality import monotonicity_ratios
@@ -52,8 +52,9 @@ class TestMeasureField:
         entry = registry.get(name)
         grid, region = Grid(dim, cells), Region((0.5,) * dim, 0.45, "ball")
         fld = DiscreteField(grid, boundary_family("sine", grid, 1.0, entry.regime.N))
-        passes, evaluated = [], []
+        passes, evaluated, stressed, masked = [], [], [], []
         form, value = diagnostics.v_fields, entry.integrand.value
+        gradient, mask = entry.integrand.gradient, diagnostics.region_mask
 
         def counting_form(*args):
             passes.append(1)
@@ -63,12 +64,26 @@ class TestMeasureField:
             evaluated.append(len(z))
             return value(z)
 
+        def counting_gradient(z):
+            stressed.append(len(z))
+            return gradient(z)
+
+        def recording_mask(*args, **kwargs):
+            masked.append(inspect.stack()[1].function)
+            return mask(*args, **kwargs)
+
         monkeypatch.setattr(diagnostics, "v_fields", counting_form)
         monkeypatch.setattr(entry.integrand, "value", counting_value)
+        monkeypatch.setattr(entry.integrand, "gradient", counting_gradient)
+        monkeypatch.setattr(diagnostics, "region_mask", recording_mask)
         rows = measure(fld, entry, estimates, (1.1, 1.5), region=region)
         assert len(passes) == 1
         assert evaluated == [int(region.contains(grid.barycenters).sum())]
         assert {key.split("=")[0] for key in rows} >= {"hdes", "sup_grad", "stress", "decay_r"}
+        # F' over the Caccioppoli cutoff's support once per field, not once per alpha
+        support = int(region.scaled(CACC_FRACTIONS[1]).contains(grid.barycenters).sum())
+        assert stressed.count(support) == ("cacc" in estimates)
+        assert set(masked) == {"check_regions", "log_decay_profile"}
 
     @pytest.mark.parametrize("dim, sizes, estimates", [
         (2, range(2, 17), ALL_ESTIMATES),
@@ -143,7 +158,7 @@ class TestDualGridOracle:
         for m in cells:
             grid = Grid(dim, m)
             fld = DiscreteField(grid, np.prod(np.sin(np.pi * grid.node_coords), axis=1))
-            measured = float(_cell_gradient_sq(grid, fld.gradients).mean())
+            measured = float(_cell_gradient_sq(grid, grid.per_cell(fld.gradients)).mean())
             errors.append(abs(measured - exact) / exact)
         orders = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
         assert all(order >= 1.8 for order in orders), (errors, orders)
@@ -265,12 +280,9 @@ class TestReverseHolder:
         # cross-module: the closed-form exponent, fed the field's own oscillation
         # constant and the enforced floor s0 = q/p, satisfies the self-improved
         # inequality on the measured V-gradient density
-        from pqvar.diagnostics import _cell_gradient_sq
-
         fld = solve_battery[("scalar", 32, 1.0)].field
         r = scalar_entry.regime
-        vp, vq = v_fields(fld, scalar_entry.integrand, r)
-        v = _cell_gradient_sq(fld.grid, vp) + _cell_gradient_sq(fld.grid, vq)
+        v = v_density(fld, scalar_entry)
         sup_stress = float(np.sqrt(frob2(
             scalar_entry.integrand.gradient(fld.gradients))).max())
         M = max(1.0, sup_stress ** ((r.q - r.p) / (r.q - 1.0)))
@@ -349,41 +361,38 @@ class TestLogDecay:
 
 
 class TestCaccioppoli:
-    CUT = (Region((0.5, 0.5), 0.18, "ball"), Region((0.5, 0.5), 0.36, "ball"))
+    CACC = ("cacc_a=-1", "cacc_a=0", "cacc_a=2")
 
     def test_prefactor_values(self):
         assert moser_a_alpha(-1.0) == 1.0
         assert moser_a_alpha(0.0) == 2.0
         assert moser_a_alpha(2.0) == pytest.approx(4.0 / 3.0)
+        with pytest.raises(ValueError):
+            moser_a_alpha(-1.5)  # below the base power alpha0 = -1
 
     def test_affine_gives_zero_lhs(self, scalar_entry):
         grid = Grid(2, 16)
         fld = DiscreteField(grid, grid.node_coords[:, 0:1] * 1.3)
-        out = caccioppoli_check(fld, scalar_entry.integrand, scalar_entry.regime,
-                                0.0, self.CUT)
-        assert out.lhs == 0.0
+        rows = measure(fld, scalar_entry, ["cacc"])
+        assert list(rows) == list(self.CACC)
+        assert all(rows[key].lhs == 0.0 and rows[key].rhs > 0.0 for key in self.CACC)
 
     def test_bounded_across_alphas(self, scalar_entry, solve_battery):
         fld = solve_battery[("scalar", 32, 1.0)].field
-        ratios = [caccioppoli_check(fld, scalar_entry.integrand, scalar_entry.regime,
-                                    alpha, self.CUT).ratio
-                  for alpha in (-1.0, 0.0, 2.0)]
-        assert all(np.isfinite(r) for r in ratios)
+        ratios = [e.ratio for e in measure(fld, scalar_entry, ["cacc"]).values()]
+        assert len(ratios) == 3 and all(np.isfinite(r) for r in ratios)
         assert max(ratios) <= 1.0
 
     def test_cutoff_without_barycenters_raises_region_error(self, scalar_entry):
         grid = Grid(2, 6)
         fld = DiscreteField(grid, grid.node_coords[:, 0:1] ** 2)
-        B0 = Region((0.5, 0.5), 0.05)
         with pytest.raises(RegionError, match="no simplex barycenters"):
-            caccioppoli_check(fld, scalar_entry.integrand, scalar_entry.regime, 0.0,
-                              (B0.scaled(0.4), B0.scaled(0.8)))
+            measure(fld, scalar_entry, ["cacc"], region=Region((0.5, 0.5), 0.05))
 
     def test_scalar_only(self, vector_entry, solve_battery):
         fld = solve_battery[("vector", 32, 1.0)].field
         with pytest.raises(ScalarOnlyError):
-            caccioppoli_check(fld, vector_entry.integrand, vector_entry.regime,
-                              0.0, self.CUT)
+            measure(fld, vector_entry, ["cacc"])
 
 
 class TestMoserArithmetic:
@@ -494,3 +503,12 @@ class TestFitExponent:
     def test_needs_four_points(self):
         with pytest.raises(ValueError):
             fit_exponent([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
+
+    def test_needs_two_bases(self):
+        # a zero lhs drops its point, so the kept bases are what must differ
+        with pytest.raises(ValueError, match="one base"):
+            fit_exponent([2.0, 2.0, 2.0, 2.0], [1.0, 1.5, 2.0, 3.0])
+        with pytest.raises(ValueError, match="one base"):
+            fit_exponent([3.0, 2.0, 2.0, 2.0, 2.0], [0.0, 1.0, 1.5, 2.0, 3.0])
+        b, _ = fit_exponent([3.0, 2.0, 2.0, 2.0, 2.0], [1.0, 1.0, 1.5, 2.0, 3.0])
+        assert np.isfinite(b)

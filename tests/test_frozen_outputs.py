@@ -18,11 +18,17 @@ many decades (a `diagnose` ratio of 7.7e-11 shares a column with values up to
 is round-off as `residual_sup` is, so it is held to the tolerance of
 `duality.conjugate`, 1e-10 relative above |xi| = 1.
 
-tests/data/freeze.py wrote every frozen file, from one table of cases.
+Every output, standard output included, must also match its sha256 in
+tests/data/outputs.sha256 byte for byte.  The frozen values stay the oracle; a
+digest shows a change of any size, such as round-off that the tolerances pass.
+
+tests/data/freeze.py wrote every frozen file and the digests, from one table of
+cases.
 """
 
 import csv
 import glob
+import hashlib
 import os
 
 import numpy as np
@@ -41,7 +47,11 @@ REL = 1e-10
 TOL_RESIDUAL = 1e-9  # solver.TOL_RESIDUAL
 CONJUGATE_DATA = os.path.join(HERE, "data", "conjugate")
 DIAGNOSE_DATA = os.path.join(HERE, "data", "diagnose")
+DIAGNOSE_CASES = sorted(os.path.basename(p)[:-4]
+                        for p in glob.glob(os.path.join(DIAGNOSE_DATA, "*.cfg")))
 CONJUGATE_TOL = 1e-10  # duality.DEFAULT_TOL
+with open(os.path.join(HERE, "data", "outputs.sha256")) as _fh:
+    DIGESTS = {path: digest for digest, path in map(str.split, _fh)}
 
 
 def read_csv(path):
@@ -50,8 +60,21 @@ def read_csv(path):
     return header, rows
 
 
+def assert_digest(path, data):
+    """The output that tests/data/<path> names has the recorded sha256."""
+    assert hashlib.sha256(data).hexdigest() == DIGESTS[path], f"{path} moved from its digest"
+
+
 def test_cases_are_frozen():
     assert CASES == ["aniso2d_q4_vec_amp1", "aniso2d_q4_vec_amp4", "aniso3d_q4"]
+
+
+def test_every_output_has_a_digest():
+    want = ([f"solve/{case}/{name}" for case in CASES for name in OUTPUTS]
+            + [f"check/{case}.{ext}" for case in CHECK_CASES for ext in ("csv", "stdout")]
+            + ["conjugate/diagnose2d_vec.csv"]
+            + [f"diagnose/{case}.csv" for case in DIAGNOSE_CASES])
+    assert sorted(DIGESTS) == sorted(want)
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -60,6 +83,7 @@ def test_solve_matches_frozen_outputs(case, tmp_path, capsys):
                  "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     for name in OUTPUTS:
+        assert_digest(f"solve/{case}/{name}", (tmp_path / name).read_bytes())
         header, want = read_csv(os.path.join(DATA, case, name))
         got_header, got = read_csv(os.path.join(tmp_path, name))
         assert got_header == header and len(got) == len(want), name
@@ -87,6 +111,8 @@ def test_check_prints_frozen_rows(case, tmp_path, capsys):
     out = tmp_path / "cert.csv"
     assert main(["check", "--config", cfg, "--samples", "2000", "--out", str(out)]) == 0
     printed = capsys.readouterr().out
+    assert_digest(f"check/{case}.stdout", printed.encode())
+    assert_digest(f"check/{case}.csv", out.read_bytes())
     with open(os.path.join(CHECK_DATA, f"{case}.stdout")) as fh:
         frozen = fh.read()
     assert printed[:len(frozen)] == frozen
@@ -135,18 +161,26 @@ def test_conjugate_matches_frozen_table(tmp_path):
     out = tmp_path / "conjugate.csv"
     assert main(["conjugate", "--config", os.path.join(CONJUGATE_DATA, "diagnose2d_vec.cfg"),
                  "--count", "20", "--out", str(out)]) == 0
+    assert_digest("conjugate/diagnose2d_vec.csv", out.read_bytes())
     assert_table_matches(os.path.join(CONJUGATE_DATA, "diagnose2d_vec.csv"), out,
                          {"residual": _conjugate_residual_ok})
 
 
-def test_diagnose_matches_frozen_report(tmp_path, capsys):
+def test_diagnose_cases_are_frozen():
+    assert DIAGNOSE_CASES == ["aniso2d_q4", "aniso2d_q4_vec_fit", "aniso3d_q4"]
+
+
+@pytest.mark.parametrize("case", DIAGNOSE_CASES)
+def test_diagnose_matches_frozen_report(case, tmp_path, capsys):
     out = tmp_path / "diagnostics.csv"
-    assert main(["diagnose", "--config", os.path.join(DIAGNOSE_DATA, "aniso2d_q4_vec_fit.cfg"),
+    assert main(["diagnose", "--config", os.path.join(DIAGNOSE_DATA, f"{case}.cfg"),
                  "--out", str(out)]) == 0
     capsys.readouterr()
-    want = os.path.join(DIAGNOSE_DATA, "aniso2d_q4_vec_fit.csv")
+    assert_digest(f"diagnose/{case}.csv", out.read_bytes())
+    want = os.path.join(DIAGNOSE_DATA, f"{case}.csv")
     assert_table_matches(want, out, {})
-    # the exponent fits ran: each of the 6 fitted estimates has one at all 4 amplitudes
+    # the exponent fits ran: each fitted estimate (hdes, sup_grad, and rh_t=* in
+    # the vectorial case) has one at all 4 amplitudes
     _, rows = read_csv(want)
     fits = [row[4] for row in rows if row[0] in ("hdes", "sup_grad") or row[0].startswith("rh_t=")]
-    assert len(fits) == 24 and all(fits)
+    assert len(fits) == (24 if case == "aniso2d_q4_vec_fit" else 8) and all(fits)

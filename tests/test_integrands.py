@@ -8,9 +8,9 @@ import pytest
 from pqvar import registry
 from pqvar.growth import sample_hessians, stress_bound_ratio
 from pqvar.integrands import (AxisPower, EvenPolynomial, HomogeneousForm, Integrand,
-                              MoserWeight, PowerNorm, Scaled, Sum, ell_mu, fd_check, frob2,
+                              PowerNorm, Scaled, Sum, ell_mu, fd_check, frob2,
                               inner, v_map)
-from pqvar.model import Regime, ShapeMismatchError
+from pqvar.model import ShapeMismatchError
 from pqvar.solver import RegularizedIntegrand
 
 
@@ -628,23 +628,3 @@ class TestEvenPolynomial:
         g = H.gradient(z)
         assert g[0, 0] == pytest.approx(2 * 2.0 * 9.0)
         assert g[0, 1] == pytest.approx(4.0 * 2 * 3.0)
-
-
-class TestMoserWeight:
-    def test_base_values(self):
-        w = MoserWeight(Regime(2, 1, 2.0, 4.0, 1.0, 8.0), -1.0)
-        out = w.eval(np.zeros((1, 2)))
-        assert out["L"] == pytest.approx(1.0)
-        assert out["l_alpha"] == pytest.approx(2.0)
-
-    def test_alpha_zero_weight(self):
-        r = Regime(2, 1, 2.0, 4.0, 0.0, 8.0)
-        w = MoserWeight(r, 0.0)
-        z = np.array([[2.0, 0.0]])
-        out = w.eval(z)
-        assert out["L"] == pytest.approx(4.0)
-        assert out["l_alpha"] == pytest.approx(5.0)  # L^1 + 1
-
-    def test_alpha_floor(self):
-        with pytest.raises(ValueError):
-            MoserWeight(Regime(2, 1, 2.0, 4.0, 0.0, 8.0), -1.5)
