@@ -15,7 +15,7 @@ from .growth import (LegendreCertificate, check_legendre, delta_of_homogeneous,
                      gehring_exponent, homogeneous_decomposition, polynomial_growth_exponents)
 from .solver import (RegularizedIntegrand, Schedule, boundary_family, gamma_eps,
                      minimize_dirichlet, mollify_boundary, run_scheme)
-from .diagnostics import (ExponentChain, MoserParams, hd_exponents, log_decay_profile,
-                          measure_field, moser_alpha_sequence, moser_bound, v_fields)
+from .diagnostics import (ExponentChain, MoserParams, hd_exponents, measure_field,
+                          moser_alpha_sequence, moser_bound, v_fields)
 
 __version__ = "0.1.0"

@@ -20,14 +20,15 @@ Like terms are combined, any degree is accepted, and coefficients must be finite
 
 These config errors exit 2 before any solve: malformed lines, unknown keys, bad
 numbers, an integrand term out of range or syntax (by line and column), a poly
-file with a non-finite coefficient, an empty amplitudes list or a non-finite
-amplitude, a region with a non-finite center or radius, sobolev_exp <= 2q/p, rh
-with n != 2, an empty t_grid or a t_grid entry outside (1, 2), cacc with N != 1,
-and a measurement region that the grid does not resolve (no simplex barycenter
-or cell center inside; `diagnostics.check_regions` lists the regions of each
-estimate).  So do an empty `sweep --values` list and a non-finite amplitude
-among the values of `sweep --vary amplitude`.  A q-sweep checks sobolev_exp at
-each q; a point it does not suit carries the error in its row.
+file with a non-finite coefficient, an empty amplitudes list or a non-finite or
+repeated amplitude, a region with a non-finite center or radius, sobolev_exp <=
+2q/p, rh with n != 2, an empty t_grid or a t_grid entry outside (1, 2), cacc with
+N != 1, and a measurement region that the grid does not resolve (no simplex
+barycenter or cell center inside; `diagnostics.check_regions` lists the regions
+of each estimate).  So do an empty `sweep --values` list and a non-finite or
+repeated amplitude among the values of `sweep --vary amplitude`.  A q-sweep
+checks sobolev_exp at each q; a point it does not suit carries the error in its
+row.
 
 Recognized keys (defaults in parentheses): n (2), N (1), p, q, mu (0), L,
 integrand, cells (32), epsilons (0.5,0.25,0.125,0.0625) or schedule_count,
@@ -43,7 +44,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -217,10 +218,12 @@ def _floats(key, text, line=None):
 
 
 def _check_amplitudes(key, values, line=None):
-    """Raise ConfigError unless every amplitude is finite."""
-    for a in values:
+    """Raise ConfigError unless every amplitude is finite and none repeats."""
+    for k, a in enumerate(values):
         if not math.isfinite(a):
             raise ConfigError(f"{key} must be finite, got {a}", line=line)
+        if a in values[:k]:
+            raise ConfigError(f"{key} must not repeat a value, got {a:g} twice", line=line)
 
 
 def parse_config(text, base_dir=".") -> ExperimentConfig:
@@ -546,11 +549,10 @@ def cmd_diagnose(args):
     return 0
 
 
-def _sweep_point(cfg_text, base_dir, vary, value):
-    cfg = parse_config(cfg_text, base_dir=base_dir)
+def _sweep_point(cfg, vary, value):
     if vary == "q":
         try:
-            cfg.regime = cfg.regime.with_exponents(q=value)
+            cfg = replace(cfg, regime=cfg.regime.with_exponents(q=value))
         except InvalidRegimeError as exc:
             return {"value": value, "admissible": False, "threshold": math.nan,
                     "error": str(exc), "entries": []}
@@ -577,10 +579,7 @@ def _sweep_point(cfg_text, base_dir, vary, value):
 
 
 def cmd_sweep(args):
-    with open(args.config) as fh:
-        cfg_text = fh.read()
-    base_dir = os.path.dirname(os.path.abspath(args.config))
-    cfg = parse_config(cfg_text, base_dir=base_dir)  # validate before the pool spins up
+    cfg = load_config(args.config)
     values = _floats("--values", args.values)
     if not values:
         raise ConfigError("--values needs at least one value")
@@ -589,7 +588,7 @@ def cmd_sweep(args):
         return 2
     if args.vary == "amplitude":
         _check_amplitudes("--values", values)
-    jobs = [(cfg_text, base_dir, args.vary, v) for v in values]
+    jobs = [(cfg, args.vary, v) for v in values]
     if cfg.workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             results = list(pool.map(_sweep_point, *zip(*jobs)))

@@ -5,8 +5,10 @@ fits over amplitude sweeps.
 `measure_field` is the one implementation of the estimates on a field (hdes,
 sup_grad, rh_t=*, cacc_a=*, stress, decay_r=*): per field it forms the region
 masks, F over B, the V-field gradients and the Caccioppoli cutoff, weight and
-M once.  `check_regions` declares the regions each estimate reads, so a grid
-is refused before any solve when it leaves one empty.
+M once, and fits the decay profile's prefactor.  `check_regions` declares the
+regions each estimate reads, so a grid is refused before any solve when it
+leaves one empty; every region is concentric with B, so its mask is one
+comparison of a gauge taken once per point set.
 
 V-fields are piecewise constant in the PL discretization, so their gradients
 are formed on the dual grid: per-simplex values are averaged per cell and
@@ -114,16 +116,6 @@ def v_gradient_sq(field: DiscreteField, F: Integrand, r: Regime):
     return tuple(_cell_gradient_sq(grid, grid.per_cell(v)) for v in v_fields(field, F, r))
 
 
-def region_mask(grid, region: Region, by_cell=False):
-    """Mask of the cells (by center) or simplices (by barycenter) inside the
-    region; raises RegionError when the grid puts none there."""
-    mask = region.contains(grid.cell_centers if by_cell else grid.barycenters)
-    if not mask.any():
-        what = "cell centers" if by_cell else "simplex barycenters"
-        raise RegionError(f"no {what} inside {region}; refine the grid or enlarge the region")
-    return mask
-
-
 # ------------------------------------------------------------- the estimates on a field
 
 
@@ -137,26 +129,43 @@ def check_regions(grid, B: Region, estimates):
     estimates read: B/2 inside the unit box (hd); simplex barycenters in B (hd,
     sup, rh, stress), in B/8 (sup) and in the outer cutoff region, the cutoff's
     support (cacc); cell centers in B/2 (hd), in B/8 (rh) and in the decay balls
-    (decay), which are nested, so the smallest decides.  Returns the masks that
-    `measure_field` reads, by name; `log_decay_profile` forms its own."""
+    (decay), which are nested, so the smallest decides.
+
+    Every region is concentric with B, so each mask compares one gauge per
+    point set, B's of the barycenters and of the cell centers, against the
+    region's bound; a cube B adds a ball gauge of the cell centers for the
+    decay balls.  Returns the masks that `measure_field` reads, by name (the
+    decay balls' as a list, largest first), and B's gauge of the cell centers,
+    which the Caccioppoli cutoff reads."""
     est = set(estimates)
     if "hd" in est and not B.scaled(0.5).inside_unit_box():
         raise RegionError("B/2 must sit inside the solved unit box")
+    simplices, cells = B.gauge(grid.barycenters), B.gauge(grid.cell_centers)
+
+    def inside(gauge, region, what):
+        mask = gauge < region.bound
+        if not mask.any():
+            raise RegionError(f"no {what} inside {region}; refine the grid or enlarge the region")
+        return mask
+
     eighth = B.scaled(1.0 / 8.0)
     masks = {}
     if est & {"hd", "sup", "rh", "stress"}:
-        masks["B"] = region_mask(grid, B)
+        masks["B"] = inside(simplices, B, "simplex barycenters")
     if "sup" in est:
-        masks["B/8"] = region_mask(grid, eighth)
+        masks["B/8"] = inside(simplices, eighth, "simplex barycenters")
     if "cacc" in est:
-        masks["cutoff"] = region_mask(grid, B.scaled(CACC_FRACTIONS[1]))
+        masks["cutoff"] = inside(simplices, B.scaled(CACC_FRACTIONS[1]), "simplex barycenters")
     if "hd" in est:
-        masks["B/2 cells"] = region_mask(grid, B.scaled(0.5), by_cell=True)
+        masks["B/2 cells"] = inside(cells, B.scaled(0.5), "cell centers")
     if "rh" in est:
-        masks["B/8 cells"] = region_mask(grid, eighth, by_cell=True)
+        masks["B/8 cells"] = inside(cells, eighth, "cell centers")
     if "decay" in est:
-        region_mask(grid, Region(B.center, B.radius * DECAY_FRACTIONS[-1], "ball"), by_cell=True)
-    return masks
+        *larger, smallest = (Region(B.center, B.radius * f, "ball") for f in DECAY_FRACTIONS)
+        dist = cells if B.kind == "ball" else smallest.gauge(grid.cell_centers)
+        masks["decay"] = [dist < ball.bound for ball in larger] + [
+            inside(dist, smallest, "cell centers")]
+    return masks, cells
 
 
 def measure_field(field: DiscreteField, F: Integrand, r: Regime, chain: ExponentChain,
@@ -177,14 +186,18 @@ def measure_field(field: DiscreteField, F: Integrand, r: Regime, chain: Exponent
       `moser_a_alpha` and M = max(1, sup_{supp eta} |F'(grad u)|^((q-p)/(q-1)));
     - stress: ||F'(grad u)||_{q'}^{q'} over B divided by (energy over B + 1),
       against 1;
-    - decay_r=<s>: `log_decay_profile` on the balls of radius s, DECAY_FRACTIONS
-      of B's, against the fitted profile.
+    - decay_r=<s>, for s the radii DECAY_FRACTIONS of B's: the mass over the
+      ball of radius s of the cell density |grad_h V_{mu,p}|^2 +
+      |grad_h V_{1,q'}(F')|^2 against C log(B's radius/s)^-(gamma+2), gamma =
+      (q+p)/(2q).  Only the prefactor C is fitted, by least squares on logs
+      over the positive masses; C = 0 when every mass vanishes, as for affine
+      data, where the profile is exact.
 
-    The region masks, F over B, the V-field gradients, and the cutoff, L and M
-    are formed once; per alpha only l_alpha, its cell means and their dual-grid
-    gradient.  Raises ValueError for rh off 2d or a t_grid it cannot scan,
-    ScalarOnlyError for cacc on a vector field, and RegionError as
-    `check_regions` does.
+    The region masks (from `check_regions`), F over B, the V-field gradients,
+    and the cutoff, L and M are formed once; per alpha only l_alpha, its cell
+    means and their dual-grid gradient.  Raises ValueError for rh off 2d or a
+    t_grid it cannot scan, ScalarOnlyError for cacc on a vector field, and
+    RegionError as `check_regions` does.
     """
     est = set(estimates)
     if "rh" in est:
@@ -192,7 +205,7 @@ def measure_field(field: DiscreteField, F: Integrand, r: Regime, chain: Exponent
     if "cacc" in est:
         check_caccioppoli(field.N)
     grid, z = field.grid, field.gradients
-    masks = check_regions(grid, B, est)
+    masks, cell_gauge = check_regions(grid, B, est)
     if est & {"hd", "rh", "decay"}:
         gp, gq = v_gradient_sq(field, F, r)
         density = gp + gq
@@ -216,7 +229,7 @@ def measure_field(field: DiscreteField, F: Integrand, r: Regime, chain: Exponent
                                             lhs=mean_pow ** (1.0 / (2.0 * t)), rhs=rhs))
     if "cacc" in est:
         inner, outer = (B.scaled(f).radius for f in CACC_FRACTIONS)
-        gauge = B.gauge(grid.cell_centers).reshape((grid.cells_per_side,) * grid.dim)
+        gauge = cell_gauge.reshape((grid.cells_per_side,) * grid.dim)
         dist = np.sqrt(gauge) if B.kind == "ball" else gauge
         eta = np.clip((outer - dist) / (outer - inner), 0.0, 1.0)
         grad_eta = np.where((dist > inner) & (dist < outer), 1.0 / (outer - inner), 0.0)
@@ -237,10 +250,18 @@ def measure_field(field: DiscreteField, F: Integrand, r: Regime, chain: Exponent
         den = float(vol * FB.sum()) + 1.0
         entries.append(DiagnosticsEntry("stress", lhs=num / den, rhs=1.0))
     if "decay" in est:
-        ld = log_decay_profile(grid, density, r, [B.radius * f for f in DECAY_FRACTIONS], B)
-        for s, mass in zip(ld.radii, ld.masses):
-            pred = ld.amplitude * math.log(B.radius / s) ** (-ld.decay_exponent)
-            entries.append(DiagnosticsEntry(f"decay_r={s:g}", lhs=mass, rhs=max(pred, 0.0)))
+        cells, cellvol = density.reshape(-1), grid.h ** grid.dim
+        masses = [float(cells[ball].sum() * cellvol) for ball in masks["decay"]]
+        radii = [B.radius * f for f in DECAY_FRACTIONS]
+        logs = [math.log(B.radius / s) for s in radii]
+        expo = (r.q + r.p) / (2.0 * r.q) + 2.0
+        m, xs = np.array(masses), np.array(logs)
+        positive = m > 0.0
+        C = 0.0
+        if positive.any():
+            C = math.exp(float((np.log(m[positive]) + expo * np.log(xs[positive])).mean()))
+        for s, x, mass in zip(radii, logs, masses):
+            entries.append(DiagnosticsEntry(f"decay_r={s:g}", lhs=mass, rhs=C * x ** -expo))
     return entries
 
 
@@ -253,52 +274,6 @@ def check_reverse_holder(dim: int, t_grid):
         raise ValueError("t_grid needs at least one value")
     if any(not (1.0 < t < 2.0) for t in t_grid):
         raise ValueError("t_grid entries must lie in (1, 2)")
-
-
-@dataclass
-class LogDecayResult:
-    radii: list
-    masses: list
-    gamma: float
-    decay_exponent: float
-    amplitude: float
-    fit_residual: float
-
-
-def log_decay_profile(grid, density, r: Regime, radii, B: Region) -> LogDecayResult:
-    """L^2 masses on shrinking balls of a per-cell V-gradient density, (m,)*dim
-    as `measure_field` forms it, |grad_h V_{mu,p}|^2 + |grad_h V_{1,q'}(F')|^2;
-    fitted against C log(B's radius/s)^-(gamma+2) with gamma = (q+p)/(2q).
-
-    The fit adjusts only the prefactor C (least squares on logs) over the
-    positive masses; the residual is their rms log deviation.  C = 0 only when
-    every mass vanishes, as for affine data, where the profile is exact.  Needs
-    at least 3 radii, decreasing, with the largest ball inside B/2; raises
-    RegionError for a ball without a cell center.
-    """
-    radii = [float(s) for s in radii]
-    if len(radii) < 3:
-        raise ValueError("need at least 3 radii for a decay fit")
-    if any(b >= a for a, b in zip(radii, radii[1:])):
-        raise ValueError("radii must be strictly decreasing")
-    if radii[0] >= 0.5 * B.radius:
-        raise RegionError("largest profile ball must sit strictly inside B/2")
-    cells, cellvol = density.reshape(-1), grid.h ** grid.dim
-    masses = []
-    for s in radii:
-        ball = region_mask(grid, Region(B.center, s, "ball"), by_cell=True)
-        masses.append(float(cells[ball].sum() * cellvol))
-    gamma = (r.q + r.p) / (2.0 * r.q)
-    expo = gamma + 2.0
-    xs = np.array([math.log(B.radius / s) for s in radii])
-    m = np.array(masses)
-    positive = m > 0.0
-    if not positive.any():
-        return LogDecayResult(radii, masses, gamma, expo, 0.0, 0.0)
-    ys = np.log(m[positive]) + expo * np.log(xs[positive])
-    logC = float(ys.mean())
-    resid = float(np.sqrt(((ys - logC) ** 2).mean()))
-    return LogDecayResult(radii, masses, gamma, expo, math.exp(logC), resid)
 
 
 # ------------------------------------------------------------- scalar estimates

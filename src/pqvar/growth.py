@@ -39,7 +39,6 @@ class LegendreCertificate:
     """Empirical growth certificate: the recorded constants are sampled suprema,
     not proofs, and are only as good as the sampling law behind them."""
 
-    regime: Regime
     constant_assf3: float
     constant_assf1: float
     samples: int
@@ -102,7 +101,6 @@ def check_legendre(F: Integrand, r: Regime, n_samples: int, radius: float,
 
     order = np.argsort(ratio3)[::-1][:3]  # the three largest stress-bound ratios
     return LegendreCertificate(
-        regime=r,
         constant_assf3=float(ratio3.max()),
         constant_assf1=float(ratio1.max()),
         samples=n_samples,

@@ -68,15 +68,14 @@ class Regime:
 class Admissibility:
     admissible: bool
     threshold: float  # math.inf in low dimension
-    rule: str
 
 
 def validate_regime(r: Regime) -> Admissibility:
     """Gap condition on (n, p, q): q below p(n-1)/(n-3) for n >= 4, unbounded for n in {2, 3}."""
     if r.n >= 4:
         threshold = r.p * (r.n - 1) / (r.n - 3)
-        return Admissibility(r.q < threshold, threshold, "q<p(n-1)/(n-3)")
-    return Admissibility(True, math.inf, "n in {2,3}: unbounded")
+        return Admissibility(r.q < threshold, threshold)
+    return Admissibility(True, math.inf)
 
 
 # --------------------------------------------------------------------------- regions
@@ -125,9 +124,14 @@ class Region:
             out = np.maximum(out, np.abs(x))
         return out
 
+    @property
+    def bound(self) -> float:
+        """The gauge below which a point lies inside: radius² for a ball, radius for a cube."""
+        return self.radius ** 2 if self.kind == "ball" else self.radius
+
     def contains(self, points: np.ndarray) -> np.ndarray:
         """Boolean mask for points of shape (..., dim)."""
-        return self.gauge(points) < (self.radius ** 2 if self.kind == "ball" else self.radius)
+        return self.gauge(points) < self.bound
 
     def inside_unit_box(self) -> bool:
         c = np.asarray(self.center)

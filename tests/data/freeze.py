@@ -125,6 +125,10 @@ CASES = [
      + CACC_ESTIMATES, (), {}),
     ("diagnose", "aniso3d_q4", ANISO3D.format(cells=9, amplitudes="0.5,1,2,4")
      + CACC_ESTIMATES, (), {}),
+    # an off-center cube B: the decay balls then take their own ball gauge of the
+    # cell centers, and the Caccioppoli ramp reads the sup-norm distance
+    ("diagnose", "aniso2d_q4_cube", SCALAR2D.format(cells=12, amplitudes="0.5,1,2,4")
+     + "estimates = hd,sup,rh,cacc,stress,decay\nregion = 0.45,0.55,0.4,cube\n", (), {}),
 ]
 
 

@@ -59,6 +59,8 @@ PARSE_TIME_REJECTIONS = [
     # at 9 cells a cell center sits in B/8, so only the empty t_grid is wrong
     ("diagnose", "cells = 12;estimates = hd,sup", "cells = 9;estimates = hd,rh\nt_grid ="),
     ("sweep --vary amplitude --values=", "", ""),
+    ("diagnose", "amplitudes = 1.0", "amplitudes = 1,1,1,1"),
+    ("sweep --vary amplitude --values=1,2,1", "", ""),
 ]
 
 
@@ -422,21 +424,6 @@ class TestSubcommands:
         rows = [r.split(",") for r in out.read_text().strip().split("\n")[1:]]
         assert {r[4] for r in rows if r[0] == "hdes"} == {""}
         assert "" not in {r[4] for r in rows if r[0] == "sup_grad"}
-
-    def test_diagnose_fits_no_slope_through_one_amplitude(self, tmp_path, capsys, caplog):
-        # four solves at one amplitude give four points at one base: no exponent
-        cfg = tmp_path / "ones.cfg"
-        cfg.write_text(MODEL_CFG.replace("amplitudes = 1.0", "amplitudes = 1,1,1,1"))
-        out = tmp_path / "diag.csv"
-        with caplog.at_level(logging.WARNING, logger="pqvar"):
-            assert main(["diagnose", "--config", str(cfg), "--out", str(out)]) == 0
-        warnings = [r.getMessage() for r in caplog.records if r.name == "pqvar"]
-        caplog.clear()
-        assert len(warnings) == 2
-        assert "hdes" in warnings[0] and "sup_grad" in warnings[1]
-        assert all("one base" in w for w in warnings)
-        rows = [r.split(",") for r in out.read_text().strip().split("\n")[1:]]
-        assert len(rows) == 8 and {r[4] for r in rows} == {""}
 
     def test_diagnose_builds_one_grid(self, monkeypatch):
         built = []

@@ -1,4 +1,3 @@
-import inspect
 import math
 
 import numpy as np
@@ -7,16 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pqvar import diagnostics, registry
-from pqvar.diagnostics import (CACC_FRACTIONS, InadmissibleSobolevExponent, MoserParams,
-                               ScalarOnlyError, check_regions, default_sobolev_exponent,
-                               fit_exponent, hd_exponents, log_decay_profile, measure_field,
-                               moser_a_alpha, moser_alpha_sequence, moser_bound,
-                               v_fields, v_gradient_sq)
+from pqvar.diagnostics import (CACC_FRACTIONS, DECAY_FRACTIONS, InadmissibleSobolevExponent,
+                               MoserParams, ScalarOnlyError, check_regions,
+                               default_sobolev_exponent, fit_exponent, hd_exponents,
+                               measure_field, moser_a_alpha, moser_alpha_sequence,
+                               moser_bound, v_fields, v_gradient_sq)
 from pqvar.duality import monotonicity_ratios
 from pqvar.growth import gehring_exponent
 from pqvar.integrands import PowerNorm, ell_mu, frob2, v_map
 from pqvar.model import DiscreteField, Grid, Region, RegionError, Regime
-from pqvar.solver import Schedule, boundary_family, minimize_dirichlet, run_scheme
+from pqvar.solver import boundary_family
 
 B = Region((0.5, 0.5), 0.45, "ball")
 ALL_ESTIMATES = ("hd", "sup", "rh", "cacc", "stress", "decay")
@@ -34,7 +33,7 @@ def measure(fld, entry, estimates, t_grid=(), region=B):
 
 
 def v_density(fld, entry):
-    """The per-cell V-gradient density that log_decay_profile reads."""
+    """The per-cell V-gradient density |grad_h V_{mu,p}|^2 + |grad_h V_{1,q'}(F')|^2."""
     gp, gq = v_gradient_sq(fld, entry.integrand, entry.regime)
     return gp + gq
 
@@ -43,18 +42,21 @@ class TestMeasureField:
     """measure_field forms its inputs once per field, and measures on every
     grid that check_regions accepts."""
 
-    @pytest.mark.parametrize("name, dim, cells, estimates", [
-        ("aniso2d_q4_vec", 2, 9, ("hd", "sup", "rh", "stress", "decay")),
-        ("aniso3d_q4", 3, 7, ("hd", "sup", "cacc", "stress", "decay")),
+    # one gauge of B per point set, barycenters and cell centers; a cube B adds
+    # a ball gauge of the cell centers for the decay balls
+    @pytest.mark.parametrize("name, dim, cells, estimates, kind, gauges", [
+        ("aniso2d_q4_vec", 2, 9, ("hd", "sup", "rh", "stress", "decay"), "ball", 2),
+        ("aniso3d_q4", 3, 7, ("hd", "sup", "cacc", "stress", "decay"), "ball", 2),
+        ("aniso2d_q4", 2, 9, ALL_ESTIMATES, "cube", 3),
     ])
     def test_one_v_field_pass_and_one_evaluation_of_F_over_B(self, monkeypatch, name, dim,
-                                                            cells, estimates):
+                                                            cells, estimates, kind, gauges):
         entry = registry.get(name)
-        grid, region = Grid(dim, cells), Region((0.5,) * dim, 0.45, "ball")
+        grid, region = Grid(dim, cells), Region((0.5,) * dim, 0.45, kind)
         fld = DiscreteField(grid, boundary_family("sine", grid, 1.0, entry.regime.N))
-        passes, evaluated, stressed, masked = [], [], [], []
+        passes, evaluated, stressed, gauged = [], [], [], []
         form, value = diagnostics.v_fields, entry.integrand.value
-        gradient, mask = entry.integrand.gradient, diagnostics.region_mask
+        gradient, gauge = entry.integrand.gradient, Region.gauge
 
         def counting_form(*args):
             passes.append(1)
@@ -68,22 +70,22 @@ class TestMeasureField:
             stressed.append(len(z))
             return gradient(z)
 
-        def recording_mask(*args, **kwargs):
-            masked.append(inspect.stack()[1].function)
-            return mask(*args, **kwargs)
+        def counting_gauge(self, points):
+            gauged.append(len(points))
+            return gauge(self, points)
 
         monkeypatch.setattr(diagnostics, "v_fields", counting_form)
         monkeypatch.setattr(entry.integrand, "value", counting_value)
         monkeypatch.setattr(entry.integrand, "gradient", counting_gradient)
-        monkeypatch.setattr(diagnostics, "region_mask", recording_mask)
+        monkeypatch.setattr(Region, "gauge", counting_gauge)
         rows = measure(fld, entry, estimates, (1.1, 1.5), region=region)
+        assert len(gauged) == gauges
         assert len(passes) == 1
         assert evaluated == [int(region.contains(grid.barycenters).sum())]
         assert {key.split("=")[0] for key in rows} >= {"hdes", "sup_grad", "stress", "decay_r"}
         # F' over the Caccioppoli cutoff's support once per field, not once per alpha
         support = int(region.scaled(CACC_FRACTIONS[1]).contains(grid.barycenters).sum())
         assert stressed.count(support) == ("cacc" in estimates)
-        assert set(masked) == {"check_regions", "log_decay_profile"}
 
     @pytest.mark.parametrize("dim, sizes, estimates", [
         (2, range(2, 17), ALL_ESTIMATES),
@@ -308,21 +310,23 @@ class TestReverseHolder:
 
 
 class TestLogDecay:
+    RADII = [B.radius * f for f in DECAY_FRACTIONS]
+
     def test_gamma_arithmetic(self, scalar_entry, solve_battery):
-        fld = solve_battery[("scalar", 32, 1.0)].field
-        out = log_decay_profile(fld.grid, v_density(fld, scalar_entry), scalar_entry.regime,
-                                [0.2, 0.15, 0.1, 0.07], B)
-        assert out.gamma == pytest.approx((4.0 + 2.0) / 8.0)  # (q+p)/(2q) = 3/4
-        assert out.decay_exponent == pytest.approx(11.0 / 4.0)
-        assert all(b < a for a, b in zip(out.masses, out.masses[1:]))
+        rows = list(measure(solve_battery[("scalar", 32, 1.0)].field, scalar_entry,
+                            ["decay"]).values())
+        assert [e.estimate_id for e in rows] == [f"decay_r={s:g}" for s in self.RADII]
+        # rhs = C log(R/s)^-(gamma+2) with gamma = (q+p)/(2q) = 3/4
+        x0, x1 = (math.log(B.radius / s) for s in self.RADII[:2])
+        assert -math.log(rows[0].rhs / rows[1].rhs) / math.log(x0 / x1) == pytest.approx(
+            11.0 / 4.0)
+        assert all(b.lhs < a.lhs for a, b in zip(rows, rows[1:]))
 
     def test_affine_zero_masses(self, scalar_entry):
         grid = Grid(2, 16)
         fld = DiscreteField(grid, grid.node_coords[:, 0:1])
-        out = log_decay_profile(grid, v_density(fld, scalar_entry), scalar_entry.regime,
-                                [0.2, 0.15, 0.1], B)
-        assert out.masses == [0.0, 0.0, 0.0]
-        assert out.amplitude == 0.0 and out.fit_residual == 0.0
+        rows = measure(fld, scalar_entry, ["decay"]).values()
+        assert [(e.lhs, e.rhs) for e in rows] == [(0.0, 0.0)] * len(DECAY_FRACTIONS)
 
     def test_flat_core_fits_the_positive_masses(self, scalar_entry):
         # u = max(|x - c|^2 - rho^2, 0) has zero PL gradients, so zero V-fields,
@@ -331,33 +335,25 @@ class TestLogDecay:
         grid, rho = Grid(2, 64), 0.14
         r2 = ((grid.node_coords - 0.5) ** 2).sum(axis=1)
         fld = DiscreteField(grid, np.maximum(r2 - rho ** 2, 0.0)[:, None])
-        radii = [B.radius * f for f in (0.45, 0.35, 0.25, 0.18)]
-        out = log_decay_profile(grid, v_density(fld, scalar_entry), scalar_entry.regime,
-                                radii, B)
-        assert out.masses[2:] == [0.0, 0.0] and min(out.masses[:2]) > 0.0
-        ys = [math.log(m) + out.decay_exponent * math.log(math.log(B.radius / s))
-              for m, s in zip(out.masses[:2], radii[:2])]
-        assert out.amplitude == pytest.approx(math.exp(sum(ys) / 2), rel=1e-12)
-        assert out.fit_residual == pytest.approx(abs(ys[0] - ys[1]) / 2, rel=1e-12)
+        rows = list(measure(fld, scalar_entry, ["decay"]).values())
+        masses = [e.lhs for e in rows]
+        assert masses[2:] == [0.0, 0.0] and min(masses[:2]) > 0.0
+        xs = [math.log(B.radius / s) for s in self.RADII]
+        ys = [math.log(m) + 11.0 / 4.0 * math.log(x) for m, x in zip(masses[:2], xs[:2])]
+        C = math.exp(sum(ys) / 2)
+        for e, x in zip(rows, xs):
+            assert e.rhs == pytest.approx(C * x ** -2.75, rel=1e-12)
 
-    def test_ball_without_cells_is_region_error(self, scalar_entry):
-        # the CLI's decay radii on 8 cells: the smallest ball (radius 0.081)
-        # holds no cell center, which must not read as an exact fit with C = 0
-        grid = Grid(2, 8)
-        g = boundary_family("sine", grid, 1.0, 1)
-        res = run_scheme(scalar_entry.integrand, scalar_entry.regime, grid, g,
-                         Schedule.dyadic(2))
-        radii = [B.radius * f for f in (0.45, 0.35, 0.25, 0.18)]
-        with pytest.raises(RegionError):
-            log_decay_profile(grid, v_density(res.field, scalar_entry), scalar_entry.regime,
-                              radii, B)
+    def test_ball_without_cells_is_region_error(self):
+        # the decay radii on 8 cells: the smallest ball (radius 0.081) holds no
+        # cell center, which must not read as an exact fit with C = 0
+        with pytest.raises(RegionError, match="no cell centers"):
+            check_regions(Grid(2, 8), B, ["decay"])
 
-    def test_needs_three_radii(self, scalar_entry):
-        grid = Grid(2, 8)
-        fld = DiscreteField(grid, np.zeros((grid.n_nodes, 1)))
-        with pytest.raises(ValueError):
-            log_decay_profile(grid, v_density(fld, scalar_entry), scalar_entry.regime,
-                              [0.2, 0.1], B)
+    def test_radii_are_a_nested_ladder_inside_half_B(self):
+        assert len(DECAY_FRACTIONS) >= 3
+        assert all(b < a for a, b in zip(DECAY_FRACTIONS, DECAY_FRACTIONS[1:]))
+        assert DECAY_FRACTIONS[0] < 0.5
 
 
 class TestCaccioppoli:

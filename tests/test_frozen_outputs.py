@@ -167,7 +167,7 @@ def test_conjugate_matches_frozen_table(tmp_path):
 
 
 def test_diagnose_cases_are_frozen():
-    assert DIAGNOSE_CASES == ["aniso2d_q4", "aniso2d_q4_vec_fit", "aniso3d_q4"]
+    assert DIAGNOSE_CASES == ["aniso2d_q4", "aniso2d_q4_cube", "aniso2d_q4_vec_fit", "aniso3d_q4"]
 
 
 @pytest.mark.parametrize("case", DIAGNOSE_CASES)
@@ -179,8 +179,9 @@ def test_diagnose_matches_frozen_report(case, tmp_path, capsys):
     assert_digest(f"diagnose/{case}.csv", out.read_bytes())
     want = os.path.join(DIAGNOSE_DATA, f"{case}.csv")
     assert_table_matches(want, out, {})
-    # the exponent fits ran: each fitted estimate (hdes, sup_grad, and rh_t=* in
-    # the vectorial case) has one at all 4 amplitudes
+    # the exponent fits ran: each fitted estimate (hdes, sup_grad, and the four
+    # rh_t=* of the cases that measure rh) has one at all 4 amplitudes
     _, rows = read_csv(want)
     fits = [row[4] for row in rows if row[0] in ("hdes", "sup_grad") or row[0].startswith("rh_t=")]
-    assert len(fits) == (24 if case == "aniso2d_q4_vec_fit" else 8) and all(fits)
+    fitted = 6 if case in ("aniso2d_q4_cube", "aniso2d_q4_vec_fit") else 2
+    assert len(fits) == 4 * fitted and all(fits)
